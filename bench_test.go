@@ -1,9 +1,10 @@
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation, plus ablation benches for the design choices DESIGN.md
-// calls out. Each benchmark regenerates its experiment end to end on the
-// simulated substrate and reports the headline quantity (usually the
-// Zeppelin-over-TE-CP speedup) as a custom metric, so `go test -bench=.`
-// reproduces the whole evaluation. The printable row/series output lives
+// evaluation, plus ablation benches for the design choices behind the
+// components README.md's "Package tour" lists. Each benchmark
+// regenerates its experiment end to end on the simulated substrate and
+// reports the headline quantity (usually the Zeppelin-over-TE-CP
+// speedup) as a custom metric, so `go test -bench=.` reproduces the
+// whole evaluation. The printable row/series output lives
 // in cmd/zeppelin (`zeppelin fig8`, etc.), which drives the same runners.
 package zeppelin_test
 
@@ -170,8 +171,9 @@ func BenchmarkTable3CostDistribution(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablation benches for design choices (DESIGN.md §5): routing proxy
-// count, capacity factor, and per-method single-cell costs.
+// Ablation benches for design choices (README.md, "Package tour"):
+// Zeppelin's components, capacity factor, and per-method single-cell
+// costs.
 // ---------------------------------------------------------------------
 
 func cellBench(b *testing.B, m trainer.Method) {
@@ -275,18 +277,60 @@ func BenchmarkRunnerSerial(b *testing.B)   { runnerBench(b, 1) }
 func BenchmarkRunnerParallel(b *testing.B) { runnerBench(b, runtime.GOMAXPROCS(0)) }
 
 // Core-loop micro-benchmarks: partitioner and remapping solver costs,
-// the "Sequence Partition" row of Table 3.
-func BenchmarkPartitionerPlan(b *testing.B) {
+// the "Sequence Partition" row of Table 3, and the simulation of one
+// planned iteration that every reported throughput is read from.
+
+// iterationBenchCell is the cell both halves of an iteration are
+// timed on: one GitHub batch on four Cluster A nodes.
+func iterationBenchCell() (trainer.Config, []seq.Sequence) {
 	cfg := trainer.Config{Model: model.LLaMA7B, Spec: cluster.ClusterA, Nodes: 4, Seed: 3}
-	batch := cfg.Batch(workload.GitHub.Batch)
+	return cfg, cfg.Batch(workload.GitHub.Batch)
+}
+
+// BenchmarkPartitionerPlan times the hierarchical partition solve alone
+// (Alg. 1 + 2), on a partitioner whose scratch buffers are warm, as in
+// a streaming campaign.
+func BenchmarkPartitionerPlan(b *testing.B) {
+	cfg, batch := iterationBenchCell()
 	env, err := cfg.NewEnv()
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = env
+	p, err := partition.New(partition.Config{Cluster: env.C, CapacityTokens: env.CapacityTokens})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := p.Plan(batch); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := trainer.Run(cfg, zep.Method{}, batch); err != nil {
+		if _, err := p.Plan(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimulateIteration times the simulation of one planned
+// iteration of full Zeppelin: emitting the layer's task graph (attention,
+// remap and linear stages, forward and backward) and running it through
+// sim.Engine.Run. The environment and the plan are rebuilt with the
+// timer stopped, since an engine runs once.
+func BenchmarkSimulateIteration(b *testing.B) {
+	cfg, batch := iterationBenchCell()
+	m := zep.Full()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		env, err := cfg.NewEnv()
+		if err != nil {
+			b.Fatal(err)
+		}
+		pl, err := m.Plan(env, batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := trainer.RunPlanned(cfg, m.Name(), env, pl, batch); err != nil {
 			b.Fatal(err)
 		}
 	}

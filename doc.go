@@ -142,6 +142,6 @@
 //     CI bench-regression gate (cmd/benchgate), `zeppelin bench`, and
 //     zeppelin-loadgen's throughput artifact
 //
-// See README.md for a tour and DESIGN.md for the system inventory and the
-// per-experiment index.
+// See README.md for a tour: its "Package tour" section is the system
+// inventory, and "Quickstart" lists every experiment the CLI regenerates.
 package zeppelin

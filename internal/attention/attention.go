@@ -13,8 +13,6 @@
 package attention
 
 import (
-	"fmt"
-
 	"zeppelin/internal/cluster"
 	"zeppelin/internal/costmodel"
 	"zeppelin/internal/model"
@@ -36,18 +34,22 @@ func New(f *cluster.Fabric, r *routing.Router, cm *costmodel.Model) *Engine {
 	return &Engine{F: f, R: r, CM: cm}
 }
 
-// pass direction controls compute/comm scaling and queue order.
+// pass direction controls compute/comm scaling, queue order, and the
+// stage labels of the tasks it emits.
 type pass struct {
-	name        string
 	computeMul  float64
 	commMul     float64
 	reverseTier bool // backward executes local -> intra -> inter
+	// Stage labels: local-sequence attention, ring KV transfers, ring
+	// compute rounds, and the pass's completion barrier.
+	local, kv, comp, done string
 }
 
 var (
-	fwd = pass{name: "fwd", computeMul: 1, commMul: 1}
-	bwd = pass{name: "bwd", computeMul: costmodel.BwdComputeFactor,
-		commMul: costmodel.BwdCommFactor, reverseTier: true}
+	fwd = pass{computeMul: 1, commMul: 1,
+		local: "attn-fwd/local", kv: "attn-fwd/ring/kv", comp: "attn-fwd/ring/comp", done: "attn-fwd/done"}
+	bwd = pass{computeMul: costmodel.BwdComputeFactor, commMul: costmodel.BwdCommFactor, reverseTier: true,
+		local: "attn-bwd/local", kv: "attn-bwd/ring/kv", comp: "attn-bwd/ring/comp", done: "attn-bwd/done"}
 )
 
 // EmitForward appends the forward attention graph for one layer and
@@ -68,43 +70,38 @@ func (en *Engine) emit(plan *seq.Plan, p pass, deps []*sim.Task) *sim.Task {
 	world := plan.World
 	lastComp := make([]*sim.Task, world)
 
-	var interRings, intraRings []seq.Ring
-	for _, ring := range plan.Rings {
-		if ring.Zone == seq.ZoneInter {
-			interRings = append(interRings, ring)
-		} else {
-			intraRings = append(intraRings, ring)
-		}
-	}
-
 	emitLocal := func() {
 		for rank := 0; rank < world; rank++ {
 			for _, s := range plan.Local[rank] {
 				d := en.CM.CausalAttnTime(float64(s.Len)) * p.computeMul
-				t := en.F.ComputeTask(fmt.Sprintf("attn-%s/local/seq%d", p.name, s.ID), rank, d)
+				t := en.F.ComputeTask(p.local, rank, d)
 				t.After(deps...)
 				t.After(lastComp[rank])
 				lastComp[rank] = t
 			}
 		}
 	}
-	emitRings := func(rings []seq.Ring) {
-		for _, ring := range rings {
-			en.emitRing(ring, p, deps, lastComp)
+	// emitRings emits the inter-node rings, or every other ring, in plan
+	// order.
+	emitRings := func(inter bool) {
+		for _, ring := range plan.Rings {
+			if (ring.Zone == seq.ZoneInter) == inter {
+				en.emitRing(ring, p, deps, lastComp)
+			}
 		}
 	}
 
 	if p.reverseTier {
 		emitLocal()
-		emitRings(intraRings)
-		emitRings(interRings)
+		emitRings(false)
+		emitRings(true)
 	} else {
-		emitRings(interRings)
-		emitRings(intraRings)
+		emitRings(true)
+		emitRings(false)
 		emitLocal()
 	}
 
-	done := en.F.E.Barrier("attn-"+p.name+"/done", 0)
+	done := en.F.E.Barrier(p.done, 0)
 	for rank := 0; rank < world; rank++ {
 		done.After(lastComp[rank])
 	}
@@ -141,30 +138,29 @@ func (en *Engine) emitRing(ring seq.Ring, p pass, deps []*sim.Task, lastComp []*
 	blockBytes := en.CM.KVBytes(s/float64(g)) * p.commMul
 
 	// have[i] is the task whose completion delivers the KV block rank i
-	// consumes in the current round.
-	have := make([]*sim.Task, g)
+	// consumes in the current round; next collects the blocks forwarded
+	// for the round after (every round but the last fills all of it), and
+	// xDeps one transfer's dependencies. The buffers are reused across
+	// rounds and transfers.
+	have, next := make([]*sim.Task, g), make([]*sim.Task, g)
+	xDeps := append(make([]*sim.Task, 0, len(deps)+1), deps...)
 	for t := 0; t < g; t++ {
-		next := make([]*sim.Task, g)
 		for i, rank := range ring.Ranks {
 			if t < g-1 {
 				// Forward the currently held block while computing on it.
 				dst := ring.Ranks[(i+1)%g]
-				label := fmt.Sprintf("attn-%s/ring%d/r%d/kv%d->%d", p.name, ring.Seq.ID, t, rank, dst)
-				var xDeps []*sim.Task
-				xDeps = append(xDeps, deps...)
+				xDeps = xDeps[:len(deps)]
 				if have[i] != nil {
 					xDeps = append(xDeps, have[i])
 				}
-				next[(i+1)%g] = en.R.Transfer(label, rank, dst, blockBytes, xDeps...)
+				next[(i+1)%g] = en.R.Transfer(p.kv, rank, dst, blockBytes, xDeps...)
 			}
-			comp := en.F.ComputeTask(
-				fmt.Sprintf("attn-%s/ring%d/r%d/comp@%d", p.name, ring.Seq.ID, t, rank),
-				rank, perRound[i])
+			comp := en.F.ComputeTask(p.comp, rank, perRound[i])
 			comp.After(deps...)
 			comp.After(have[i])        // wait for this round's KV block
 			comp.After(lastComp[rank]) // keep the compute stream ordered
 			lastComp[rank] = comp
 		}
-		have = next
+		have, next = next, have
 	}
 }

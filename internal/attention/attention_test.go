@@ -205,7 +205,7 @@ func TestTierOrderingInterBeforeLocal(t *testing.T) {
 		if tk.Kind != sim.KindCompute || tk.Rank != 0 {
 			continue
 		}
-		if tk.Label == "attn-fwd/local/seq1" {
+		if tk.Label == "attn-fwd/local" {
 			localStart = tk.Start
 		} else if tk.End > lastRingEnd {
 			lastRingEnd = tk.End
@@ -235,7 +235,7 @@ func TestBackwardReversesTierOrder(t *testing.T) {
 		if tk.Kind != sim.KindCompute || tk.Rank != 0 {
 			continue
 		}
-		if tk.Label == "attn-bwd/local/seq1" {
+		if tk.Label == "attn-bwd/local" {
 			localEnd = tk.End
 		} else if tk.Start < firstRingStart {
 			firstRingStart = tk.Start
@@ -275,5 +275,52 @@ func TestMultipleRingsOnSameRanksSerializeCompute(t *testing.T) {
 	perRing := en.CM.CausalAttnTime(16384) / 4
 	if mk < 2*perRing {
 		t.Fatalf("two rings sharing ranks must serialize compute: %v < %v", mk, 2*perRing)
+	}
+}
+
+// allocPinPlan is a small plan touching every emit path: a routed ring
+// across both nodes, an intra-node ring, and local sequences.
+func allocPinPlan() *seq.Plan {
+	plan := seq.NewPlan(16)
+	inter := make([]int, 16)
+	for i := range inter {
+		inter[i] = i
+	}
+	plan.Rings = []seq.Ring{
+		{Seq: seq.Sequence{ID: 0, Len: 65536}, Zone: seq.ZoneInter, Ranks: inter},
+		{Seq: seq.Sequence{ID: 1, Len: 16384}, Zone: seq.ZoneIntra, Ranks: []int{8, 9, 10, 11}},
+	}
+	for rank := 0; rank < 16; rank++ {
+		plan.Local[rank] = []seq.Sequence{{ID: 2 + rank, Len: 1024}, {ID: 18 + rank, Len: 512}}
+	}
+	return plan
+}
+
+// TestEmitAndRunAllocsPerTask pins what building and running the task
+// graph allocates: emitting the forward and backward passes of
+// allocPinPlan on a fresh two-node fabric and running them must stay
+// under maxAllocsPerTask allocations per emitted task, fabric set-up
+// included. Tasks, successor edges and events come from chunks and
+// reused buffers (about 0.05 allocations per task); a label formatted
+// per task, an event boxed per push, or a successor slice grown per
+// task costs at least one allocation per task and trips the bound.
+func TestEmitAndRunAllocsPerTask(t *testing.T) {
+	const maxAllocsPerTask = 0.25
+	c := cluster.MustNew(cluster.ClusterA, 2)
+	cm := costmodel.MustNew(model.LLaMA3B, cluster.ClusterA, 1)
+	plan := allocPinPlan()
+	tasks := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		e := sim.NewEngine()
+		f := cluster.NewFabric(e, c)
+		en := New(f, routing.New(f, true), cm)
+		en.EmitBackward(plan, en.EmitForward(plan))
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		tasks = len(e.Tasks())
+	})
+	if per := allocs / float64(tasks); per > maxAllocsPerTask {
+		t.Fatalf("%.0f allocations for %d tasks: %.2f per task, want <= %v", allocs, tasks, per, maxAllocsPerTask)
 	}
 }

@@ -25,16 +25,40 @@ import (
 // reorganization (chunking, bookkeeping) shared by the baselines.
 const hostOverheadBase = 0.5e-3
 
+// stage labels the tasks of one attention pass of a baseline: compute
+// kernels, KV traffic (ring transfers or the all-gather), and the pass's
+// barriers. Every label starts with the pass's phase ("attn-fwd" or
+// "attn-bwd"), the prefix trainer's per-rank phase accounting keys on.
+type stage struct{ comp, kv, done string }
+
+var (
+	tecpFwd  = stage{comp: "attn-fwd/tecp/comp", kv: "attn-fwd/tecp/kv", done: "attn-fwd/tecp/done"}
+	tecpBwd  = stage{comp: "attn-bwd/tecp/comp", kv: "attn-bwd/tecp/kv", done: "attn-bwd/tecp/done"}
+	llamaFwd = stage{comp: "attn-fwd/llama/comp", kv: "attn-fwd/llama/allgather", done: "attn-fwd/llama/done"}
+	llamaBwd = stage{comp: "attn-bwd/llama/comp", kv: "attn-bwd/llama/allgather", done: "attn-bwd/llama/done"}
+)
+
+// hybridStage labels a Hybrid DP attention pass: whole sequences on one
+// rank, ring (CP group) compute and KV transfers, and the wave barriers.
+type hybridStage struct{ dp, cpComp, cpKV, wave string }
+
+var (
+	hybridFwd = hybridStage{dp: "attn-fwd/hybrid/dp", cpComp: "attn-fwd/hybrid/cp/comp",
+		cpKV: "attn-fwd/hybrid/cp/kv", wave: "attn-fwd/hybrid/wave"}
+	hybridBwd = hybridStage{dp: "attn-bwd/hybrid/dp", cpComp: "attn-bwd/hybrid/cp/comp",
+		cpKV: "attn-bwd/hybrid/cp/kv", wave: "attn-bwd/hybrid/wave"}
+)
+
 // ringAllRanks emits one pass of balanced ring attention over all ranks
 // for a concatenated batch: G = world rounds, each overlapping the
 // compute on the current KV block with the transfer of the next. Per-rank
 // compute order is chained through lastComp.
-func ringAllRanks(env *trainer.Env, r *routing.Router, label string,
+func ringAllRanks(env *trainer.Env, r *routing.Router, st stage,
 	pairsTotal, tokensTotal float64, computeMul, commMul float64,
 	lastComp []*sim.Task, deps []*sim.Task) {
 	g := env.C.World()
 	if g == 1 {
-		t := env.F.ComputeTask(label+"/comp", 0, env.CM.AttnTimePairs(pairsTotal)*computeMul)
+		t := env.F.ComputeTask(st.comp, 0, env.CM.AttnTimePairs(pairsTotal)*computeMul)
 		t.After(deps...)
 		t.After(lastComp[0])
 		lastComp[0] = t
@@ -43,27 +67,25 @@ func ringAllRanks(env *trainer.Env, r *routing.Router, label string,
 	perRound := env.CM.AttnTimePairs(pairsTotal/float64(g*g))*computeMul +
 		costmodel.RingRoundOverhead
 	blockBytes := env.CM.KVBytes(tokensTotal/float64(g)) * commMul
-	have := make([]*sim.Task, g)
+	have, next := make([]*sim.Task, g), make([]*sim.Task, g)
+	xDeps := append(make([]*sim.Task, 0, len(deps)+1), deps...)
 	for t := 0; t < g; t++ {
-		next := make([]*sim.Task, g)
 		for i := 0; i < g; i++ {
 			if t < g-1 {
 				dst := (i + 1) % g
-				var xDeps []*sim.Task
-				xDeps = append(xDeps, deps...)
+				xDeps = xDeps[:len(deps)]
 				if have[i] != nil {
 					xDeps = append(xDeps, have[i])
 				}
-				next[dst] = r.Transfer(fmt.Sprintf("%s/r%d/kv%d->%d", label, t, i, dst),
-					i, dst, blockBytes, xDeps...)
+				next[dst] = r.Transfer(st.kv, i, dst, blockBytes, xDeps...)
 			}
-			comp := env.F.ComputeTask(fmt.Sprintf("%s/r%d/comp@%d", label, t, i), i, perRound)
+			comp := env.F.ComputeTask(st.comp, i, perRound)
 			comp.After(deps...)
 			comp.After(have[i])
 			comp.After(lastComp[i])
 			lastComp[i] = comp
 		}
-		have = next
+		have, next = next, have
 	}
 }
 
@@ -141,13 +163,13 @@ type tecpPlacement struct {
 }
 
 func (p *tecpPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*sim.Task) *sim.Task {
-	computeMul, commMul, name := 1.0, 1.0, "attn-fwd/tecp"
+	computeMul, commMul, st := 1.0, 1.0, tecpFwd
 	if backward {
-		computeMul, commMul, name = 2.0, 2.0, "attn-bwd/tecp"
+		computeMul, commMul, st = 2.0, 2.0, tecpBwd
 	}
 	lastComp := make([]*sim.Task, env.C.World())
-	ringAllRanks(env, p.router, name, p.pairs, float64(p.tokens), computeMul, commMul, lastComp, deps)
-	done := env.E.Barrier(name+"/done", 0)
+	ringAllRanks(env, p.router, st, p.pairs, float64(p.tokens), computeMul, commMul, lastComp, deps)
+	done := env.E.Barrier(st.done, 0)
 	done.After(deps...)
 	for _, t := range lastComp {
 		done.After(t)
@@ -212,18 +234,18 @@ func (p *llamaPlacement) emitAllGather(env *trainer.Env, label string, volMul fl
 }
 
 func (p *llamaPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*sim.Task) *sim.Task {
-	computeMul, volMul, name := 1.0, 1.0, "attn-fwd/llama"
+	computeMul, volMul, st := 1.0, 1.0, llamaFwd
 	if backward {
 		// Backward re-gathers KV and reduce-scatters dKV: 2× volume.
-		computeMul, volMul, name = 2.0, 2.0, "attn-bwd/llama"
+		computeMul, volMul, st = 2.0, 2.0, llamaBwd
 	}
-	gathered := p.emitAllGather(env, name+"/allgather", volMul, deps)
+	gathered := p.emitAllGather(env, st.kv, volMul, deps)
 	world := env.C.World()
 	perRank := env.CM.AttnTimePairs(p.pairs/float64(world)) * computeMul
-	done := env.E.Barrier(name+"/done", 0)
+	done := env.E.Barrier(st.done, 0)
 	done.After(gathered)
 	for rank := 0; rank < world; rank++ {
-		t := env.F.ComputeTask(fmt.Sprintf("%s/comp@%d", name, rank), rank, perRank)
+		t := env.F.ComputeTask(st.comp, rank, perRank)
 		t.After(gathered)
 		done.After(t)
 	}
@@ -344,13 +366,12 @@ type hybridPlacement struct {
 // emitGroupRing runs balanced ring attention for one sequence over its
 // assigned block (direct sends — hybrid methods keep the static GPU–NIC
 // affinity the routing layer would break).
-func (p *hybridPlacement) emitGroupRing(env *trainer.Env, name string, a assignment,
+func (p *hybridPlacement) emitGroupRing(env *trainer.Env, st hybridStage, a assignment,
 	computeMul, commMul float64, lastComp []*sim.Task, deps []*sim.Task) {
 	g := len(a.ranks)
 	if g == 1 {
 		rank := a.ranks[0]
-		t := env.F.ComputeTask(fmt.Sprintf("%s/dp-seq%d@%d", name, a.s.ID, rank),
-			rank, env.CM.CausalAttnTime(float64(a.s.Len))*computeMul)
+		t := env.F.ComputeTask(st.dp, rank, env.CM.CausalAttnTime(float64(a.s.Len))*computeMul)
 		t.After(deps...)
 		t.After(lastComp[rank])
 		lastComp[rank] = t
@@ -360,36 +381,32 @@ func (p *hybridPlacement) emitGroupRing(env *trainer.Env, name string, a assignm
 	perRound := env.CM.AttnTimePairs(pairs/float64(g*g))*computeMul +
 		costmodel.RingRoundOverhead
 	blockBytes := env.CM.KVBytes(float64(a.s.Len)/float64(g)) * commMul
-	have := make([]*sim.Task, g)
+	have, next := make([]*sim.Task, g), make([]*sim.Task, g)
+	xDeps := append(make([]*sim.Task, 0, len(deps)+1), deps...)
 	for t := 0; t < g; t++ {
-		next := make([]*sim.Task, g)
 		for i, rank := range a.ranks {
 			if t < g-1 {
 				dst := a.ranks[(i+1)%g]
-				var xDeps []*sim.Task
-				xDeps = append(xDeps, deps...)
+				xDeps = xDeps[:len(deps)]
 				if have[i] != nil {
 					xDeps = append(xDeps, have[i])
 				}
-				next[(i+1)%g] = p.router.Transfer(
-					fmt.Sprintf("%s/cp-seq%d/r%d/kv%d->%d", name, a.s.ID, t, rank, dst),
-					rank, dst, blockBytes, xDeps...)
+				next[(i+1)%g] = p.router.Transfer(st.cpKV, rank, dst, blockBytes, xDeps...)
 			}
-			comp := env.F.ComputeTask(
-				fmt.Sprintf("%s/cp-seq%d/r%d/comp@%d", name, a.s.ID, t, rank), rank, perRound)
+			comp := env.F.ComputeTask(st.cpComp, rank, perRound)
 			comp.After(deps...)
 			comp.After(have[i])
 			comp.After(lastComp[rank])
 			lastComp[rank] = comp
 		}
-		have = next
+		have, next = next, have
 	}
 }
 
 func (p *hybridPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*sim.Task) *sim.Task {
-	computeMul, commMul, name := 1.0, 1.0, "attn-fwd/hybrid"
+	computeMul, commMul, st := 1.0, 1.0, hybridFwd
 	if backward {
-		computeMul, commMul, name = 2.0, 2.0, "attn-bwd/hybrid"
+		computeMul, commMul, st = 2.0, 2.0, hybridBwd
 	}
 	world := env.C.World()
 	// Micro-batches execute as lock-stepped waves (gradient-accumulation
@@ -414,15 +431,15 @@ func (p *hybridPlacement) EmitAttention(env *trainer.Env, backward bool, deps ..
 			maxWave = w
 		}
 	}
-	prev := env.E.Barrier(name+"/wave-start", 0)
+	prev := env.E.Barrier(st.wave, 0)
 	prev.After(deps...)
 	for w := 0; w <= maxWave; w++ {
 		lastComp := make([]*sim.Task, world)
 		waveDeps := []*sim.Task{prev}
 		for _, a := range waves[w] {
-			p.emitGroupRing(env, name, a, computeMul, commMul, lastComp, waveDeps)
+			p.emitGroupRing(env, st, a, computeMul, commMul, lastComp, waveDeps)
 		}
-		bar := env.E.Barrier(fmt.Sprintf("%s/wave%d", name, w), 0)
+		bar := env.E.Barrier(st.wave, 0)
 		bar.After(prev)
 		for _, t := range lastComp {
 			bar.After(t)

@@ -85,11 +85,11 @@ type packingPlacement struct {
 // emitUlyssesAllToAll exchanges each rank's activation shard with the
 // group (sequence-partition ↔ head-partition switch). Volume per rank is
 // width × tokens/world × (world−1)/world; the cross-node fraction rides
-// the rank's NIC.
+// the rank's NIC. Every task it creates carries label.
 func (p *packingPlacement) emitUlyssesAllToAll(env *trainer.Env, label string, widths float64, mul float64, deps []*sim.Task) *sim.Task {
 	c := env.C
 	world := c.World()
-	done := env.E.Barrier(label+"/done", 0)
+	done := env.E.Barrier(label, 0)
 	done.After(deps...)
 	if world == 1 {
 		return done
@@ -103,40 +103,46 @@ func (p *packingPlacement) emitUlyssesAllToAll(env *trainer.Env, label string, w
 	for rank := 0; rank < world; rank++ {
 		if crossFrac > 0 {
 			nic := c.NICOf(rank)
-			tx := env.E.Transfer(fmt.Sprintf("%s/tx@%d", label, rank),
-				sim.KindInterComm, rank, env.F.NICSend[nic], perRank*crossFrac)
+			tx := env.E.Transfer(label, sim.KindInterComm, rank, env.F.NICSend[nic], perRank*crossFrac)
 			tx.After(deps...)
-			rx := env.E.Transfer(fmt.Sprintf("%s/rx@%d", label, rank),
-				sim.KindInterComm, rank, env.F.NICRecv[nic], perRank*crossFrac)
+			rx := env.E.Transfer(label, sim.KindInterComm, rank, env.F.NICRecv[nic], perRank*crossFrac)
 			rx.After(deps...)
 			done.After(tx, rx)
 		}
-		intra := env.E.Transfer(fmt.Sprintf("%s/nvs@%d", label, rank),
-			sim.KindIntraComm, rank, env.F.IntraSend[rank], perRank*(1-crossFrac))
+		intra := env.E.Transfer(label, sim.KindIntraComm, rank, env.F.IntraSend[rank], perRank*(1-crossFrac))
 		intra.After(deps...)
 		done.After(intra)
 	}
 	return done
 }
 
+// packingStage labels a packed attention pass: the Ulysses all-to-alls
+// in and out, and the attention kernels with their barrier.
+type packingStage struct{ a2aIn, comp, a2aOut string }
+
+var (
+	packingFwd = packingStage{"attn-fwd/packing/a2a-in", "attn-fwd/packing/comp", "attn-fwd/packing/a2a-out"}
+	packingBwd = packingStage{"attn-bwd/packing/a2a-in", "attn-bwd/packing/comp", "attn-bwd/packing/a2a-out"}
+)
+
 func (p *packingPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*sim.Task) *sim.Task {
-	computeMul, name := 1.0, "attn-fwd/packing"
+	computeMul, st := 1.0, packingFwd
 	if backward {
-		computeMul, name = 2.0, "attn-bwd/packing"
+		computeMul, st = 2.0, packingBwd
 	}
 	world := env.C.World()
 	// All-to-all in: QKV widths (≈3 hidden-sized tensors).
-	in := p.emitUlyssesAllToAll(env, name+"/a2a-in", 3, computeMul, deps)
+	in := p.emitUlyssesAllToAll(env, st.a2aIn, 3, computeMul, deps)
 	perRank := env.CM.AttnTimePairs(p.packedPairs/float64(world)) * computeMul
-	compDone := env.E.Barrier(name+"/comp-done", 0)
+	compDone := env.E.Barrier(st.comp, 0)
 	compDone.After(in)
 	for rank := 0; rank < world; rank++ {
-		t := env.F.ComputeTask(fmt.Sprintf("%s/comp@%d", name, rank), rank, perRank)
+		t := env.F.ComputeTask(st.comp, rank, perRank)
 		t.After(in)
 		compDone.After(t)
 	}
 	// All-to-all out: the attention output (1 hidden-sized tensor).
-	return p.emitUlyssesAllToAll(env, name+"/a2a-out", 1, computeMul, []*sim.Task{compDone})
+	return p.emitUlyssesAllToAll(env, st.a2aOut, 1, computeMul, []*sim.Task{compDone})
 }
 
 func (p *packingPlacement) LinearEffectiveTokens(env *trainer.Env) []float64 {

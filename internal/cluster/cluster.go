@@ -178,26 +178,28 @@ type Fabric struct {
 	NICRecv   []*sim.Resource // per global NIC
 }
 
-// NewFabric builds the resources for a cluster on an engine.
+// NewFabric builds the resources for a cluster on an engine. Resource
+// names are per kind ("gpu/compute", "nic/tx"); the slices above index
+// them by rank or NIC.
 func NewFabric(e *sim.Engine, c *Cluster) *Fabric {
 	f := &Fabric{C: c, E: e}
 	world := c.World()
 	for r := 0; r < world; r++ {
-		comp := e.NewResource(fmt.Sprintf("gpu%d/compute", r), 0)
+		comp := e.NewResource("gpu/compute", 0)
 		comp.Latency = c.LaunchLatency
 		f.Compute = append(f.Compute, comp)
 
-		is := e.NewResource(fmt.Sprintf("gpu%d/nvs-out", r), c.IntraBandwidth)
+		is := e.NewResource("gpu/nvs-out", c.IntraBandwidth)
 		is.Latency = c.IntraLatency
-		ir := e.NewResource(fmt.Sprintf("gpu%d/nvs-in", r), c.IntraBandwidth)
+		ir := e.NewResource("gpu/nvs-in", c.IntraBandwidth)
 		ir.Latency = c.IntraLatency
 		f.IntraSend = append(f.IntraSend, is)
 		f.IntraRecv = append(f.IntraRecv, ir)
 	}
 	for n := 0; n < c.Nodes*c.NICsPerNode; n++ {
-		s := e.NewResource(fmt.Sprintf("nic%d/tx", n), c.NICBandwidth)
+		s := e.NewResource("nic/tx", c.NICBandwidth)
 		s.Latency = c.InterLatency
-		r := e.NewResource(fmt.Sprintf("nic%d/rx", n), c.NICBandwidth)
+		r := e.NewResource("nic/rx", c.NICBandwidth)
 		r.Latency = c.InterLatency
 		f.NICSend = append(f.NICSend, s)
 		f.NICRecv = append(f.NICRecv, r)
@@ -210,7 +212,8 @@ func NewFabric(e *sim.Engine, c *Cluster) *Fabric {
 // transfer charges both the egress and ingress sides of the bottleneck
 // link (send and receive run concurrently when uncontended, so an
 // uncontended transfer costs bytes/bandwidth once, not twice). A transfer
-// to self completes immediately after deps.
+// to self completes immediately after deps. Every task the transfer
+// creates carries label.
 func (f *Fabric) Send(label string, src, dst int, bytes float64, deps ...*sim.Task) *sim.Task {
 	if src == dst || bytes <= 0 {
 		return f.E.Barrier(label, dst).After(deps...)
@@ -223,9 +226,9 @@ func (f *Fabric) Send(label string, src, dst int, bytes float64, deps ...*sim.Ta
 		kind = sim.KindInterComm
 		tx, rx = f.NICSend[f.C.NICOf(src)], f.NICRecv[f.C.NICOf(dst)]
 	}
-	send := f.E.Transfer(label+"/tx", kind, src, tx, bytes)
+	send := f.E.Transfer(label, kind, src, tx, bytes)
 	send.After(deps...)
-	recv := f.E.Transfer(label+"/rx", kind, dst, rx, bytes)
+	recv := f.E.Transfer(label, kind, dst, rx, bytes)
 	recv.After(deps...)
 	return f.E.Barrier(label, dst).After(send, recv)
 }
@@ -241,9 +244,9 @@ func (f *Fabric) SendVia(label string, src, dst, srcNIC, dstNIC int, bytes float
 	if bytes <= 0 {
 		return f.E.Barrier(label, dst).After(deps...)
 	}
-	send := f.E.Transfer(label+"/tx", sim.KindInterComm, src, f.NICSend[srcNIC], bytes)
+	send := f.E.Transfer(label, sim.KindInterComm, src, f.NICSend[srcNIC], bytes)
 	send.After(deps...)
-	recv := f.E.Transfer(label+"/rx", sim.KindInterComm, dst, f.NICRecv[dstNIC], bytes)
+	recv := f.E.Transfer(label, sim.KindInterComm, dst, f.NICRecv[dstNIC], bytes)
 	recv.After(deps...)
 	return f.E.Barrier(label, dst).After(send, recv)
 }

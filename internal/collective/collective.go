@@ -9,11 +9,12 @@
 // channel's ring crosses nodes through a different NIC. An efficiency
 // factor derates achievable bus bandwidth, matching measured collective
 // performance on RoCE fabrics (~45–65% of line rate).
+//
+// Every task a collective emits carries the label its caller passes,
+// which names the calling stage (see internal/sim).
 package collective
 
 import (
-	"fmt"
-
 	"zeppelin/internal/cluster"
 	"zeppelin/internal/sim"
 )
@@ -67,11 +68,9 @@ func AllGather(f *cluster.Fabric, cfg Config, label string, bytesPerRank float64
 			anchor := c.RanksOfNode(n)[0]
 			for k := 0; k < ch; k++ {
 				nic := n*c.NICsPerNode + k%c.NICsPerNode
-				rx := f.E.Transfer(fmt.Sprintf("%s/node%d/ch%d/rx", label, n, k),
-					sim.KindInterComm, anchor, f.NICRecv[nic], perNIC)
+				rx := f.E.Transfer(label, sim.KindInterComm, anchor, f.NICRecv[nic], perNIC)
 				rx.After(deps...)
-				tx := f.E.Transfer(fmt.Sprintf("%s/node%d/ch%d/tx", label, n, k),
-					sim.KindInterComm, anchor, f.NICSend[nic], perNIC)
+				tx := f.E.Transfer(label, sim.KindInterComm, anchor, f.NICSend[nic], perNIC)
 				tx.After(deps...)
 				done.After(rx, tx)
 			}
@@ -80,8 +79,7 @@ func AllGather(f *cluster.Fabric, cfg Config, label string, bytesPerRank float64
 	// NVSwitch collectives run close to peak; derate mildly.
 	perRank := total * float64(world-1) / float64(world) / 0.8
 	for rank := 0; rank < world; rank++ {
-		rx := f.E.Transfer(fmt.Sprintf("%s/rank%d/nvs", label, rank),
-			sim.KindIntraComm, rank, f.IntraRecv[rank], perRank)
+		rx := f.E.Transfer(label, sim.KindIntraComm, rank, f.IntraRecv[rank], perRank)
 		rx.After(deps...)
 		done.After(rx)
 	}
@@ -91,14 +89,14 @@ func AllGather(f *cluster.Fabric, cfg Config, label string, bytesPerRank float64
 // ReduceScatter has the same traffic pattern as AllGather with the data
 // flowing toward the reduction owners; the bandwidth model is identical.
 func ReduceScatter(f *cluster.Fabric, cfg Config, label string, bytesPerRank float64, deps ...*sim.Task) *sim.Task {
-	return AllGather(f, cfg, label+"/rs", bytesPerRank, deps...)
+	return AllGather(f, cfg, label, bytesPerRank, deps...)
 }
 
 // AllReduce is reduce-scatter followed by all-gather (the classical ring
 // decomposition): 2× the volume of either phase.
 func AllReduce(f *cluster.Fabric, cfg Config, label string, bytesPerRank float64, deps ...*sim.Task) *sim.Task {
-	rs := ReduceScatter(f, cfg, label+"/phase1", bytesPerRank, deps...)
-	return AllGather(f, cfg, label+"/phase2", bytesPerRank, rs)
+	rs := ReduceScatter(f, cfg, label, bytesPerRank, deps...)
+	return AllGather(f, cfg, label, bytesPerRank, rs)
 }
 
 // Broadcast sends bytes from root to every other rank: cross-node once
@@ -112,14 +110,14 @@ func Broadcast(f *cluster.Fabric, cfg Config, label string, root int, bytes floa
 	}
 	rootNode := c.NodeOf(root)
 	// One copy to each remote node (pipelined over the root's NIC).
-	nodeHeads := map[int]*sim.Task{rootNode: f.E.Barrier(label+"/root", root)}
+	nodeHeads := map[int]*sim.Task{rootNode: f.E.Barrier(label, root)}
 	nodeHeads[rootNode].After(deps...)
 	for n := 0; n < c.Nodes; n++ {
 		if n == rootNode {
 			continue
 		}
 		dst := c.RanksOfNode(n)[0]
-		nodeHeads[n] = f.Send(fmt.Sprintf("%s/xnode%d", label, n), root, dst, bytes, deps...)
+		nodeHeads[n] = f.Send(label, root, dst, bytes, deps...)
 	}
 	// Intra-node fan-out from each node head.
 	for n := 0; n < c.Nodes; n++ {
@@ -132,7 +130,7 @@ func Broadcast(f *cluster.Fabric, cfg Config, label string, root int, bytes floa
 				done.After(nodeHeads[n])
 				continue
 			}
-			done.After(f.Send(fmt.Sprintf("%s/fan%d", label, r), head, r, bytes, nodeHeads[n]))
+			done.After(f.Send(label, head, r, bytes, nodeHeads[n]))
 		}
 	}
 	return done
@@ -151,12 +149,11 @@ type Transfer struct {
 func AllToAllV(f *cluster.Fabric, label string, transfers []Transfer, deps ...*sim.Task) *sim.Task {
 	done := f.E.Barrier(label, 0)
 	done.After(deps...)
-	for i, tr := range transfers {
+	for _, tr := range transfers {
 		if tr.Bytes <= 0 || tr.From == tr.To {
 			continue
 		}
-		done.After(f.Send(fmt.Sprintf("%s/%d[%d->%d]", label, i, tr.From, tr.To),
-			tr.From, tr.To, tr.Bytes, deps...))
+		done.After(f.Send(label, tr.From, tr.To, tr.Bytes, deps...))
 	}
 	return done
 }

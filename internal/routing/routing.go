@@ -9,8 +9,6 @@
 package routing
 
 import (
-	"fmt"
-
 	"zeppelin/internal/cluster"
 	"zeppelin/internal/sim"
 )
@@ -52,41 +50,42 @@ func (r *Router) proxyCount() int {
 // Transfer moves bytes from src to dst rank, returning the task that
 // completes when all data has arrived. Intra-node and self transfers are
 // always sent directly; cross-node transfers are routed in three steps
-// when routing is enabled.
+// when routing is enabled. Every task the transfer creates carries label.
 func (r *Router) Transfer(label string, src, dst int, bytes float64, deps ...*sim.Task) *sim.Task {
 	c := r.F.C
 	if !r.Enabled || src == dst || c.SameNode(src, dst) || bytes <= 0 {
 		return r.F.Send(label, src, dst, bytes, deps...)
 	}
 	x := r.proxyCount()
-	srcNode, dstNode := c.NodeOf(src), c.NodeOf(dst)
-	srcRanks, dstRanks := c.RanksOfNode(srcNode), c.RanksOfNode(dstNode)
+	// Proxy i of a node is its i-th GPU (x never exceeds the node's GPU
+	// count), and send proxy i pairs with receive proxy i.
+	srcBase := c.NodeOf(src) * c.GPUsPerNode
+	dstBase := c.NodeOf(dst) * c.GPUsPerNode
 
 	chunk := bytes / float64(x)
-	arrivals := make([]*sim.Task, 0, x)
+	var buf [8]*sim.Task // one per proxy; enough for every preset node
+	arrivals := buf[:0]
 	for i := 0; i < x; i++ {
-		sp := srcRanks[i%len(srcRanks)] // send proxy
-		rp := dstRanks[i%len(dstRanks)] // receive proxy (one-to-one pairing)
+		sp, rp := srcBase+i, dstBase+i // send and receive proxy
 
 		// Step 1: intra-node dispatch src -> send proxy. The source's own
 		// chunk needs no dispatch.
 		var dispatched *sim.Task
 		if sp == src {
-			dispatched = r.F.E.Barrier(label+"/disp-self", src).After(deps...)
+			dispatched = r.F.E.Barrier(label, src).After(deps...)
 		} else {
-			dispatched = r.F.Send(fmt.Sprintf("%s/disp%d", label, i), src, sp, chunk, deps...)
+			dispatched = r.F.Send(label, src, sp, chunk, deps...)
 		}
 
 		// Step 2: inter-node transfer over the proxy pair's NICs, derated
 		// for SM-contention stalls (Fig. 12b).
-		xfer := r.F.SendVia(fmt.Sprintf("%s/xfer%d", label, i), sp, rp,
-			c.NICOf(sp), c.NICOf(rp), chunk/RoutedInterEff, dispatched)
+		xfer := r.F.SendVia(label, sp, rp, c.NICOf(sp), c.NICOf(rp), chunk/RoutedInterEff, dispatched)
 
 		// Step 3: intra-node combine receive proxy -> dst.
 		if rp == dst {
 			arrivals = append(arrivals, xfer)
 		} else {
-			arrivals = append(arrivals, r.F.Send(fmt.Sprintf("%s/comb%d", label, i), rp, dst, chunk, xfer))
+			arrivals = append(arrivals, r.F.Send(label, rp, dst, chunk, xfer))
 		}
 	}
 	return r.F.E.Barrier(label, dst).After(arrivals...)

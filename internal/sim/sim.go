@@ -17,10 +17,22 @@
 //
 // The engine is deterministic: identical task graphs produce identical
 // schedules. Ties in event time are broken by creation order.
+//
+// A task's identity is its Rank, its Kind and its creation order; its
+// Label only names the stage that emitted it. Labels are constants such
+// as "attn-fwd/ring/kv", "linear-bwd" or "remap-to-linear", shared by
+// every task that stage creates, and a stage inside a phase ("attn-fwd",
+// "attn-bwd", "linear-fwd", "linear-bwd", "remap") starts its labels
+// with that phase: per-phase accounting matches on the prefix. Resource
+// names follow the same rule ("gpu/compute", "nic/tx"); a resource is
+// identified by its creation order.
+//
+// Building and running a graph allocates per chunk, not per task: tasks
+// and successor edges come from engine-owned chunks, the event queue is
+// a typed heap, and a resource's FIFO reuses its backing array.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -85,13 +97,42 @@ type Resource struct {
 	// The fault-injection layer sets this; healthy simulations leave it 0.
 	Speed float64
 
-	id    int
-	busy  bool
+	id   int
+	busy bool
+	// queue[head:] holds the tasks waiting for this resource, in the
+	// order they became ready.
 	queue []*Task
+	head  int
 
 	// BusyTime accumulates the total time this resource spent executing
 	// tasks, for utilization reporting.
 	BusyTime Time
+}
+
+// enqueue appends a ready task to the FIFO, first sliding the waiting
+// tasks to the front when the backing array is full but has a consumed
+// prefix, so a steadily busy resource never re-grows its queue.
+func (r *Resource) enqueue(t *Task) {
+	if r.head > 0 && len(r.queue) == cap(r.queue) {
+		n := copy(r.queue, r.queue[r.head:])
+		clear(r.queue[n:])
+		r.queue, r.head = r.queue[:n], 0
+	}
+	r.queue = append(r.queue, t)
+}
+
+// dequeue pops the oldest waiting task, or returns nil if none waits.
+func (r *Resource) dequeue() *Task {
+	if r.head == len(r.queue) {
+		return nil
+	}
+	t := r.queue[r.head]
+	r.queue[r.head] = nil
+	r.head++
+	if r.head == len(r.queue) {
+		r.queue, r.head = r.queue[:0], 0
+	}
+	return t
 }
 
 // Utilization returns the fraction of [0, makespan] this resource was busy.
@@ -114,13 +155,21 @@ type Task struct {
 	Size float64
 
 	id    int
+	eng   *Engine
 	res   *Resource
 	deps  int
-	succs []*Task
+	succ  *edge // successors in the order After added them
+	last  *edge // tail of the succ list
 	state taskState
 
 	// Start and End are filled in by Run.
 	Start, End Time
+}
+
+// edge links a task to one of its successors.
+type edge struct {
+	to   *Task
+	next *edge
 }
 
 // After declares that t runs only once all of the given tasks complete.
@@ -130,16 +179,31 @@ func (t *Task) After(deps ...*Task) *Task {
 		if d == nil {
 			continue
 		}
-		d.succs = append(d.succs, t)
+		ed := t.eng.newEdge(t)
+		if d.last == nil {
+			d.succ = ed
+		} else {
+			d.last.next = ed
+		}
+		d.last = ed
 		t.deps++
 	}
 	return t
 }
 
+// taskChunk and edgeChunk are how many tasks and successor edges the
+// engine allocates at a time.
+const (
+	taskChunk = 256
+	edgeChunk = 512
+)
+
 // Engine owns resources and tasks and advances simulated time.
 type Engine struct {
 	now       Time
 	tasks     []*Task
+	spare     []Task // unused tail of the current task chunk
+	edges     []edge // unused tail of the current edge chunk
 	resources []*Resource
 	events    eventHeap
 	eventSeq  int
@@ -172,9 +236,24 @@ func (e *Engine) Tasks() []*Task { return e.tasks }
 // barrier unless Duration is set, in which case it models unresourced
 // latency (e.g. host-side bookkeeping).
 func (e *Engine) NewTask(label string, kind Kind, rank int, res *Resource) *Task {
-	t := &Task{Label: label, Kind: kind, Rank: rank, res: res, id: len(e.tasks)}
+	if len(e.spare) == 0 {
+		e.spare = make([]Task, taskChunk)
+	}
+	t := &e.spare[0]
+	e.spare = e.spare[1:]
+	*t = Task{Label: label, Kind: kind, Rank: rank, res: res, id: len(e.tasks), eng: e}
 	e.tasks = append(e.tasks, t)
 	return t
+}
+
+func (e *Engine) newEdge(to *Task) *edge {
+	if len(e.edges) == 0 {
+		e.edges = make([]edge, edgeChunk)
+	}
+	ed := &e.edges[0]
+	e.edges = e.edges[1:]
+	ed.to = to
+	return ed
 }
 
 // Compute is a convenience wrapper for a fixed-duration task on a resource.
@@ -202,20 +281,54 @@ type event struct {
 	task *Task
 }
 
+// eventHeap is a binary min-heap on (at, seq). Its sift steps are those
+// of container/heap, specialized to event so nothing is boxed.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
+			j = j2 // right child
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
+}
+
 func (e *Engine) push(at Time, t *Task) {
-	heap.Push(&e.events, event{at: at, seq: e.eventSeq, task: t})
+	e.events.push(event{at: at, seq: e.eventSeq, task: t})
 	e.eventSeq++
 }
 
@@ -242,7 +355,7 @@ func (e *Engine) ready(t *Task) {
 	}
 	t.state = stateQueued
 	if t.res.busy {
-		t.res.queue = append(t.res.queue, t)
+		t.res.enqueue(t)
 		return
 	}
 	e.start(t)
@@ -271,8 +384,8 @@ func (e *Engine) Run() (Time, error) {
 		}
 	}
 	done := 0
-	for e.events.Len() > 0 {
-		ev := heap.Pop(&e.events).(event)
+	for len(e.events) > 0 {
+		ev := e.events.pop()
 		e.now = ev.at
 		t := ev.task
 		t.state = stateDone
@@ -280,13 +393,12 @@ func (e *Engine) Run() (Time, error) {
 		done++
 		if t.res != nil {
 			t.res.busy = false
-			if len(t.res.queue) > 0 {
-				next := t.res.queue[0]
-				t.res.queue = t.res.queue[1:]
+			if next := t.res.dequeue(); next != nil {
 				e.start(next)
 			}
 		}
-		for _, s := range t.succs {
+		for ed := t.succ; ed != nil; ed = ed.next {
+			s := ed.to
 			s.deps--
 			if s.deps == 0 {
 				e.ready(s)
@@ -300,7 +412,7 @@ func (e *Engine) Run() (Time, error) {
 		var stuck []string
 		for _, t := range e.tasks {
 			if t.state != stateDone {
-				stuck = append(stuck, t.Label)
+				stuck = append(stuck, fmt.Sprintf("%s@%d", t.Label, t.Rank))
 				if len(stuck) >= 5 {
 					break
 				}
@@ -345,8 +457,8 @@ func (e *Engine) CriticalPath() Time {
 		}
 		memo[t.id] = 0 // cycle guard; graphs here are DAGs by construction
 		best := Time(0)
-		for _, s := range t.succs {
-			if v := longest(s); v > best {
+		for ed := t.succ; ed != nil; ed = ed.next {
+			if v := longest(ed.to); v > best {
 				best = v
 			}
 		}

@@ -266,11 +266,11 @@ func RunPlanned(cfg Config, name string, env *Env, pl Placement, batch []seq.Seq
 
 	attnF := pl.EmitAttention(env, false, start)
 	toLin := pl.EmitRemapToLinear(env, attnF)
-	linF := emitLinear(env, pl, "linear-fwd", 1.0, toLin)
+	linF := emitLinear(env, pl, linearFwd, 1.0, toLin)
 	toAttn := pl.EmitRemapToAttention(env, linF)
 
 	toLinB := pl.EmitRemapToLinear(env, toAttn)
-	linB := emitLinear(env, pl, "linear-bwd", costmodel.BwdComputeFactor, toLinB)
+	linB := emitLinear(env, pl, linearBwd, costmodel.BwdComputeFactor, toLinB)
 	toAttnB := pl.EmitRemapToAttention(env, linB)
 	attnB := pl.EmitAttention(env, true, toAttnB)
 
@@ -299,25 +299,35 @@ func RunPlanned(cfg Config, name string, env *Env, pl Placement, batch []seq.Seq
 	return res, nil
 }
 
+// linearStage labels one pass of the linear modules: its kernels and
+// barriers, and the MoE all-to-alls around the expert computation. Each
+// label starts with the pass's phase, the prefix perRankPhases keys on.
+type linearStage struct{ phase, dispatch, combine string }
+
+var (
+	linearFwd = linearStage{"linear-fwd", "linear-fwd/moe-dispatch", "linear-fwd/moe-combine"}
+	linearBwd = linearStage{"linear-bwd", "linear-bwd/moe-dispatch", "linear-bwd/moe-combine"}
+)
+
 // emitLinear schedules the token-wise modules on every rank. Micro-batch
 // counts above one split the work into that many serial kernels, each
 // paying the launch latency — the compute-intensity penalty of Fig. 2c.
 // For MoE models, expert-parallel dispatch and combine all-to-alls wrap
 // the expert computation; this traffic is identical across scheduling
 // methods and compresses MoE speedups, as §5.1 observes.
-func emitLinear(env *Env, pl Placement, label string, mul float64, deps ...*sim.Task) *sim.Task {
+func emitLinear(env *Env, pl Placement, st linearStage, mul float64, deps ...*sim.Task) *sim.Task {
 	eff := pl.LinearEffectiveTokens(env)
 	mb := pl.MicroBatches()
 	if mb < 1 {
 		mb = 1
 	}
-	start := env.E.Barrier(label+"/start", 0)
+	start := env.E.Barrier(st.phase, 0)
 	start.After(deps...)
 	gate := start
 	if env.CM.MC.MoE {
-		gate = emitMoEAllToAll(env, label+"/dispatch", eff, mul, start)
+		gate = emitMoEAllToAll(env, st.dispatch, eff, mul, start)
 	}
-	done := env.E.Barrier(label+"/compute-done", 0)
+	done := env.E.Barrier(st.phase, 0)
 	done.After(gate)
 	for rank := 0; rank < env.C.World(); rank++ {
 		if eff[rank] <= 0 {
@@ -326,7 +336,7 @@ func emitLinear(env *Env, pl Placement, label string, mul float64, deps ...*sim.
 		per := env.CM.LinearTime(eff[rank]/float64(mb)) * mul
 		var prev *sim.Task
 		for i := 0; i < mb; i++ {
-			t := env.F.ComputeTask(fmt.Sprintf("%s/mb%d@%d", label, i, rank), rank, per)
+			t := env.F.ComputeTask(st.phase, rank, per)
 			t.After(gate)
 			t.After(prev)
 			prev = t
@@ -334,7 +344,7 @@ func emitLinear(env *Env, pl Placement, label string, mul float64, deps ...*sim.
 		done.After(prev)
 	}
 	if env.CM.MC.MoE {
-		return emitMoEAllToAll(env, label+"/combine", eff, mul, done)
+		return emitMoEAllToAll(env, st.combine, eff, mul, done)
 	}
 	return done
 }
@@ -342,11 +352,11 @@ func emitLinear(env *Env, pl Placement, label string, mul float64, deps ...*sim.
 // emitMoEAllToAll models one expert-parallel all-to-all: each rank
 // exchanges TopK routed copies of its tokens' activations with the rest
 // of the world; the cross-node fraction rides the rank's NIC and the rest
-// crosses NVSwitch.
+// crosses NVSwitch. Every task it creates carries label.
 func emitMoEAllToAll(env *Env, label string, eff []float64, mul float64, dep *sim.Task) *sim.Task {
 	mc := env.CM.MC
 	c := env.C
-	done := env.E.Barrier(label+"/done", 0)
+	done := env.E.Barrier(label, 0)
 	done.After(dep)
 	for rank := 0; rank < c.World(); rank++ {
 		if eff[rank] <= 0 {
@@ -359,16 +369,13 @@ func emitMoEAllToAll(env *Env, label string, eff []float64, mul float64, dep *si
 		}
 		if crossFrac > 0 {
 			nic := c.NICOf(rank)
-			tx := env.E.Transfer(fmt.Sprintf("%s/tx@%d", label, rank),
-				sim.KindInterComm, rank, env.F.NICSend[nic], vol*crossFrac)
+			tx := env.E.Transfer(label, sim.KindInterComm, rank, env.F.NICSend[nic], vol*crossFrac)
 			tx.After(dep)
-			rx := env.E.Transfer(fmt.Sprintf("%s/rx@%d", label, rank),
-				sim.KindInterComm, rank, env.F.NICRecv[nic], vol*crossFrac)
+			rx := env.E.Transfer(label, sim.KindInterComm, rank, env.F.NICRecv[nic], vol*crossFrac)
 			rx.After(dep)
 			done.After(tx, rx)
 		}
-		intra := env.E.Transfer(fmt.Sprintf("%s/nvs@%d", label, rank),
-			sim.KindIntraComm, rank, env.F.IntraSend[rank], vol*(1-crossFrac))
+		intra := env.E.Transfer(label, sim.KindIntraComm, rank, env.F.IntraSend[rank], vol*(1-crossFrac))
 		intra.After(dep)
 		done.After(intra)
 	}

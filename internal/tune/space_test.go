@@ -49,20 +49,20 @@ func TestParseSpaceForms(t *testing.T) {
 
 func TestParseSpaceRejects(t *testing.T) {
 	cases := []string{
-		"threshold",              // not key=value
-		"threshold=",             // empty value
-		"bogus=1",                // unknown key
-		"policy=sometimes",       // unknown policy
-		"threshold=1.6:1.05",     // inverted range
-		"threshold=0.5",          // below floor
-		"threshold=abc",          // not a number
-		"every=1.5",              // non-integer int dimension
-		"replan-cost=-0.01",      // negative cost
-		"up-util=1.2",            // above ceiling
-		"autoscale=maybe",        // unknown state
-		"cooldown=0",             // below floor
-		"threshold=1.1:1.2:1.3",  // malformed range tail
-		"replan-cost=1|x",        // bad set element
+		"threshold",             // not key=value
+		"threshold=",            // empty value
+		"bogus=1",               // unknown key
+		"policy=sometimes",      // unknown policy
+		"threshold=1.6:1.05",    // inverted range
+		"threshold=0.5",         // below floor
+		"threshold=abc",         // not a number
+		"every=1.5",             // non-integer int dimension
+		"replan-cost=-0.01",     // negative cost
+		"up-util=1.2",           // above ceiling
+		"autoscale=maybe",       // unknown state
+		"cooldown=0",            // below floor
+		"threshold=1.1:1.2:1.3", // malformed range tail
+		"replan-cost=1|x",       // bad set element
 	}
 	for _, s := range cases {
 		if _, err := ParseSpace(s); err == nil {
