@@ -91,6 +91,30 @@ func TestReplayCmdRejectsInvalidFlags(t *testing.T) {
 	}
 }
 
+// TestTuneCmdRejectsInvalidWeights: a weight that is not a finite
+// non-negative number is a usage error (exit 2), in text and JSON mode
+// alike — not a NaN-scored search or a JSON encoding failure.
+func TestTuneCmdRejectsInvalidWeights(t *testing.T) {
+	cases := []struct {
+		weights, substr string
+	}{
+		{"NaN,1,1,1", "finite"},
+		{"Inf,1,1,1", "finite"},
+		{"1,1,1,-Inf", "finite"},
+		{"1,-1,1,1", ">= 0"},
+		{"1,1,1", "4 comma-separated"},
+	}
+	for _, c := range cases {
+		for _, jsonOut := range []bool{false, true} {
+			err := tuneCmd(io.Discard, []string{"-budget", "1", "-iters", "2", "-weights", c.weights}, 1, 1, jsonOut)
+			var ue usageError
+			if err == nil || !errors.As(err, &ue) || !strings.Contains(err.Error(), c.substr) {
+				t.Fatalf("-weights %s (json %v): err = %v, want usage error mentioning %q", c.weights, jsonOut, err, c.substr)
+			}
+		}
+	}
+}
+
 // TestReplayCmdIdentityAndFlip: without -flip the replay reports
 // bit-identity; with one it reports the counterfactual delta.
 func TestReplayCmdIdentityAndFlip(t *testing.T) {

@@ -18,13 +18,6 @@ import (
 // had no sessions at scrape time.
 var sessionStates = []string{"created", "running", "done", "cancelled", "failed"}
 
-// decisionKinds is the fixed decision vocabulary for the decisions
-// counter: the internal decision package's kinds (admission, replan,
-// placement, scale, route) plus the daemon-level "tune" kind — the
-// search's final configuration selection, folded in as /v1/tune
-// requests finish.
-var decisionKinds = []string{"admission", "replan", "placement", "route", "scale", "tune"}
-
 // serverMetrics is the daemon's in-process observability state: the
 // pieces GET /metrics cannot read out of existing structures. Admission
 // counters and bucket levels live in the Admission controller, plan
@@ -67,7 +60,7 @@ func (m *serverMetrics) countDecisions(recs []zeppelin.DecisionRecord) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, r := range recs {
-		m.decisions[r.Kind]++
+		m.decisions[string(r.Kind)]++
 	}
 }
 
@@ -181,7 +174,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	counts := s.metrics.decisionCounts()
 	b.Metric("zeppelind_decisions_total", "counter", "Campaign decisions recorded by kind, folded in as sessions drain.")
-	kinds := append([]string(nil), decisionKinds...)
+	var kinds []string
+	for _, k := range zeppelin.DecisionKinds() {
+		kinds = append(kinds, string(k))
+	}
 	for k := range counts {
 		if !slices.Contains(kinds, k) {
 			kinds = append(kinds, k)

@@ -100,6 +100,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if n := before.Sum("zeppelind_decisions_total"); n != 0 {
 		t.Fatalf("fresh daemon has %v decisions", n)
 	}
+	// Every decision kind is emitted, at zero before anything drains.
+	kinds := before.ByLabel("zeppelind_decisions_total", "kind")
+	for _, k := range zeppelin.DecisionKinds() {
+		if v, ok := kinds[string(k)]; !ok || v != 0 {
+			t.Fatalf("decisions[%s] = %v, %v (want present and 0)", k, v, ok)
+		}
+	}
 	// Every class appears on the saturation gauge, idle without limits.
 	sat := before.ByLabel("zeppelind_admission_bucket_saturation", "class")
 	for _, class := range zeppelin.AdmissionClasses() {

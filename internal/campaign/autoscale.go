@@ -24,27 +24,30 @@ import (
 // size, because the campaign cannot conjure capacity the cell does not
 // have. All decisions are pure functions of observed state, so an
 // autoscaled campaign stays deterministic per (Config, seed).
+//
+// The JSON form is the v1 wire schema of a campaign request's
+// "autoscale" object: a zero field selects its default.
 type Autoscaler struct {
 	// MinNodes is the smallest world the controller will shrink to.
 	// Zero selects 1; the world can never drop below one node.
-	MinNodes int
+	MinNodes int `json:"min_nodes,omitempty"`
 	// MaxNodes is the largest world the controller will grow to. Zero
 	// selects the cluster size (Trainer.Nodes); a value above it is a
 	// validation error — the campaign cannot exceed cluster capacity.
-	MaxNodes int
+	MaxNodes int `json:"max_nodes,omitempty"`
 	// UpUtil is the grow trigger: utilization above it (or any deferred
 	// tokens) asks for Step more nodes. Zero selects DefaultUpUtil.
-	UpUtil float64
+	UpUtil float64 `json:"up_util,omitempty"`
 	// DownUtil is the shrink trigger: utilization below it, with nothing
 	// deferred, releases Step nodes. Zero selects DefaultDownUtil.
-	DownUtil float64
+	DownUtil float64 `json:"down_util,omitempty"`
 	// Step bounds how many nodes one transition adds or removes.
 	// Zero selects 1.
-	Step int
+	Step int `json:"step,omitempty"`
 	// Cooldown is the number of iterations that must run after a
 	// transition before the controller may fire again; verdicts inside
 	// the window are forced to hold. Zero selects DefaultCooldown.
-	Cooldown int
+	Cooldown int `json:"cooldown,omitempty"`
 }
 
 // Default autoscaler gains; see the corresponding Autoscaler fields.
@@ -55,6 +58,7 @@ const (
 )
 
 // validate fills defaults and checks the gains against the cluster size.
+// It fills in place, so configurations must not share one Autoscaler.
 func (a *Autoscaler) validate(clusterNodes int) error {
 	if a.MinNodes == 0 {
 		a.MinNodes = 1

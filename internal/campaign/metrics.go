@@ -10,7 +10,9 @@ import (
 	"zeppelin/internal/trace"
 )
 
-// IterRecord is the online metrics row of one campaign iteration.
+// IterRecord is the online metrics row of one campaign iteration. It is
+// also the public wire type zeppelin.CampaignEvent: its tags and field
+// order are pinned by pkg/zeppelin's goldens.
 type IterRecord struct {
 	Iter   int `json:"iter"`
 	Tokens int `json:"tokens"`
@@ -59,7 +61,8 @@ type IterRecord struct {
 	Violations   int `json:"violations,omitempty"`
 }
 
-// Summary aggregates one campaign's iteration stream.
+// Summary aggregates one campaign's iteration stream. It is also the
+// public wire type zeppelin.CampaignSummary.
 type Summary struct {
 	Method  string `json:"method"`
 	Arrival string `json:"arrival"`

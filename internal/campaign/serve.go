@@ -39,7 +39,8 @@ func (sc *ServeConfig) generator() serve.Generator {
 	return &sc.Spec
 }
 
-// ClassMetrics aggregates one SLO class over a serve campaign.
+// ClassMetrics aggregates one SLO class over a serve campaign. It is
+// also the public wire type zeppelin.ClassMetrics.
 type ClassMetrics struct {
 	Class    string `json:"class"`
 	Priority int    `json:"priority"`

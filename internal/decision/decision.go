@@ -23,7 +23,8 @@ import (
 // Kind classifies a decision site.
 type Kind string
 
-// The decision sites the campaign loop records.
+// The decision sites: every kind but KindTune is recorded by the
+// campaign loop.
 const (
 	// KindReplan is the replanning controller's verdict: re-run the
 	// partitioner for the incoming batch, or stretch the stale skeleton.
@@ -47,7 +48,18 @@ const (
 	// KV-cached prefix ("affinity") or spread it to the least-loaded rank
 	// ("spread"). Recorded only for serve campaigns.
 	KindRoute Kind = "route"
+	// KindTune is a tune search's final selection: the winning
+	// configuration against every evaluated candidate's fitness total.
+	// Recorded by the service once per finished search, not by a
+	// campaign.
+	KindTune Kind = "tune"
 )
+
+// Kinds lists every decision kind, in declaration order — the fixed
+// vocabulary metrics export (each kind present, zero when unseen).
+func Kinds() []Kind {
+	return []Kind{KindReplan, KindAdmission, KindPlacement, KindScale, KindRoute, KindTune}
+}
 
 // Alternative is one scored option the decision site considered.
 type Alternative struct {
@@ -64,8 +76,13 @@ type Alternative struct {
 // Record is one decision with its full context: what was chosen, what
 // else was considered, and the controller state that drove the choice.
 // Field order is part of the NDJSON contract — logs are compared and
-// grepped byte-wise, so new fields append rather than reorder.
+// grepped byte-wise, so new fields append rather than reorder. Record
+// is also the public wire type zeppelin.DecisionRecord.
 type Record struct {
+	// Session is the owning campaign session id, stamped by the service's
+	// decision log where one file interleaves many sessions; empty in a
+	// campaign's own trace.
+	Session string `json:"session,omitempty"`
 	// Iter is the campaign iteration the decision belongs to.
 	Iter int `json:"iter"`
 	// Kind classifies the decision site; Chosen names the winning

@@ -119,3 +119,20 @@ func TestConcurrentReads(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestKindsIsTheVocabulary: Kinds lists every kind exactly once, the
+// service-level KindTune included.
+func TestKindsIsTheVocabulary(t *testing.T) {
+	seen := map[Kind]bool{}
+	for _, k := range Kinds() {
+		if seen[k] {
+			t.Fatalf("kind %q listed twice", k)
+		}
+		seen[k] = true
+	}
+	for _, k := range []Kind{KindReplan, KindAdmission, KindPlacement, KindScale, KindRoute, KindTune} {
+		if !seen[k] {
+			t.Fatalf("Kinds() misses %q", k)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package tune
 
 import (
 	"fmt"
+	"math"
 
 	"zeppelin/internal/campaign"
 )
@@ -11,25 +12,37 @@ import (
 // selects DefaultWeights.
 type Weights struct {
 	// Goodput weights campaign throughput (tokens/sec, higher better).
-	Goodput float64 `json:"goodput"`
+	Goodput float64 `json:"goodput,omitempty"`
 	// P99 weights tail iteration time (lower better).
-	P99 float64 `json:"p99"`
+	P99 float64 `json:"p99,omitempty"`
 	// Migration weights the migration bill: replan coordination charges
 	// plus elastic state-migration seconds (lower better).
-	Migration float64 `json:"migration"`
+	Migration float64 `json:"migration,omitempty"`
 	// Utilization weights mean per-rank busy fraction (higher better).
-	Utilization float64 `json:"utilization"`
+	Utilization float64 `json:"utilization,omitempty"`
 }
 
 // DefaultWeights favor goodput while keeping the tail, the migration
 // bill, and utilization in the objective.
 var DefaultWeights = Weights{Goodput: 0.4, P99: 0.2, Migration: 0.2, Utilization: 0.2}
 
+// Validate rejects a weight that is negative or not finite: either
+// would make every fitness total meaningless (a NaN total names an
+// arbitrary winner).
+func (w Weights) Validate() error {
+	for _, v := range []float64{w.Goodput, w.P99, w.Migration, w.Utilization} {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("tune: fitness weights must be finite and >= 0, got %+v", w)
+		}
+	}
+	return nil
+}
+
 // normalize scales the weights to sum to 1; all-zero selects
-// DefaultWeights, a negative weight is an error.
+// DefaultWeights, an invalid weight is an error.
 func (w Weights) normalize() (Weights, error) {
-	if w.Goodput < 0 || w.P99 < 0 || w.Migration < 0 || w.Utilization < 0 {
-		return w, fmt.Errorf("tune: fitness weights must be >= 0, got %+v", w)
+	if err := w.Validate(); err != nil {
+		return w, err
 	}
 	sum := w.Goodput + w.P99 + w.Migration + w.Utilization
 	if sum == 0 {

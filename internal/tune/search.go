@@ -3,6 +3,7 @@ package tune
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -57,14 +58,16 @@ type Candidate struct {
 	Fitness Fitness `json:"fitness"`
 }
 
-// Report is the full search artifact.
+// Report is the full search artifact. It and the types it holds are
+// also the public wire types (zeppelin.TuneReport, TuneCandidate, ...):
+// their tags and field order are pinned by pkg/zeppelin's goldens.
 type Report struct {
-	// Space echoes the swept grammar; Budget/Seeds/Iters/Weights echo
+	// Space echoes the swept grammar; Budget/Iters/Seeds/Weights echo
 	// the resolved search parameters.
 	Space   string  `json:"space"`
 	Budget  int     `json:"budget"`
+	Iters   int     `json:"iters"`
 	Seeds   int     `json:"seeds"`
-	Iters   int     `json:"iters,omitempty"`
 	Weights Weights `json:"weights"`
 	// Evaluated counts candidate evaluations actually run (dedup can
 	// leave it short of Budget).
@@ -77,6 +80,40 @@ type Report struct {
 	Improved bool      `json:"improved"`
 	// Candidates lists every evaluation in deterministic order.
 	Candidates []Candidate `json:"candidates"`
+}
+
+// WriteText renders the report for terminals: the search header, the
+// per-candidate fitness table (baseline first), and the winning
+// configuration as a ready-to-paste flag set.
+func (r *Report) WriteText(w io.Writer) {
+	fmt.Fprintf(w, "tune: space %q, budget %d (%d evaluated), %d iters x %d seed(s)\n",
+		r.Space, r.Budget, r.Evaluated, r.Iters, r.Seeds)
+	fmt.Fprintf(w, "weights: goodput %.2f  p99 %.2f  migration %.2f  utilization %.2f\n\n",
+		r.Weights.Goodput, r.Weights.P99, r.Weights.Migration, r.Weights.Utilization)
+
+	rows := append([]Candidate{r.Baseline}, r.Candidates...)
+	fmt.Fprintf(w, "  %-44s %8s %8s %8s %8s %8s\n",
+		"candidate", "fitness", "goodput", "p99", "migrate", "util")
+	for _, c := range rows {
+		label := c.Key
+		if c.Key == r.Baseline.Key {
+			label += " (baseline)"
+		}
+		if c.Invalid != "" {
+			fmt.Fprintf(w, "  %-44s %8s invalid: %s\n", label, "-", c.Invalid)
+			continue
+		}
+		fmt.Fprintf(w, "  %-44s %8.4f %8.3f %8.3f %8.3f %8.3f\n",
+			label, c.Fitness.Total, c.Fitness.Goodput, c.Fitness.P99,
+			c.Fitness.Migration, c.Fitness.Utilization)
+	}
+	fmt.Fprintf(w, "\nwinner: %s (fitness %.4f", r.Winner.Key, r.Winner.Fitness.Total)
+	if r.Improved {
+		fmt.Fprintf(w, ", beats baseline %.4f)\n", r.Baseline.Fitness.Total)
+	} else {
+		fmt.Fprintf(w, "; baseline %.4f stands)\n", r.Baseline.Fitness.Total)
+	}
+	fmt.Fprintf(w, "flags:  %s\n", r.Winner.Flags)
 }
 
 // Evolutionary-loop shape: eliteCount parents survive each generation

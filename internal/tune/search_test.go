@@ -3,6 +3,7 @@ package tune
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"runtime"
 	"testing"
 
@@ -153,6 +154,31 @@ func TestSearchOptionValidation(t *testing.T) {
 	opts.Weights = Weights{Goodput: -1}
 	if _, err := Search(context.Background(), opts); err == nil {
 		t.Error("Search accepted negative weights")
+	}
+	opts = driftOptions(t, 1)
+	opts.Weights = Weights{P99: math.NaN()}
+	if _, err := Search(context.Background(), opts); err == nil {
+		t.Error("Search accepted a NaN weight")
+	}
+}
+
+// TestWeightsValidate: a NaN or infinite weight would make every
+// fitness total NaN and name an arbitrary winner, so it is rejected
+// like a negative one, by Validate and by normalize.
+func TestWeightsValidate(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+		w := Weights{Goodput: 1, P99: 1, Migration: 1, Utilization: v}
+		if err := w.Validate(); err == nil {
+			t.Errorf("Validate accepted utilization weight %v", v)
+		}
+		if _, err := w.normalize(); err == nil {
+			t.Errorf("normalize accepted utilization weight %v", v)
+		}
+	}
+	for _, w := range []Weights{{}, DefaultWeights, {Goodput: 1}} {
+		if err := w.Validate(); err != nil {
+			t.Errorf("Validate rejected %+v: %v", w, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"zeppelin/internal/campaign"
@@ -133,11 +134,7 @@ func (c *Campaign) Next() (CampaignEvent, bool) {
 	if c.st == nil {
 		return CampaignEvent{}, false
 	}
-	rec, ok := c.st.Next()
-	if !ok {
-		return CampaignEvent{}, false
-	}
-	return eventOf(rec), true
+	return c.st.Next()
 }
 
 // Err reports why the stream stopped; nil while events keep coming and
@@ -155,37 +152,29 @@ func (c *Campaign) Iters() int { return c.cfg.Iters }
 // Decisions snapshots the decision records accumulated so far (empty
 // without WithCampaignDecisions). Safe to call while the stream runs —
 // records accumulate in iteration order from the campaign goroutine.
+// The slice is a copy, but each record's Events and Alternatives are
+// shared with the trace: treat them as read-only.
 func (c *Campaign) Decisions() []DecisionRecord {
 	if c.trace == nil {
 		return nil
 	}
-	recs := c.trace.Records()
-	out := make([]DecisionRecord, len(recs))
-	for i, r := range recs {
-		out[i] = decisionOf(r)
-	}
-	return out
+	return c.trace.Records()
 }
 
 // Report returns the wire report accumulated so far; after Next has
-// returned false it is finalized over the events that ran.
+// returned false it is finalized over the events that ran. The events
+// and classes are copies: the stream keeps appending to its own.
 func (c *Campaign) Report() *CampaignReport {
 	if c.st == nil {
 		return &CampaignReport{Events: []CampaignEvent{}}
 	}
 	rep := c.st.Report()
-	out := &CampaignReport{
-		Summary:     summaryOf(rep.Summary),
+	return &CampaignReport{
+		Summary:     rep.Summary,
 		PerRankUtil: rep.PerRankUtil,
-		Events:      make([]CampaignEvent, len(rep.Records)),
+		Classes:     slices.Clone(rep.Classes),
+		Events:      append([]CampaignEvent{}, rep.Records...),
 	}
-	for i, rec := range rep.Records {
-		out.Events[i] = eventOf(rec)
-	}
-	for _, cm := range rep.Classes {
-		out.Classes = append(out.Classes, classMetricsOf(cm))
-	}
-	return out
 }
 
 // StartCampaign is NewCampaign followed by Start.

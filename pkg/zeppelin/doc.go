@@ -61,6 +61,14 @@
 // schema that is pinned by golden tests (testdata/*.golden.json) and
 // served verbatim by the zeppelind daemon under /v1.
 //
+// The event, summary, decision, class-metrics, autoscale and tune types
+// (CampaignEvent, CampaignSummary, DecisionRecord, DecisionAlternative,
+// ClassMetrics, AutoscaleSpec, TuneWeights, TuneParams, TuneMetrics,
+// TuneFitness, TuneCandidate, TuneReport) are aliases of the engine's
+// own json-tagged types under their v1 names, so no converter sits
+// between the engine and the wire; the goldens pin their bytes like
+// every other wire type.
+//
 // The JSON error shape every /v1 endpoint returns on failure is
 // ErrorBody: {"error":{"code":"...","message":"..."}}.
 package zeppelin

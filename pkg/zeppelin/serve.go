@@ -87,40 +87,9 @@ type ServeTraceEvent struct {
 	Prefix  int `json:"prefix,omitempty"`
 }
 
-// ClassMetrics is the wire form of one SLO class's campaign outcome.
-type ClassMetrics struct {
-	Class    string  `json:"class"`
-	Priority int     `json:"priority"`
-	Deadline float64 `json:"deadline"`
-	// Requests counts completions; Violations those past the deadline.
-	Requests   int `json:"requests"`
-	Violations int `json:"violations"`
-	Tokens     int `json:"tokens"`
-	// Latency percentiles in seconds, arrival to completion.
-	P50Latency float64 `json:"p50_latency"`
-	P99Latency float64 `json:"p99_latency"`
-	MaxLatency float64 `json:"max_latency"`
-	// Goodput is deadline-meeting tokens per second of stream time.
-	Goodput       float64 `json:"goodput"`
-	ViolationRate float64 `json:"violation_rate"`
-}
-
-// classMetricsOf converts the internal per-class metrics to wire form.
-func classMetricsOf(cm campaign.ClassMetrics) ClassMetrics {
-	return ClassMetrics{
-		Class:         cm.Class,
-		Priority:      cm.Priority,
-		Deadline:      cm.Deadline,
-		Requests:      cm.Requests,
-		Violations:    cm.Violations,
-		Tokens:        cm.Tokens,
-		P50Latency:    cm.P50Latency,
-		P99Latency:    cm.P99Latency,
-		MaxLatency:    cm.MaxLatency,
-		Goodput:       cm.Goodput,
-		ViolationRate: cm.ViolationRate,
-	}
-}
+// ClassMetrics is the wire form of one SLO class's campaign outcome —
+// the engine's own per-class metrics.
+type ClassMetrics = campaign.ClassMetrics
 
 // ParseServeSpec resolves the CLI's -serve grammar into a wire spec —
 // the serving counterpart of ParseAutoscaleSpec. The grammar is
@@ -368,11 +337,11 @@ func CompareServeRoutes(ctx context.Context, req CampaignRequest, seeds, workers
 	}
 	for i, route := range routes {
 		cell := reports[i*seeds : (i+1)*seeds]
-		res := ServeRouteResult{Route: route, Row: campaign.Summarize(cell)}
-		for _, cm := range campaign.SummarizeClasses(cell) {
-			res.Classes = append(res.Classes, classMetricsOf(cm))
-		}
-		cmp.Routes = append(cmp.Routes, res)
+		cmp.Routes = append(cmp.Routes, ServeRouteResult{
+			Route:   route,
+			Row:     campaign.Summarize(cell),
+			Classes: campaign.SummarizeClasses(cell),
+		})
 	}
 	return cmp, nil
 }
@@ -391,22 +360,7 @@ func (c *ServeComparison) WriteText(w io.Writer) error {
 	for _, r := range c.Routes {
 		fmt.Fprintf(w, "\nroute %s: %.0f tok/s, p99 tick %.3fs\n", r.Route,
 			r.Row.TokensPerSec, r.Row.P99IterTime)
-		writeClassTable(w, r.Classes)
+		campaign.WriteClassTable(w, r.Classes)
 	}
 	return nil
-}
-
-// writeClassTable renders wire class metrics through the shared
-// internal rendering.
-func writeClassTable(w io.Writer, classes []ClassMetrics) {
-	internal := make([]campaign.ClassMetrics, len(classes))
-	for i, c := range classes {
-		internal[i] = campaign.ClassMetrics{
-			Class: c.Class, Priority: c.Priority, Deadline: c.Deadline,
-			Requests: c.Requests, Violations: c.Violations, Tokens: c.Tokens,
-			P50Latency: c.P50Latency, P99Latency: c.P99Latency, MaxLatency: c.MaxLatency,
-			Goodput: c.Goodput, ViolationRate: c.ViolationRate,
-		}
-	}
-	campaign.WriteClassTable(w, internal)
 }

@@ -3,7 +3,6 @@ package zeppelin
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"zeppelin/internal/campaign"
 	"zeppelin/internal/tune"
@@ -60,88 +59,27 @@ type TuneRequest struct {
 }
 
 // TuneWeights are the wire fitness weights; only their ratios matter.
-type TuneWeights struct {
-	// Goodput weights campaign throughput (higher better).
-	Goodput float64 `json:"goodput,omitempty"`
-	// P99 weights tail iteration time (lower better).
-	P99 float64 `json:"p99,omitempty"`
-	// Migration weights the migration bill: replan charges plus elastic
-	// state-migration seconds (lower better).
-	Migration float64 `json:"migration,omitempty"`
-	// Utilization weights mean per-rank busy fraction (higher better).
-	Utilization float64 `json:"utilization,omitempty"`
-}
+type TuneWeights = tune.Weights
 
-// TuneParams is the wire form of one candidate configuration.
-type TuneParams struct {
-	Policy     string  `json:"policy,omitempty"`
-	Threshold  float64 `json:"threshold,omitempty"`
-	Every      int     `json:"every,omitempty"`
-	ReplanCost float64 `json:"replan_cost,omitempty"`
-	Capacity   float64 `json:"capacity,omitempty"`
-	Autoscale  bool    `json:"autoscale,omitempty"`
-	UpUtil     float64 `json:"up_util,omitempty"`
-	DownUtil   float64 `json:"down_util,omitempty"`
-	Cooldown   int     `json:"cooldown,omitempty"`
-	Step       int     `json:"step,omitempty"`
-}
+// TuneParams is the wire form of one candidate configuration. Key
+// renders its canonical identity, Flags the equivalent `zeppelin
+// campaign` flag set.
+type TuneParams = tune.Params
 
 // TuneMetrics are one candidate's seed-averaged campaign observables.
-type TuneMetrics struct {
-	TokensPerSec    float64 `json:"tokens_per_sec"`
-	P99IterTime     float64 `json:"p99_iter_time"`
-	Replans         float64 `json:"replans"`
-	RecoverySeconds float64 `json:"recovery_seconds"`
-	MigrationCost   float64 `json:"migration_cost"`
-	MeanUtilization float64 `json:"mean_utilization"`
-	DeferredTokens  float64 `json:"deferred_tokens"`
-}
+type TuneMetrics = tune.Metrics
 
 // TuneFitness is a candidate's scored breakdown: per-component
 // candidate-vs-baseline improvement ratios (1 = parity, clamped to
 // [0, 5]) and the weight-normalized Total. The baseline scores exactly 1.
-type TuneFitness struct {
-	Goodput     float64 `json:"goodput"`
-	P99         float64 `json:"p99"`
-	Migration   float64 `json:"migration"`
-	Utilization float64 `json:"utilization"`
-	Total       float64 `json:"total"`
-}
+type TuneFitness = tune.Fitness
 
 // TuneCandidate is one evaluated configuration with its breakdown.
-type TuneCandidate struct {
-	// Key is the candidate's canonical identity; Flags is the
-	// equivalent ready-to-paste `zeppelin campaign` flag set.
-	Key    string     `json:"key"`
-	Params TuneParams `json:"params"`
-	Flags  string     `json:"flags"`
-	// Invalid carries the validation error of a candidate the campaign
-	// rejected (it scores zero and cannot win).
-	Invalid string      `json:"invalid,omitempty"`
-	Metrics TuneMetrics `json:"metrics"`
-	Fitness TuneFitness `json:"fitness"`
-}
+type TuneCandidate = tune.Candidate
 
-// TuneReport is the wire artifact of one search.
-type TuneReport struct {
-	// Space echoes the swept grammar; Budget, Iters, Seeds, and Weights
-	// echo the resolved search parameters.
-	Space   string      `json:"space"`
-	Budget  int         `json:"budget"`
-	Iters   int         `json:"iters"`
-	Seeds   int         `json:"seeds"`
-	Weights TuneWeights `json:"weights"`
-	// Evaluated counts candidate evaluations actually run.
-	Evaluated int `json:"evaluated"`
-	// Baseline is the hand-tuned default the fitness normalizes
-	// against; Winner is the best candidate; Improved reports whether
-	// the winner strictly beats the baseline.
-	Baseline TuneCandidate `json:"baseline"`
-	Winner   TuneCandidate `json:"winner"`
-	Improved bool          `json:"improved"`
-	// Candidates lists every evaluation in deterministic order.
-	Candidates []TuneCandidate `json:"candidates"`
-}
+// TuneReport is the wire artifact of one search; WriteText renders it
+// for terminals.
+type TuneReport = tune.Report
 
 // Validate reports whether the request resolves to a runnable search
 // without running it — the up-front check zeppelind uses to return
@@ -154,8 +92,8 @@ func (r TuneRequest) Validate() error {
 		return fmt.Errorf("zeppelin: tune budget must be >= 0, got %d", r.Budget)
 	}
 	if r.Weights != nil {
-		if w := *r.Weights; w.Goodput < 0 || w.P99 < 0 || w.Migration < 0 || w.Utilization < 0 {
-			return fmt.Errorf("zeppelin: tune weights must be >= 0")
+		if err := r.Weights.Validate(); err != nil {
+			return err
 		}
 	}
 	return r.scenarioRequest(0).Validate()
@@ -196,7 +134,7 @@ func RunTune(ctx context.Context, req TuneRequest) (*TuneReport, error) {
 	}
 	var weights tune.Weights
 	if req.Weights != nil {
-		weights = tune.Weights(*req.Weights)
+		weights = *req.Weights
 	}
 	iters := req.Iters
 	if iters == 0 {
@@ -222,70 +160,5 @@ func RunTune(ctx context.Context, req TuneRequest) (*TuneReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tuneReportOf(rep), nil
-}
-
-// tuneReportOf converts the internal search report to its wire form.
-func tuneReportOf(rep *tune.Report) *TuneReport {
-	out := &TuneReport{
-		Space:     rep.Space,
-		Budget:    rep.Budget,
-		Iters:     rep.Iters,
-		Seeds:     rep.Seeds,
-		Weights:   TuneWeights(rep.Weights),
-		Evaluated: rep.Evaluated,
-		Baseline:  tuneCandidateOf(rep.Baseline),
-		Winner:    tuneCandidateOf(rep.Winner),
-		Improved:  rep.Improved,
-	}
-	out.Candidates = make([]TuneCandidate, len(rep.Candidates))
-	for i, c := range rep.Candidates {
-		out.Candidates[i] = tuneCandidateOf(c)
-	}
-	return out
-}
-
-func tuneCandidateOf(c tune.Candidate) TuneCandidate {
-	return TuneCandidate{
-		Key:     c.Key,
-		Params:  TuneParams(c.Params),
-		Flags:   c.Flags,
-		Invalid: c.Invalid,
-		Metrics: TuneMetrics(c.Metrics),
-		Fitness: TuneFitness(c.Fitness),
-	}
-}
-
-// WriteText renders the tune report for terminals: the search header,
-// the per-candidate fitness table (best first), and the winning
-// configuration as a ready-to-paste flag set.
-func (r *TuneReport) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "tune: space %q, budget %d (%d evaluated), %d iters x %d seed(s)\n",
-		r.Space, r.Budget, r.Evaluated, r.Iters, r.Seeds)
-	fmt.Fprintf(w, "weights: goodput %.2f  p99 %.2f  migration %.2f  utilization %.2f\n\n",
-		r.Weights.Goodput, r.Weights.P99, r.Weights.Migration, r.Weights.Utilization)
-
-	rows := append([]TuneCandidate{r.Baseline}, r.Candidates...)
-	fmt.Fprintf(w, "  %-44s %8s %8s %8s %8s %8s\n",
-		"candidate", "fitness", "goodput", "p99", "migrate", "util")
-	for _, c := range rows {
-		label := c.Key
-		if c.Key == r.Baseline.Key {
-			label += " (baseline)"
-		}
-		if c.Invalid != "" {
-			fmt.Fprintf(w, "  %-44s %8s invalid: %s\n", label, "-", c.Invalid)
-			continue
-		}
-		fmt.Fprintf(w, "  %-44s %8.4f %8.3f %8.3f %8.3f %8.3f\n",
-			label, c.Fitness.Total, c.Fitness.Goodput, c.Fitness.P99,
-			c.Fitness.Migration, c.Fitness.Utilization)
-	}
-	fmt.Fprintf(w, "\nwinner: %s (fitness %.4f", r.Winner.Key, r.Winner.Fitness.Total)
-	if r.Improved {
-		fmt.Fprintf(w, ", beats baseline %.4f)\n", r.Baseline.Fitness.Total)
-	} else {
-		fmt.Fprintf(w, "; baseline %.4f stands)\n", r.Baseline.Fitness.Total)
-	}
-	fmt.Fprintf(w, "flags:  %s\n", r.Winner.Flags)
+	return rep, nil
 }

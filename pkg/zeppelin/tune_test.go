@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -70,6 +71,9 @@ func TestTuneRequestValidate(t *testing.T) {
 		{Space: "bogus=1"},
 		{Budget: -1},
 		{Weights: &TuneWeights{Goodput: -0.5}},
+		{Weights: &TuneWeights{Goodput: math.NaN(), P99: 1}},
+		{Weights: &TuneWeights{P99: math.Inf(1)}},
+		{Weights: &TuneWeights{Utilization: math.Inf(-1)}},
 		{Model: "900B"},
 		{Faults: "gremlins"},
 	}
@@ -80,6 +84,11 @@ func TestTuneRequestValidate(t *testing.T) {
 	}
 	if err := (TuneRequest{}).Validate(); err != nil {
 		t.Errorf("zero request rejected: %v", err)
+	}
+	req := tuneSmokeRequest(1)
+	req.Weights = &TuneWeights{Goodput: math.NaN(), P99: 1, Migration: 1, Utilization: 1}
+	if _, err := RunTune(context.Background(), req); err == nil {
+		t.Error("RunTune accepted a NaN weight")
 	}
 }
 

@@ -331,59 +331,17 @@ type CampaignRequest struct {
 	Serve *ServeSpec `json:"serve,omitempty"`
 }
 
-// AutoscaleSpec is the wire form of the campaign autoscaler's gains.
-// The zero value of every field selects the engine default; MaxNodes
-// may never exceed the cluster's node count.
-type AutoscaleSpec struct {
-	// MinNodes and MaxNodes bound the world (defaults: 1 and the
-	// cluster size).
-	MinNodes int `json:"min_nodes,omitempty"`
-	MaxNodes int `json:"max_nodes,omitempty"`
-	// UpUtil grows the world when mean utilization exceeds it (or any
-	// tokens were deferred); DownUtil shrinks it when utilization falls
-	// below with nothing queued. Defaults 0.92 and 0.60.
-	UpUtil   float64 `json:"up_util,omitempty"`
-	DownUtil float64 `json:"down_util,omitempty"`
-	// Step bounds nodes added or removed per transition (default 1);
-	// Cooldown is the iterations to hold after a transition (default 5).
-	Step     int `json:"step,omitempty"`
-	Cooldown int `json:"cooldown,omitempty"`
-}
+// AutoscaleSpec is the wire form of the campaign autoscaler's gains —
+// the engine's own type. The zero value of every field selects the
+// engine default; MaxNodes may never exceed the cluster's node count.
+type AutoscaleSpec = campaign.Autoscaler
 
 // ParseAutoscaleSpec resolves the CLI's -autoscale grammar into a wire
 // spec: "" or "on" selects every default, otherwise comma-separated
 // key=value options with keys min, max, up-util, down-util, step, and
 // cooldown — the exact strings `zeppelin tune` emits in a winner's
 // ready-to-paste flag set.
-func ParseAutoscaleSpec(s string) (*AutoscaleSpec, error) {
-	a, err := campaign.ParseAutoscaler(s)
-	if err != nil {
-		return nil, err
-	}
-	return &AutoscaleSpec{
-		MinNodes: a.MinNodes,
-		MaxNodes: a.MaxNodes,
-		UpUtil:   a.UpUtil,
-		DownUtil: a.DownUtil,
-		Step:     a.Step,
-		Cooldown: a.Cooldown,
-	}, nil
-}
-
-// resolve maps the spec onto the internal autoscaler.
-func (a *AutoscaleSpec) resolve() *campaign.Autoscaler {
-	if a == nil {
-		return nil
-	}
-	return &campaign.Autoscaler{
-		MinNodes: a.MinNodes,
-		MaxNodes: a.MaxNodes,
-		UpUtil:   a.UpUtil,
-		DownUtil: a.DownUtil,
-		Step:     a.Step,
-		Cooldown: a.Cooldown,
-	}
-}
+func ParseAutoscaleSpec(s string) (*AutoscaleSpec, error) { return campaign.ParseAutoscaler(s) }
 
 // config resolves the request into an internal campaign configuration.
 // Each call builds a fresh method instance, so an incremental planner is
@@ -488,7 +446,13 @@ func (r CampaignRequest) configWith(pc *PlanCache) (campaign.Config, error) {
 		Policy:     pol,
 		ReplanCost: r.ReplanCostSec,
 		Faults:     sched,
-		Autoscaler: r.Autoscale.resolve(),
+	}
+	if r.Autoscale != nil {
+		// Validation fills the autoscaler's defaults in place: give every
+		// configuration its own copy so the caller's spec stays untouched
+		// and concurrently run grid cells share nothing.
+		as := *r.Autoscale
+		cfg.Autoscaler = &as
 	}
 	if err := cfg.Validate(); err != nil {
 		return campaign.Config{}, err
@@ -511,141 +475,14 @@ func (r CampaignRequest) Validate() error {
 	return err
 }
 
-// CampaignEvent is the wire form of one campaign iteration record. Its
-// fields and JSON names mirror the internal per-iteration metrics row
-// one to one, so a drained event stream is bit-identical to an
-// in-process campaign run.
-type CampaignEvent struct {
-	Iter   int `json:"iter"`
-	Tokens int `json:"tokens"`
-	Seqs   int `json:"seqs"`
-	// Deferred is the token count admission control pushed past this
-	// iteration because the arrival exceeded placement capacity.
-	Deferred int `json:"deferred,omitempty"`
-	// Replanned reports whether the partitioner ran this iteration.
-	Replanned bool `json:"replanned"`
-	// Flipped marks the one iteration a counterfactual replay overrode
-	// the replan verdict on (never set in factual runs).
-	Flipped bool `json:"flipped,omitempty"`
-	// Time is the simulated wall time of the iteration in seconds.
-	Time float64 `json:"time"`
-	// TokensPerSec is the iteration's delivered throughput.
-	TokensPerSec float64 `json:"tokens_per_sec"`
-	// Imbalance is the realized max/mean per-rank busy-time ratio.
-	Imbalance float64 `json:"imbalance"`
-	// Penalty is the stale-plan slowdown factor applied to the layer
-	// critical path (1 on replan iterations).
-	Penalty float64 `json:"penalty"`
-	// Utilization is the mean per-rank busy fraction of the layer span.
-	Utilization float64 `json:"utilization"`
-	// Recovery is the fault-transition time charged to this iteration.
-	Recovery float64 `json:"recovery,omitempty"`
-	// Events are the iteration's fault/recovery markers.
-	Events []string `json:"events,omitempty"`
-	// World is the active data-parallel world size (fault schedules
-	// only, where it can change mid-campaign).
-	World int `json:"world,omitempty"`
-	// Queued is the request-token backlog left pending after the tick
-	// (serve campaigns only).
-	Queued int `json:"queued,omitempty"`
-	// AffinityHits counts requests served on their session's home rank
-	// this tick; SavedTokens the prefix tokens that reuse skipped
-	// (serve campaigns only).
-	AffinityHits int `json:"affinity_hits,omitempty"`
-	SavedTokens  int `json:"saved_tokens,omitempty"`
-	// Violations counts requests completing past their class deadline
-	// this tick (serve campaigns only).
-	Violations int `json:"violations,omitempty"`
-}
+// CampaignEvent is the wire form of one campaign iteration — the
+// engine's own per-iteration record, so a drained event stream is
+// bit-identical to an in-process campaign run.
+type CampaignEvent = campaign.IterRecord
 
-// eventOf converts an internal iteration record to its wire form.
-func eventOf(rec campaign.IterRecord) CampaignEvent {
-	return CampaignEvent{
-		Iter:         rec.Iter,
-		Tokens:       rec.Tokens,
-		Seqs:         rec.Seqs,
-		Deferred:     rec.Deferred,
-		Replanned:    rec.Replanned,
-		Flipped:      rec.Flipped,
-		Time:         rec.Time,
-		TokensPerSec: rec.TokensPerSec,
-		Imbalance:    rec.Imbalance,
-		Penalty:      rec.Penalty,
-		Utilization:  rec.Utilization,
-		Recovery:     rec.Recovery,
-		Events:       rec.Events,
-		World:        rec.World,
-		Queued:       rec.Queued,
-		AffinityHits: rec.AffinityHits,
-		SavedTokens:  rec.SavedTokens,
-		Violations:   rec.Violations,
-	}
-}
-
-// CampaignSummary aggregates one campaign's event stream — the wire
-// mirror of the internal summary.
-type CampaignSummary struct {
-	Method  string `json:"method"`
-	Arrival string `json:"arrival"`
-	Policy  string `json:"policy"`
-	Iters   int    `json:"iters"`
-	Replans int    `json:"replans"`
-
-	TotalTokens    int     `json:"total_tokens"`
-	DeferredTokens int     `json:"deferred_tokens,omitempty"`
-	WallTime       float64 `json:"wall_time"`
-	TokensPerSec   float64 `json:"tokens_per_sec"`
-
-	MeanIterTime float64 `json:"mean_iter_time"`
-	P50IterTime  float64 `json:"p50_iter_time"`
-	P95IterTime  float64 `json:"p95_iter_time"`
-	P99IterTime  float64 `json:"p99_iter_time"`
-	MaxIterTime  float64 `json:"max_iter_time"`
-
-	MeanImbalance   float64 `json:"mean_imbalance"`
-	MaxImbalance    float64 `json:"max_imbalance"`
-	MeanUtilization float64 `json:"mean_utilization"`
-
-	RecoverySeconds float64 `json:"recovery_seconds,omitempty"`
-	FaultEvents     int     `json:"fault_events,omitempty"`
-
-	// Serving aggregates (serve campaigns only): completed requests,
-	// deadline violations, requests unserved at the horizon cutoff, and
-	// total stream time in seconds (busy plus idle).
-	Requests   int     `json:"requests,omitempty"`
-	Violations int     `json:"violations,omitempty"`
-	Unserved   int     `json:"unserved,omitempty"`
-	StreamTime float64 `json:"stream_time,omitempty"`
-}
-
-// summaryOf converts the internal summary to its wire form.
-func summaryOf(s campaign.Summary) CampaignSummary {
-	return CampaignSummary{
-		Method:          s.Method,
-		Arrival:         s.Arrival,
-		Policy:          s.Policy,
-		Iters:           s.Iters,
-		Replans:         s.Replans,
-		TotalTokens:     s.TotalTokens,
-		DeferredTokens:  s.DeferredTokens,
-		WallTime:        s.WallTime,
-		TokensPerSec:    s.TokensPerSec,
-		MeanIterTime:    s.MeanIterTime,
-		P50IterTime:     s.P50IterTime,
-		P95IterTime:     s.P95IterTime,
-		P99IterTime:     s.P99IterTime,
-		MaxIterTime:     s.MaxIterTime,
-		MeanImbalance:   s.MeanImbalance,
-		MaxImbalance:    s.MaxImbalance,
-		MeanUtilization: s.MeanUtilization,
-		RecoverySeconds: s.RecoverySeconds,
-		FaultEvents:     s.FaultEvents,
-		Requests:        s.Requests,
-		Violations:      s.Violations,
-		Unserved:        s.Unserved,
-		StreamTime:      s.StreamTime,
-	}
-}
+// CampaignSummary aggregates one campaign's event stream — the engine's
+// own summary.
+type CampaignSummary = campaign.Summary
 
 // CampaignReport is the full wire artifact of one drained campaign.
 type CampaignReport struct {
@@ -660,14 +497,7 @@ type CampaignReport struct {
 }
 
 // DecisionAlternative is one scored option a decision site considered.
-type DecisionAlternative struct {
-	// Choice names the option ("replan", "reuse", "full", "cached", ...).
-	Choice string `json:"choice"`
-	// Score is the option's figure of merit at decision time.
-	Score float64 `json:"score"`
-	// Chosen marks the option the decision selected.
-	Chosen bool `json:"chosen,omitempty"`
-}
+type DecisionAlternative = decision.Alternative
 
 // DecisionRecord is the wire form of one recorded campaign decision —
 // what was chosen, what else was considered, and the controller state
@@ -675,65 +505,12 @@ type DecisionAlternative struct {
 // contract: kind and chosen are adjacent, so
 // `"kind":"replan","chosen":"replan"` is a stable grep key for replan
 // executions.
-type DecisionRecord struct {
-	// Session is the owning campaign session id (set by zeppelind's
-	// decision log, where one file interleaves many sessions).
-	Session string `json:"session,omitempty"`
-	// Iter is the campaign iteration the decision belongs to.
-	Iter int `json:"iter"`
-	// Kind classifies the decision site: "replan", "admission",
-	// "placement", or "scale". Chosen names the winning alternative.
-	Kind   string `json:"kind"`
-	Chosen string `json:"chosen"`
-	// Forced marks decisions the controller had no say in (first
-	// iteration, post-resize); forced decisions are not flippable.
-	Forced bool `json:"forced,omitempty"`
-	// Flipped marks the one decision a counterfactual replay overrode.
-	Flipped bool `json:"flipped,omitempty"`
-	// Policy and Threshold describe the replanning controller.
-	Policy    string  `json:"policy,omitempty"`
-	Threshold float64 `json:"threshold,omitempty"`
-	// StaleImbalance and FreshImbalance are the projections the replan
-	// verdict weighed.
-	StaleImbalance float64 `json:"stale_imbalance,omitempty"`
-	FreshImbalance float64 `json:"fresh_imbalance,omitempty"`
-	// SinceReplan counts iterations since the partitioner last ran.
-	SinceReplan int `json:"since_replan,omitempty"`
-	// PlanMode is the incremental planner's fast path for placement
-	// records ("full", "patched", "cached", "shared").
-	PlanMode string `json:"plan_mode,omitempty"`
-	// Events and World snapshot the fault state (fault campaigns only).
-	Events []string `json:"events,omitempty"`
-	World  int      `json:"world,omitempty"`
-	// Alternatives are the scored options considered, chosen included.
-	Alternatives []DecisionAlternative `json:"alternatives,omitempty"`
-}
+type DecisionRecord = decision.Record
 
-// decisionOf converts an internal decision record to its wire form.
-func decisionOf(r decision.Record) DecisionRecord {
-	out := DecisionRecord{
-		Iter:           r.Iter,
-		Kind:           string(r.Kind),
-		Chosen:         r.Chosen,
-		Forced:         r.Forced,
-		Flipped:        r.Flipped,
-		Policy:         r.Policy,
-		Threshold:      r.Threshold,
-		StaleImbalance: r.StaleImbalance,
-		FreshImbalance: r.FreshImbalance,
-		SinceReplan:    r.SinceReplan,
-		PlanMode:       r.PlanMode,
-		Events:         r.Events,
-		World:          r.World,
-	}
-	if len(r.Alternatives) > 0 {
-		out.Alternatives = make([]DecisionAlternative, len(r.Alternatives))
-		for i, a := range r.Alternatives {
-			out.Alternatives[i] = DecisionAlternative{Choice: a.Choice, Score: a.Score, Chosen: a.Chosen}
-		}
-	}
-	return out
-}
+// DecisionKinds lists every decision kind ("replan", "admission",
+// "placement", "scale", "route", "tune") — the fixed vocabulary of
+// zeppelind's decisions counter.
+func DecisionKinds() []decision.Kind { return decision.Kinds() }
 
 // FlipSpec names one replan decision to invert during a counterfactual
 // replay: at iteration Iter, force the verdict to Decision ("replan" or

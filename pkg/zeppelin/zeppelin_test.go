@@ -20,8 +20,7 @@ import (
 // defaults: a default CampaignRequest drained through the public API
 // must be bit-identical to internal campaign.Run on the hand-built
 // equivalent configuration. Equality is asserted on the JSON wire bytes
-// of every event, which simultaneously pins the CampaignEvent mirror to
-// the internal record's schema.
+// of every event.
 func TestRunCampaignMatchesInternalRun(t *testing.T) {
 	const iters = 20
 	rep, err := RunCampaign(context.Background(), CampaignRequest{Iters: iters})
@@ -281,6 +280,49 @@ func TestCompareCampaignsDeterministicAcrossWorkers(t *testing.T) {
 		if art.Rows[i].Method != w {
 			t.Fatalf("row %d method = %q, want %q", i, art.Rows[i].Method, w)
 		}
+	}
+}
+
+// TestCompareCampaignsLeavesAutoscaleSpecUntouched: validation fills an
+// autoscaler's defaults in place, so every grid cell must run on its own
+// copy. The caller's spec stays as written, and (under -race) the
+// concurrently run cells share no autoscaler.
+func TestCompareCampaignsLeavesAutoscaleSpecUntouched(t *testing.T) {
+	want := AutoscaleSpec{UpUtil: 0.95, DownUtil: 0.9, Cooldown: 2}
+	spec := want
+	req := CampaignRequest{Iters: 4, Autoscale: &spec}
+	if _, err := CompareCampaigns(context.Background(), req, 2, 4); err != nil {
+		t.Fatal(err)
+	}
+	if spec != want {
+		t.Fatalf("CompareCampaigns rewrote the request's autoscale spec to %+v, want %+v", spec, want)
+	}
+}
+
+// TestCampaignReportIsACopy: a report's events belong to the caller.
+// Editing one report must not reach the stream's records, which later
+// reports are built from.
+func TestCampaignReportIsACopy(t *testing.T) {
+	camp, err := StartCampaign(context.Background(), CampaignRequest{Iters: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := camp.Next(); !ok {
+		t.Fatalf("first event failed: %v", camp.Err())
+	}
+	early := camp.Report()
+	tokens := early.Events[0].Tokens
+	early.Events[0].Tokens = -1
+	for {
+		if _, ok := camp.Next(); !ok {
+			break
+		}
+	}
+	if err := camp.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := camp.Report().Events[0].Tokens; got != tokens {
+		t.Fatalf("editing an earlier report changed event 0's tokens to %d, want %d", got, tokens)
 	}
 }
 
