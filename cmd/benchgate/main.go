@@ -15,8 +15,8 @@
 //	benchgate -input bench.txt -baseline BENCH_baseline.json -update
 //
 // -input accepts either `go test -bench` text or an already-distilled
-// benchfmt JSON artifact (zeppelin-loadgen -bench, `zeppelin bench
-// -json`), sniffed automatically. The default gate covers the planner
+// benchfmt JSON artifact (zeppelin-loadgen -bench), sniffed
+// automatically. The default gate covers the planner
 // stack (Fig15 plan paths, the partitioner, the remap solver) plus the
 // loadgen service-throughput headline; -gate swaps in any regexp. Benchmarks
 // missing from either side are reported and skipped, never failed, so
@@ -198,9 +198,9 @@ func gateRatio(cur *benchfmt.File, spec string, threshold float64) error {
 }
 
 // readInput accepts either `go test -bench` text or an already-distilled
-// benchfmt JSON artifact (what zeppelin-loadgen -bench and `zeppelin
-// bench -json` emit), sniffed by the leading byte — so producers that
-// speak the schema natively gate without a text round-trip.
+// benchfmt JSON artifact (what zeppelin-loadgen -bench emits), sniffed
+// by the leading byte — so producers that speak the schema natively gate
+// without a text round-trip.
 func readInput(in io.Reader) (*benchfmt.File, error) {
 	raw, err := io.ReadAll(in)
 	if err != nil {

@@ -9,7 +9,6 @@
 //	zeppelin [-seeds N] [-workers N] [-json] <experiment>
 //	zeppelin [-seeds N] [-workers N] campaign [-iters N] [-arrival P] [-drift D] [-policy P] [-json] [...]
 //	zeppelin [-seeds N] [-workers N] tune [-space S] [-budget N] [-weights W] [-json] [...]
-//	zeppelin bench [-ranks R1,R2] [-iters N] [-solve-workers N] [-json]
 //	zeppelin replay [-iters N] [-seed N] [-flip iter=N:decision=replan|reuse] [-json] [...]
 //	zeppelin -version
 //
@@ -38,13 +37,6 @@
 // migration cost, and utilization, as a ready-to-paste campaign flag
 // set. The search is deterministic: grid seeding plus a seeded
 // mutation/selection loop, bit-identical at every -workers count.
-//
-// The bench subcommand measures the planner fast path in-process (the
-// fig15 machinery: full solve vs incremental re-planning over a churning
-// stream) and emits results in the shared benchfmt JSON schema — the
-// same shape as the CI bench job's BENCH_*.json artifact, so the same
-// tooling reads both (the measurements themselves differ: CI aggregates
-// go-test samples, bench reports per-rank-count p50s).
 //
 // The replay subcommand is the counterfactual engine: it re-runs one
 // campaign deterministically and, with -flip iter=N:decision=replan|reuse,
@@ -129,12 +121,6 @@ func main() {
 		}
 		return
 	}
-	if args[0] == "bench" {
-		if err := benchCmd(os.Stdout, args[1:], *jsonOut); err != nil {
-			fail(err)
-		}
-		return
-	}
 	if args[0] == "replay" {
 		if err := replayCmd(os.Stdout, args[1:], *jsonOut); err != nil {
 			fail(err)
@@ -175,7 +161,6 @@ func usage() {
        zeppelin [-seeds N] [-workers N] campaign [flags]
        zeppelin [-seeds N] [-workers N] serve [flags]
        zeppelin [-seeds N] [-workers N] tune [flags]
-       zeppelin bench [-ranks R1,R2] [-iters N] [-solve-workers N] [-json]
        zeppelin replay [flags]
        zeppelin -version
 
@@ -183,7 +168,7 @@ experiments: %s
 campaign flags: -iters N  -arrival steady|poisson|bursty|drift|replay
                 -dataset NAME  -drift a,b,c  -policy always|never|threshold|periodic
                 -threshold X  -every N  -replan-cost SECONDS (>= 0)
-                -capacity X (admission capacity factor; 0 selects 1.25)
+                -capacity X (admission capacity factor, at most 100; 0 selects 1.25)
                 -faults none|straggler|nic|failstop|shrink[:k=v,...]
                 -autoscale on|k=v,... (closed-loop world sizing; keys
                 min|max|up-util|down-util|step|cooldown)
@@ -200,9 +185,6 @@ tune flags:     -space GRAMMAR (key=value dims; a|b sets, lo:hi intervals;
                 -weights GOODPUT,P99,MIGRATION,UTIL  -search-seed N
                 (plus the campaign cell flags: -arrival, -dataset, -drift,
                 -faults)  -json
-bench flags:    -ranks 64,256 (world sizes, multiples of 8)  -iters N
-                -solve-workers N (fan the full solve; plans stay bit-identical)
-                -json (benchfmt artifact, the BENCH_*.json schema)
 replay flags:   -iters N  -seed N  -flip iter=N:decision=replan|reuse
                 (plus the campaign cell flags: -arrival, -dataset, -drift,
                 -policy, -threshold, -every, -replan-cost, -faults)  -json
@@ -238,52 +220,6 @@ func experimentCmd(w io.Writer, name string, opts zeppelin.Options, jsonOut bool
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(payload)
-}
-
-// ---------------------------------------------------------------------
-// bench subcommand
-// ---------------------------------------------------------------------
-
-// benchCmd measures the planner fast path through the public API and
-// emits results in the shared benchfmt schema. Text mode prints
-// go-test-style benchmark lines, which benchgate can also parse.
-func benchCmd(w io.Writer, args []string, jsonOut bool) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	ranksFlag := fs.String("ranks", "64,256", "comma-separated world sizes (ranks, multiples of 8)")
-	iters := fs.Int("iters", 0, "planning stream length per cell; must be >= 2 (0 selects the fig15 default)")
-	solveWorkers := fs.Int("solve-workers", 0, "solve fan-out for the full planner; <= 1 runs single-threaded")
-	subJSON := fs.Bool("json", false, "emit the benchfmt artifact as JSON")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 0 {
-		return usageErrorf("bench: unexpected arguments %q", fs.Args())
-	}
-	if *iters != 0 && *iters < 2 {
-		return usageErrorf("bench: -iters must be >= 2, got %d", *iters)
-	}
-	if *solveWorkers < 0 {
-		return usageErrorf("bench: -solve-workers must be >= 0, got %d", *solveWorkers)
-	}
-	var ranks []int
-	for _, part := range strings.Split(*ranksFlag, ",") {
-		r, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || r <= 0 {
-			return usageErrorf("bench: bad ranks value %q", part)
-		}
-		ranks = append(ranks, r)
-	}
-	jsonOut = jsonOut || *subJSON
-
-	art, err := zeppelin.RunPlannerBench(context.Background(),
-		zeppelin.BenchOptions{Ranks: ranks, Iters: *iters, SolveWorkers: *solveWorkers})
-	if err != nil {
-		return usageError{err}
-	}
-	if jsonOut {
-		return art.WriteJSON(w)
-	}
-	return art.WriteText(w)
 }
 
 // ---------------------------------------------------------------------

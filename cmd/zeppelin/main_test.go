@@ -39,6 +39,37 @@ func TestCampaignCmdRejectsInvalidFlags(t *testing.T) {
 	wantUsage(t, []string{"extra-positional"}, "unexpected arguments")
 }
 
+// TestCampaignCmdRejectsNonFinite: NaN and ±Inf in any float flag or
+// spec value is a usage error (exit 2) — not NaN columns, a JSON
+// encoding failure, or an internal partitioner error.
+func TestCampaignCmdRejectsNonFinite(t *testing.T) {
+	for _, v := range []string{"NaN", "Inf", "-Inf"} {
+		wantUsage(t, []string{"-replan-cost", v}, "replan")
+		wantUsage(t, []string{"-threshold", v}, "threshold")
+		wantUsage(t, []string{"-capacity", v}, "capacity factor")
+		wantUsage(t, []string{"-faults", "straggler:x=" + v}, "finite")
+		wantUsage(t, []string{"-faults", "failstop:restart=" + v}, "finite")
+		wantUsage(t, []string{"-autoscale", "up-util=" + v}, "up-util")
+		wantUsage(t, []string{"-autoscale", "down-util=" + v}, "down-util")
+	}
+	wantUsage(t, []string{"-capacity", "1e300"}, "capacity factor")
+	wantUsage(t, []string{"-capacity", "100.5"}, "capacity factor")
+}
+
+// TestTuneCmdRejectsNonFiniteSpace: a non-finite value in the search
+// space is a usage error, not a NaN-threshold winner.
+func TestTuneCmdRejectsNonFiniteSpace(t *testing.T) {
+	for _, v := range []string{"NaN", "Inf", "-Inf"} {
+		for _, space := range []string{"policy=threshold,threshold=" + v, "capacity=0.5:" + v} {
+			err := tuneCmd(io.Discard, []string{"-budget", "1", "-iters", "2", "-space", space}, 1, 1, false)
+			var ue usageError
+			if err == nil || !errors.As(err, &ue) {
+				t.Fatalf("-space %s: err = %v, want a usage error", space, err)
+			}
+		}
+	}
+}
+
 func TestCampaignCmdRunsFaultedCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign in -short mode")

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	zeppelind [-addr :8080] [-workers N] [-seeds N] [-solve-workers N]
+//	zeppelind [-addr :8080] [-workers N] [-seeds N]
 //	          [-rate R] [-burst B] [-plan-rate R] [-campaign-rate R]
 //	          [-experiment-rate R] [-plan-cache N] [-decision-log PATH]
 //	zeppelind -version
@@ -53,14 +53,6 @@
 // methods return the structured JSON error envelope
 // {"error":{"code":"...","message":"..."}}.
 //
-// -solve-workers N fans each /v1/plan partition solve across N pool
-// workers (the speculative Alg. 1 threshold waves and per-node Alg. 2
-// solves of internal/partition). Plans are bit-identical at every
-// worker count — the flag only moves the zeppelind_plan_solve_seconds
-// histogram, and responses report the active path in "solve_mode"
-// ("serial" or "parallel-N"). The default 0 keeps the historical
-// serial solve with no mode reported.
-//
 // -rate/-burst put a token-bucket admission controller in front of
 // every /v1 route: each traffic class (plan, campaign, experiment,
 // meta) gets an independent bucket admitting -rate requests/sec with
@@ -105,7 +97,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulation slots; must be >= 1")
 	seeds := flag.Int("seeds", 3, "batches/campaigns averaged per experiment cell; must be >= 1")
-	solveWorkers := flag.Int("solve-workers", 0, "fan each plan's partition solve across N workers (bit-identical plans); 0 keeps the serial solve")
 	rate := flag.Float64("rate", 0, "per-class admission rate in requests/sec; 0 disables admission control")
 	burst := flag.Int("burst", 8, "admission token-bucket depth per class")
 	planRate := flag.Float64("plan-rate", 0, "admission rate override for /v1/plan (0 inherits -rate, negative is unlimited)")
@@ -131,16 +122,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *solveWorkers < 0 {
-		fmt.Fprintln(os.Stderr, "zeppelind: -solve-workers must be >= 0")
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	cfg := serverConfig{
 		workers:          *workers,
 		seeds:            *seeds,
-		solveWorkers:     *solveWorkers,
 		rate:             *rate,
 		burst:            *burst,
 		planRate:         *planRate,

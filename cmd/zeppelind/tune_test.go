@@ -158,3 +158,42 @@ func TestCampaignAutoscaleOverHTTP(t *testing.T) {
 		t.Fatal("autoscaled session traced no scale decisions")
 	}
 }
+
+// TestNonFiniteAndOversizedInputsAre400: NaN/±Inf inside a fault spec or
+// a tune space, and a capacity factor above the ceiling, are rejected up
+// front with the structured 400 — not a 201 session whose event stream
+// dies on a NaN, a 200 with an empty body, or a 500 from an overflowed
+// partitioner capacity.
+func TestNonFiniteAndOversizedInputsAre400(t *testing.T) {
+	ts := testServer(t)
+	type badCase struct{ route, body, substr string }
+	var cases []badCase
+	for _, v := range []string{"NaN", "Inf", "-Inf"} {
+		cases = append(cases,
+			badCase{"/v1/campaigns", `{"iters":4,"faults":"failstop:restart=` + v + `"}`, "finite"},
+			badCase{"/v1/campaigns", `{"iters":4,"faults":"straggler:x=` + v + `"}`, "finite"},
+			badCase{"/v1/tune", `{"space":"policy=threshold,threshold=` + v + `"}`, "threshold"},
+		)
+	}
+	for _, c := range []string{"1e300", "100.5"} {
+		cases = append(cases,
+			badCase{"/v1/plan", `{"cluster":{"capacity":` + c + `}}`, "capacity factor"},
+			badCase{"/v1/campaigns", `{"iters":4,"cluster":{"capacity":` + c + `}}`, "capacity factor"},
+		)
+	}
+	for _, c := range cases {
+		resp, err := http.Post(ts.URL+c.route, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb zeppelin.ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_request" {
+			t.Fatalf("%s %s: status=%d err=%v error=%+v", c.route, c.body, resp.StatusCode, err, eb)
+		}
+		if !strings.Contains(eb.Error.Message, c.substr) {
+			t.Fatalf("%s %s: message %q does not mention %q", c.route, c.body, eb.Error.Message, c.substr)
+		}
+	}
+}

@@ -7,23 +7,22 @@
 //   - pkg/zeppelin        — the versioned public v1 API: one-shot plan
 //     requests (Planner), iterator-style campaign streaming (Campaign,
 //     one simulated iteration per Next call), experiment regeneration
-//     by name, the planner fast-path bench, build/version
-//     identification, and the fleet-hardening layer: per-class
-//     token-bucket admission control (Admission, TokenBucket), the
-//     process-wide shared plan cache (PlanCache — exact full-solve
-//     reuse across plan requests and campaign sessions, bit-identical
-//     by construction), the load-generation engine (RunLoad: paced
-//     plan RPS plus concurrent campaign streams, latency percentiles,
-//     benchfmt artifact, and — when targets expose /metrics — the
-//     p99.9 tail, fleet decisions/sec, and admission saturation), and
-//     the observability surface: per-campaign decision traces
-//     (WithCampaignDecisions, DecisionRecord with scored
+//     by name, build/version identification, and the fleet-hardening
+//     layer: per-class token-bucket admission control (Admission,
+//     TokenBucket), the process-wide shared plan cache (PlanCache —
+//     exact full-solve reuse across plan requests and campaign
+//     sessions, bit-identical by construction), the load-generation
+//     engine (RunLoad: paced plan RPS plus concurrent campaign streams,
+//     latency percentiles, benchfmt artifact, and — when targets expose
+//     /metrics — the p99.9 tail, fleet decisions/sec, and admission
+//     saturation), and the observability surface: per-campaign decision
+//     traces (WithCampaignDecisions, DecisionRecord with scored
 //     alternatives) and the counterfactual replay engine (RunReplay:
-//     re-run a recorded stream with exactly one replan verdict
-//     flipped — FlipSpec — and report the goodput/p99/wall-time
-//     delta; a no-flip replay must be bit-identical), and the
-//     closed-loop tuning surface (RunTune: multi-objective policy
-//     search over full campaigns with a deterministic winner, plus
+//     re-run a recorded stream with exactly one replan verdict flipped
+//     — FlipSpec — and report the goodput/p99/wall-time delta; a
+//     no-flip replay must be bit-identical), and the closed-loop tuning
+//     surface (RunTune: multi-objective policy search over full
+//     campaigns with a deterministic winner, plus
 //     AutoscaleSpec/ParseAutoscaleSpec for the campaign autoscaler),
 //     and the serving-scenario surface (ServeSpec/ParseServeSpec: the
 //     -serve flag grammar as a wire object, CompareServeRoutes for the
@@ -33,7 +32,7 @@
 //     Context-aware throughout (cancellation stops campaigns between
 //     iterations and grids between jobs) with the JSON wire schema
 //     pinned by golden tests. cmd/zeppelin is its reference client
-//     (campaign, serve, replay, tune, bench, fig13…fig16 subcommands);
+//     (campaign, serve, replay, tune, fig13…fig16 subcommands);
 //     cmd/zeppelind serves it over HTTP (POST /v1/plan, POST
 //     /v1/campaigns + NDJSON event streams honoring client disconnect
 //     and SIGTERM drain, GET /v1/campaigns/{id}/decisions, POST
@@ -131,7 +130,7 @@
 //
 //   - internal/experiments— regenerators for every paper table and figure,
 //     plus the fig13 streaming-campaign and fig14 fault comparisons,
-//     the fig15 planner fast-path scaling sweep (64 → 1024 ranks, plan
+//     the fig15 planner fast-path scaling sweep (64 → 8192 ranks, plan
 //     latency and allocations, full vs incremental), and the fig16
 //     serving-scenario routing comparison (bursty multi-client stream,
 //     balance vs KV-affinity, per-class SLO tables)
@@ -139,8 +138,8 @@
 //   - internal/trace      — Fig. 12-style timeline and campaign rendering
 //
 //   - internal/benchfmt   — benchmark-artifact JSON schema shared by the
-//     CI bench-regression gate (cmd/benchgate), `zeppelin bench`, and
-//     zeppelin-loadgen's throughput artifact
+//     CI bench-regression gate (cmd/benchgate) and zeppelin-loadgen's
+//     throughput artifact
 //
 // See README.md for a tour: its "Package tour" section is the system
 // inventory, and "Quickstart" lists every experiment the CLI regenerates.

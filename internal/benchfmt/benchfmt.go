@@ -1,8 +1,8 @@
 // Package benchfmt defines the benchmark-artifact JSON schema shared by
 // the CI bench-regression gate and local tooling: cmd/benchgate parses
 // `go test -bench` text output into it and compares artifacts against a
-// checked-in baseline, and `zeppelin bench -json` emits its in-process
-// planner measurements in the same shape. One schema means a CI artifact
+// checked-in baseline, and zeppelin-loadgen -bench emits its service
+// throughput in the same shape. One schema means a CI artifact
 // (BENCH_pr8.json) and a laptop run diff cleanly.
 package benchfmt
 
@@ -40,7 +40,7 @@ type Result struct {
 // File is a benchmark artifact.
 type File struct {
 	// Source identifies what produced the artifact ("go test -bench" or
-	// "zeppelin bench").
+	// "zeppelin-loadgen").
 	Source string `json:"source,omitempty"`
 	// Goos/Goarch/CPU are copied from the bench header when present.
 	Goos   string `json:"goos,omitempty"`

@@ -81,10 +81,11 @@ func (a *Autoscaler) validate(clusterNodes int) error {
 	if a.DownUtil == 0 {
 		a.DownUtil = DefaultDownUtil
 	}
-	if a.UpUtil <= 0 || a.UpUtil > 1 {
+	// Written so that NaN fails: every comparison with NaN is false.
+	if !(a.UpUtil > 0 && a.UpUtil <= 1) {
 		return fmt.Errorf("campaign: autoscaler up-util must be in (0, 1], got %g", a.UpUtil)
 	}
-	if a.DownUtil < 0 || a.DownUtil >= a.UpUtil {
+	if !(a.DownUtil >= 0 && a.DownUtil < a.UpUtil) {
 		return fmt.Errorf("campaign: autoscaler down-util %g must be in [0, up-util %g)", a.DownUtil, a.UpUtil)
 	}
 	if a.Step == 0 {

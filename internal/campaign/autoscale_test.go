@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -180,6 +181,57 @@ func TestReplanCostNegativeIsValidationError(t *testing.T) {
 	if _, err := Start(context.Background(), cfg); err == nil {
 		t.Fatal("Start accepted a negative replan cost")
 	}
+}
+
+// TestNonFiniteInputsAreRejected: NaN fails every comparison, so range
+// checks written as "reject if out of range" let it through. Validate
+// rejects NaN and ±Inf as a validation error, and PolicyByName rejects
+// a non-finite threshold ratio.
+func TestNonFiniteInputsAreRejected(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		muts := map[string]func(*Config){
+			"replan-cost": func(c *Config) { c.ReplanCost = v },
+			"up-util":     func(c *Config) { c.Autoscaler = &Autoscaler{UpUtil: v} },
+			"down-util":   func(c *Config) { c.Autoscaler = &Autoscaler{DownUtil: v} },
+		}
+		for name, mut := range muts {
+			cfg := autoscaleCell(1)
+			cfg.Method = zeppelin.Full()
+			mut(&cfg)
+			if err := cfg.Validate(); !IsValidation(err) {
+				t.Errorf("%s=%v: Validate error = %v, want a validation error", name, v, err)
+			}
+		}
+		if _, err := PolicyByName("threshold", v, 0); err == nil {
+			t.Errorf("threshold ratio %v: PolicyByName accepted it", v)
+		}
+	}
+}
+
+// FuzzParseAutoscaler: the -autoscale grammar never panics, and any spec
+// that parses and then validates against a 16-node cluster keeps its
+// gains ordered inside [0, 1] and its node bounds inside the cluster.
+func FuzzParseAutoscaler(f *testing.F) {
+	for _, s := range []string{
+		"", "on", "min=2,max=4,up-util=0.9,down-util=0.5,step=2,cooldown=8",
+		"min=1", "max=16", "up-util=0.95", "down-util=0.1", "step=3", "cooldown=5",
+		"up-util=NaN", "down-util=NaN", "up-util=Inf", "down-util=-Inf", "up-util=1e400",
+		"min=,max=", "=,=", "up-util=0x1p-1,down-util=0",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		a, err := ParseAutoscaler(s)
+		if err != nil || a.validate(16) != nil {
+			return
+		}
+		if !(0 <= a.DownUtil && a.DownUtil < a.UpUtil && a.UpUtil <= 1) {
+			t.Fatalf("%q: accepted gains down-util=%v up-util=%v", s, a.DownUtil, a.UpUtil)
+		}
+		if a.MinNodes < 1 || a.MinNodes > a.MaxNodes || a.MaxNodes > 16 || a.Step < 1 || a.Cooldown < 1 {
+			t.Fatalf("%q: accepted out-of-range autoscaler %+v", s, *a)
+		}
+	})
 }
 
 func TestParseAutoscaler(t *testing.T) {

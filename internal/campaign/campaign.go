@@ -28,6 +28,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -184,8 +185,8 @@ func (c *Config) Validate() error {
 			c.Policy = Threshold{}
 		}
 	}
-	if c.ReplanCost < 0 {
-		return validationf("campaign: replan cost must be >= 0 seconds, got %g", c.ReplanCost)
+	if !(c.ReplanCost >= 0) || math.IsInf(c.ReplanCost, 1) {
+		return validationf("campaign: replan cost must be finite and >= 0 seconds, got %g", c.ReplanCost)
 	}
 	if c.ReplanCost == 0 {
 		c.ReplanCost = DefaultReplanCost

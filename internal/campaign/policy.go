@@ -1,6 +1,9 @@
 package campaign
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // PolicyState is what the replanning controller knows when it must
 // decide, before simulating an iteration, whether to re-run the
@@ -96,7 +99,8 @@ func (p Periodic) Name() string { return fmt.Sprintf("periodic(%d)", p.every()) 
 func (p Periodic) ShouldReplan(s PolicyState) bool { return s.SinceReplan >= p.every() }
 
 // PolicyByName builds the named policy: "always", "never", "threshold"
-// (at ratio, 0 selecting the default), or "periodic" (at cadence).
+// (at a finite ratio, 0 selecting the default), or "periodic" (at
+// cadence).
 func PolicyByName(name string, ratio float64, every int) (Policy, error) {
 	switch name {
 	case "always":
@@ -104,6 +108,9 @@ func PolicyByName(name string, ratio float64, every int) (Policy, error) {
 	case "never":
 		return Never{}, nil
 	case "threshold":
+		if math.IsNaN(ratio) || math.IsInf(ratio, 0) {
+			return nil, fmt.Errorf("campaign: threshold ratio must be finite, got %g", ratio)
+		}
 		return Threshold{Ratio: ratio}, nil
 	case "periodic":
 		return Periodic{Every: every}, nil

@@ -21,10 +21,8 @@ import (
 // per-iteration hot path — rather than simulated iteration time. Worlds
 // of 64 → 8192 data-parallel ranks plan a churning high-multiplicity
 // stream (FineWeb-shaped arrivals, ~5% of sequences replaced per
-// iteration) twice: once through the full hierarchical solve (fanned
-// across solve workers — bit-identical to the serial path at every
-// worker count), once through the incremental planner (keyed plan cache
-// + delta patching).
+// iteration) twice: once through the full hierarchical solve, once
+// through the incremental planner (keyed plan cache + delta patching).
 // Each cell reports plan-latency p50/p95, allocations per plan, the
 // incremental mode split, and the worst cost ratio of incremental over
 // full plans — the sweep is self-verifying: speed must not buy imbalance
@@ -46,8 +44,6 @@ const Fig15ChurnFrac = 0.05
 const Fig15MaxDeltaFrac = 0.25
 
 // Fig15Ranks are the swept world sizes (data-parallel ranks; nodes of 8).
-// The tail doubles to 8192 ranks — feasible as a routine sweep because
-// the full solve fans across workers (see partition.Config.SolveWorkers).
 var Fig15Ranks = []int{64, 128, 256, 512, 1024, 2048, 4096, 8192}
 
 // Fig15Series is one planning mode's measurement within a cell.
@@ -156,7 +152,7 @@ func Fig15(opts Options) (*Fig15Result, error) {
 	}
 	res := &Fig15Result{Iters: Fig15Iters, Churn: Fig15ChurnFrac}
 	for i, ranks := range Fig15Ranks {
-		cell, err := fig15Cell(ranks, streams[i], fig15SolveWorkers(opts.workers()))
+		cell, err := fig15Cell(ranks, streams[i])
 		if err != nil {
 			return nil, fmt.Errorf("fig15: %d ranks: %w", ranks, err)
 		}
@@ -165,35 +161,9 @@ func Fig15(opts Options) (*Fig15Result, error) {
 	return res, nil
 }
 
-// fig15SolveWorkers resolves the experiment worker option into the
-// partitioner's solve fan-out (<= 0 selects GOMAXPROCS, like the pool).
-func fig15SolveWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
-// Fig15Bench measures a single world size over a fresh stream of the
-// given length — the entry point `zeppelin bench` uses so CLI bench runs
-// and the fig15 sweep share one measurement path. solveWorkers fans the
-// full solve (<= 1 keeps the historical serial path; results are
-// bit-identical either way).
-func Fig15Bench(ranks, iters, solveWorkers int) (Fig15Cell, error) {
-	if ranks < cluster.ClusterA.GPUsPerNode || ranks%cluster.ClusterA.GPUsPerNode != 0 {
-		return Fig15Cell{}, fmt.Errorf("fig15: ranks must be a positive multiple of %d, got %d",
-			cluster.ClusterA.GPUsPerNode, ranks)
-	}
-	if iters < 2 {
-		return Fig15Cell{}, fmt.Errorf("fig15: need >= 2 iterations, got %d", iters)
-	}
-	return fig15Cell(ranks, Fig15Stream(ranks, iters), solveWorkers)
-}
-
 // fig15Cell measures one world size on a pre-generated stream.
-func fig15Cell(ranks int, stream [][]seq.Sequence, solveWorkers int) (Fig15Cell, error) {
+func fig15Cell(ranks int, stream [][]seq.Sequence) (Fig15Cell, error) {
 	cfg := Fig15PlanConfig(ranks)
-	cfg.SolveWorkers = solveWorkers
 	cell := Fig15Cell{Ranks: ranks, Nodes: cfg.Cluster.Nodes, MaxCostRatio: 1}
 	var seqs int
 	for _, b := range stream {

@@ -87,30 +87,6 @@ func sameSeqs(a, b []seq.Sequence) bool {
 	return true
 }
 
-func TestFig15BenchValidation(t *testing.T) {
-	if _, err := Fig15Bench(7, 8, 1); err == nil {
-		t.Fatal("non-multiple-of-8 ranks must fail")
-	}
-	if _, err := Fig15Bench(64, 1, 1); err == nil {
-		t.Fatal("single-iteration stream must fail")
-	}
-	cell, err := Fig15Bench(64, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cell.Ranks != 64 || cell.Modes.Plans() != 4 {
-		t.Fatalf("bench cell = %+v", cell)
-	}
-	// Fanned solve: the measured cell is structurally identical.
-	par, err := Fig15Bench(64, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Modes != cell.Modes || par.MaxCostRatio != cell.MaxCostRatio {
-		t.Fatalf("solve workers changed the measured structure: %+v vs %+v", par, cell)
-	}
-}
-
 func TestWriteFig15Renders(t *testing.T) {
 	// Rendering drives the full sweep; trim to a cheap check of the table
 	// shape via the smallest world by temporarily narrowing the sweep.

@@ -409,8 +409,9 @@ func evenLayout(tokens, active, world int) []int {
 //	                  capacity grows back [node=nodes-1, rank=the node's
 //	                  middle rank, x=3, warn=0.25i, from=0.55i, to=0.75i]
 //
-// Malformed specs (unknown scenario, unknown key, unparsable value)
-// return an error; the CLI surfaces them as usage errors.
+// Malformed specs (unknown scenario, unknown key, unparsable or
+// non-finite value) return an error; the CLI surfaces them as usage
+// errors.
 func ByName(spec string, iters, nodes, ranksPerNode int) (*Schedule, error) {
 	name, params, err := parseSpec(spec)
 	if err != nil {
@@ -534,6 +535,9 @@ func parseSpec(spec string) (string, map[string]float64, error) {
 		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
 		if err != nil {
 			return "", nil, fmt.Errorf("faults: parameter %s: %v", key, err)
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return "", nil, fmt.Errorf("faults: parameter %s must be finite, got %v", key, f)
 		}
 		params[key] = f
 	}

@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -187,6 +189,60 @@ func TestByNameRejectsMalformedSpecs(t *testing.T) {
 			t.Errorf("spec %q must be rejected", spec)
 		}
 	}
+}
+
+// TestByNameRejectsNonFinite: NaN and ±Inf never reach a schedule. A
+// NaN factor slips past Validate's range checks, an infinite straggler
+// factor makes a zero-speed rank, and a NaN restart cost poisons every
+// iteration time after the outage.
+func TestByNameRejectsNonFinite(t *testing.T) {
+	for _, tmpl := range []string{
+		"straggler:x=%s", "nic:x=%s", "failstop:restart=%s", "shrink:x=%s", "straggler:from=%s",
+	} {
+		for _, v := range []string{"NaN", "Inf", "+Inf", "-Inf"} {
+			spec := fmt.Sprintf(tmpl, v)
+			_, err := ByName(spec, 200, 2, 8)
+			if err == nil || !strings.Contains(err.Error(), "finite") {
+				t.Errorf("spec %q: err = %v, want a non-finite rejection", spec, err)
+			}
+		}
+	}
+}
+
+// FuzzByName: the scenario grammar never panics, and any schedule it
+// accepts carries only finite parameters.
+func FuzzByName(f *testing.F) {
+	for _, spec := range []string{
+		"none", "healthy", "straggler", "nic", "failstop", "shrink",
+		"straggler:rank=3,x=2.5,from=10,to=40", "nic:nic=0,x=0.5,from=5,to=9",
+		"failstop:node=1,restart=30,from=50,to=60", "shrink:node=1,rank=12,x=3,warn=5,from=20,to=30",
+		"straggler:x=NaN", "nic:x=Inf", "failstop:restart=NaN", "shrink:x=-Inf",
+		"straggler:x=1e400", "straggler:rank=1e300", "nic:x=0x1p-2", ":=", "straggler:,",
+	} {
+		f.Add(spec)
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ByName(spec, 200, 2, 8)
+		if err != nil || s == nil {
+			return
+		}
+		if !finite(s.RestartCost) {
+			t.Fatalf("%q: accepted restart cost %v", spec, s.RestartCost)
+		}
+		for _, st := range s.Stragglers {
+			if !finite(st.Factor) {
+				t.Fatalf("%q: accepted straggler factor %v", spec, st.Factor)
+			}
+		}
+		for _, nf := range s.NICFaults {
+			if !finite(nf.Factor) {
+				t.Fatalf("%q: accepted NIC factor %v", spec, nf.Factor)
+			}
+		}
+		// Validation may reject the schedule, but must not panic.
+		_ = s.Validate(2, 8, cluster.ClusterA.NICsPerNode)
+	})
 }
 
 func TestMigrationConservesAndPrices(t *testing.T) {

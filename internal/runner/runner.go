@@ -319,16 +319,6 @@ func (e *Engine) execute(j *Job) *outcome {
 // takes priority over any error fn returned, since the index set that
 // actually ran is timing-dependent once the context fires.
 func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return ForEachWorker(ctx, workers, n, func(_, i int) error { return fn(i) })
-}
-
-// ForEachWorker is ForEach with a stable worker identity: fn(w, i) runs
-// index i on pool worker w, where w is in [0, workers). At most one fn
-// call runs per worker at a time, so callers can hand each worker its own
-// scratch buffers (the partitioner's parallel solve does exactly this)
-// without locking. Everything else matches ForEach: bounded pool,
-// lowest-index error, prompt drain on cancellation.
-func ForEachWorker(ctx context.Context, workers, n int, fn func(worker, i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -344,15 +334,15 @@ func ForEachWorker(ctx context.Context, workers, n int, fn func(worker, i int) e
 	work := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := range work {
 				if ctx.Err() != nil {
 					continue // drain without running
 				}
-				errs[i] = fn(w, i)
+				errs[i] = fn(i)
 			}
-		}(w)
+		}()
 	}
 feed:
 	for i := 0; i < n; i++ {

@@ -120,9 +120,7 @@ func TestErrorPropagation(t *testing.T) {
 
 func TestCacheHits(t *testing.T) {
 	eng := New(Options{Workers: 4})
-	// A baseline method, not zeppelin.Full(): internal/zeppelin now
-	// depends on this package (the parallel solve), so in-package tests
-	// cannot import it; determinism_ext_test.go covers the full method.
+	// A baseline method; determinism_ext_test.go covers the full method.
 	same := func(key string) Job { return quickJob(key, 42, baselines.HybridDP{}) }
 	rs, err := eng.Run(context.Background(), []Job{same("a"), same("b"), quickJob("c", 43, baselines.HybridDP{})})
 	if err != nil {
@@ -239,33 +237,37 @@ func TestForEach(t *testing.T) {
 }
 
 func TestForEachWorker(t *testing.T) {
-	// Worker ids must stay in [0, workers) and each worker must run at
-	// most one fn at a time — per-worker scratch relies on both.
+	// The pool is bounded: at most workers fn calls run at a time, and
+	// every index runs exactly once.
 	const workers, n = 5, 64
-	busy := make([]atomic.Int32, workers)
-	worker := make([]int, n)
-	if err := ForEachWorker(context.Background(), workers, n, func(w, i int) error {
-		if w < 0 || w >= workers {
-			return fmt.Errorf("worker id %d out of range", w)
+	var inflight, peak atomic.Int32
+	runs := make([]atomic.Int32, n)
+	if err := ForEach(context.Background(), workers, n, func(i int) error {
+		cur := inflight.Add(1)
+		for {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
+			}
 		}
-		if busy[w].Add(1) != 1 {
-			return fmt.Errorf("worker %d ran two indices concurrently", w)
-		}
-		worker[i] = w
-		busy[w].Add(-1)
+		runs[i].Add(1)
+		runtime.Gosched()
+		inflight.Add(-1)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Every index ran exactly once (worker slot recorded).
-	for i, w := range worker {
-		if w < 0 || w >= workers {
-			t.Fatalf("index %d ran on worker %d", i, w)
+	if p := peak.Load(); p < 1 || p > workers {
+		t.Fatalf("peak in-flight fn calls = %d, want 1..%d", p, workers)
+	}
+	for i := range runs {
+		if c := runs[i].Load(); c != 1 {
+			t.Fatalf("index %d ran %d times", i, c)
 		}
 	}
 	// Zero items is a no-op, not a hang.
-	if err := ForEachWorker(context.Background(), 4, 0, func(w, i int) error {
-		t.Fatalf("fn called for empty range (w=%d i=%d)", w, i)
+	if err := ForEach(context.Background(), 4, 0, func(i int) error {
+		t.Fatalf("fn called for empty range (i=%d)", i)
 		return nil
 	}); err != nil {
 		t.Fatal(err)

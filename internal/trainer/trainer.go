@@ -19,6 +19,7 @@ package trainer
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -84,7 +85,8 @@ type Config struct {
 	TP int
 	// TokensPerGPU is the per-GPU context budget (4k in the paper).
 	TokensPerGPU int
-	// CapacityFactor sets L = CapacityFactor × TokensPerGPU × TP.
+	// CapacityFactor sets L = CapacityFactor × TokensPerGPU × TP. It
+	// must be finite and at most MaxCapacityFactor; <= 0 selects 1.25.
 	CapacityFactor float64
 	Seed           int64
 	// Health degrades the iteration's cluster (per-rank compute slowdowns,
@@ -92,6 +94,11 @@ type Config struct {
 	// produces per-iteration views for campaigns under a fault schedule.
 	Health *cluster.Health
 }
+
+// MaxCapacityFactor bounds Config.CapacityFactor; it is also the top of
+// the tuner's capacity dimension. Without a bound, a huge factor
+// overflows the integer capacity L.
+const MaxCapacityFactor = 100
 
 // Validate fills defaults and checks the configuration.
 func (c *Config) Validate() error {
@@ -106,6 +113,9 @@ func (c *Config) Validate() error {
 	}
 	if c.TokensPerGPU <= 0 {
 		c.TokensPerGPU = 4096
+	}
+	if math.IsNaN(c.CapacityFactor) || math.IsInf(c.CapacityFactor, 0) || c.CapacityFactor > MaxCapacityFactor {
+		return fmt.Errorf("trainer: capacity factor must be finite and <= %d, got %g", MaxCapacityFactor, c.CapacityFactor)
 	}
 	if c.CapacityFactor <= 0 {
 		// L = 1.25 × the per-rank budget: tight enough that medium

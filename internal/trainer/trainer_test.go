@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"math"
 	"testing"
 
 	"zeppelin/internal/cluster"
@@ -80,6 +81,31 @@ func TestConfigValidateRejects(t *testing.T) {
 	c = Config{Model: model.Config{Name: "bad"}, Spec: cluster.ClusterA, Nodes: 1}
 	if err := c.Validate(); err == nil {
 		t.Fatal("invalid model should fail")
+	}
+}
+
+// TestConfigValidateCapacityFactor: a non-finite or oversized factor is
+// rejected instead of reaching the partitioner as an overflowed (or
+// NaN-derived) per-rank capacity; the ceiling itself stays legal.
+func TestConfigValidateCapacityFactor(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), MaxCapacityFactor + 0.5, 1e300} {
+		c := cfg7B(2)
+		c.CapacityFactor = f
+		if err := c.Validate(); err == nil {
+			t.Errorf("capacity factor %v accepted", f)
+		}
+	}
+	c := cfg7B(2)
+	c.CapacityFactor = MaxCapacityFactor
+	if err := c.Validate(); err != nil {
+		t.Fatalf("capacity factor at the ceiling rejected: %v", err)
+	}
+	env, err := c.NewEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.CapacityTokens <= 0 {
+		t.Fatalf("capacity at the ceiling = %d tokens, want positive", env.CapacityTokens)
 	}
 }
 

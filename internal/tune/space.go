@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"zeppelin/internal/campaign"
+	"zeppelin/internal/trainer"
 )
 
 // Params is one point in the search space: the policy knobs a candidate
@@ -318,7 +319,7 @@ func ParseSpace(s string) (Space, error) {
 		case "replan-cost":
 			sp.ReplanCost, err = parseRange(key, val, 1e-9, 3600)
 		case "capacity":
-			sp.Capacity, err = parseRange(key, val, 0.1, 100)
+			sp.Capacity, err = parseRange(key, val, 0.1, trainer.MaxCapacityFactor)
 		case "autoscale":
 			sp.Autoscale, err = parseAutoscaleStates(val)
 		case "up-util":
@@ -376,7 +377,7 @@ func parseAutoscaleStates(val string) ([]bool, error) {
 
 func parseRange(key, val string, lo, hi float64) (Range, error) {
 	check := func(v float64) error {
-		if v < lo || v > hi {
+		if !(v >= lo && v <= hi) { // NaN fails too
 			return fmt.Errorf("tune: %s value %g outside [%g, %g]", key, v, lo, hi)
 		}
 		return nil

@@ -71,6 +71,21 @@ func TestParseSpaceRejects(t *testing.T) {
 	}
 }
 
+// TestParseSpaceRejectsNonFinite: NaN fails every bound comparison, so
+// the range check must be written to reject it, not just ±Inf.
+func TestParseSpaceRejectsNonFinite(t *testing.T) {
+	for _, key := range []string{"threshold", "replan-cost", "capacity", "up-util", "down-util", "every", "cooldown", "step"} {
+		for _, v := range []string{"NaN", "Inf", "-Inf"} {
+			for _, form := range []string{"%s", "1:%s", "%s:1", "1|%s"} {
+				s := key + "=" + strings.Replace(form, "%s", v, 1)
+				if _, err := ParseSpace(s); err == nil {
+					t.Errorf("ParseSpace(%q) accepted a non-finite value", s)
+				}
+			}
+		}
+	}
+}
+
 func TestParamsKeyCanonicalizes(t *testing.T) {
 	// Fields the selected policy ignores must not split keys.
 	a := Params{Policy: "always", Threshold: 1.4, Every: 7}

@@ -23,13 +23,6 @@ import (
 type Method struct {
 	Routing bool
 	Remap   bool
-	// SolveWorkers fans the hierarchical solve across a worker pool
-	// (partition.Config.SolveWorkers): candidate thresholds of the Alg. 1
-	// retry loop are evaluated speculatively and the per-node Alg. 2
-	// solves run concurrently. Plans are bit-identical at every worker
-	// count — the knob trades CPU for planning latency, never placement.
-	// <= 1 keeps the historical single-threaded solve.
-	SolveWorkers int
 }
 
 // Full returns the complete system configuration.
@@ -73,7 +66,6 @@ func (m Method) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Placement,
 		Cluster:        env.C,
 		CapacityTokens: env.CapacityTokens,
 		Speeds:         speeds,
-		SolveWorkers:   m.SolveWorkers,
 	})
 	if err != nil {
 		return nil, err

@@ -1,21 +1,18 @@
 // Package zeppelin is the public, versioned v1 API of the Zeppelin
 // simulator: a curated surface over the internal packages that lets any
 // Go program — and, through cmd/zeppelind, any HTTP client — plan a
-// batch, stream a long-horizon campaign, regenerate a paper experiment,
-// or benchmark the planner fast path, without importing internal/.
+// batch, stream a long-horizon campaign, or regenerate a paper
+// experiment, without importing internal/.
 //
 // The surface is deliberately small and wire-stable:
 //
 //   - Planner / PlanRequest / PlanResponse — one-shot partition+remap
 //     planning of a sampled batch, with a simulated-iteration readout.
 //     NewPlanner takes functional options; WithIncremental backs it by
-//     the stateful incremental re-planner (bit-identical in exact mode),
-//     and WithParallelSolve fans each partition solve across a worker
-//     pool (zeppelind's -solve-workers flag). Plans are bit-identical
-//     at every worker count; responses name the active path in
-//     PlanResponse.SolveMode ("serial" / "parallel-N"). The incremental
-//     patch path is allocation-free in its steady state — the property
-//     BenchmarkFig15PlanIncrementalReuse pins at 0 allocs/op in CI.
+//     the stateful incremental re-planner (bit-identical in exact mode).
+//     The incremental patch path is allocation-free in its steady state
+//     — the property BenchmarkFig15PlanIncrementalReuse pins at 0
+//     allocs/op in CI.
 //   - Campaign / CampaignRequest / CampaignEvent — iterator-style
 //     streaming of a multi-iteration campaign: NewCampaign resolves the
 //     request, Start binds a context, and each Next call simulates
@@ -45,13 +42,10 @@
 //     mistakes — bad specs, NaN dataset weights, broken traces — from
 //     engine failures, which zeppelind maps to 400 vs 500.
 //   - RunExperiment / RenderExperiment — every paper table and figure by
-//     name ("fig8", "table3", …), structured or paper-style text.
+//     name ("fig8", "table3", …), structured or paper-style text;
+//     "fig15" is the planner fast-path latency sweep (64 → 8192 ranks).
 //   - CompareCampaigns — the CLI's (method × seed) campaign comparison
 //     grid, with JSON and text artifact writers.
-//   - RunPlannerBench — the fig15 planner fast-path measurement in the
-//     shared benchfmt artifact schema, sweeping world sizes up to the
-//     8192-rank tail of the Fig. 15 grid (BenchOptions.SolveWorkers
-//     fans the full solve to keep large worlds routine).
 //   - Version / APIVersion — build and API-revision identification.
 //
 // Every entry point takes a context.Context and honors cancellation:

@@ -83,17 +83,18 @@ type TuneReport = tune.Report
 
 // Validate reports whether the request resolves to a runnable search
 // without running it — the up-front check zeppelind uses to return
-// structured 400s.
+// structured 400s. Every error it returns is a validation error
+// (IsValidationError).
 func (r TuneRequest) Validate() error {
 	if _, err := tune.ParseSpace(r.Space); err != nil {
-		return err
+		return campaign.NewValidationError(err)
 	}
 	if r.Budget < 0 {
-		return fmt.Errorf("zeppelin: tune budget must be >= 0, got %d", r.Budget)
+		return campaign.NewValidationError(fmt.Errorf("zeppelin: tune budget must be >= 0, got %d", r.Budget))
 	}
 	if r.Weights != nil {
 		if err := r.Weights.Validate(); err != nil {
-			return err
+			return campaign.NewValidationError(err)
 		}
 	}
 	return r.scenarioRequest(0).Validate()

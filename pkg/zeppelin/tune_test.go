@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -102,6 +103,58 @@ func TestReplanCostSecNegativeRejected(t *testing.T) {
 	}
 	if _, err := RunCampaign(context.Background(), req); err == nil {
 		t.Fatal("RunCampaign accepted a negative replan cost")
+	}
+}
+
+// TestNonFiniteRequestsAreValidationErrors: NaN and ±Inf in a fault
+// spec, a policy threshold, a replan cost, an autoscaler gain or a tune
+// space fail Validate as validation errors — the class zeppelind answers
+// with 400 and the CLI with usage — instead of running a campaign whose
+// numbers cannot be encoded.
+func TestNonFiniteRequestsAreValidationErrors(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := strings.TrimPrefix(fmt.Sprint(v), "+")
+		campaigns := map[string]CampaignRequest{
+			"faults straggler x":  {Iters: 4, Faults: "straggler:x=" + s},
+			"faults nic x":        {Iters: 4, Faults: "nic:x=" + s},
+			"faults restart":      {Iters: 4, Faults: "failstop:restart=" + s},
+			"policy threshold":    {Iters: 4, Policy: PolicySpec{Threshold: v}},
+			"replan cost":         {Iters: 4, ReplanCostSec: v},
+			"autoscale up-util":   {Iters: 4, Autoscale: &AutoscaleSpec{UpUtil: v}},
+			"autoscale down-util": {Iters: 4, Autoscale: &AutoscaleSpec{DownUtil: v}},
+			"cluster capacity":    {Iters: 4, Cluster: ClusterSpec{Capacity: v}},
+		}
+		for name, req := range campaigns {
+			if err := req.Validate(); !IsValidationError(err) {
+				t.Errorf("%s=%v: CampaignRequest.Validate error = %v, want a validation error", name, v, err)
+			}
+		}
+		for _, space := range []string{"policy=threshold,threshold=" + s, "replan-cost=" + s, "up-util=0.5:" + s} {
+			if err := (TuneRequest{Space: space}).Validate(); !IsValidationError(err) {
+				t.Errorf("space %q: TuneRequest.Validate error = %v, want a validation error", space, err)
+			}
+		}
+		if err := (TuneRequest{Faults: "straggler:x=" + s}).Validate(); !IsValidationError(err) {
+			t.Errorf("tune faults x=%s: TuneRequest.Validate error = %v, want a validation error", s, err)
+		}
+	}
+}
+
+// TestCapacityFactorCeiling: a capacity factor above 100 (1e300
+// overflowed the per-rank ceiling into a negative int) is a validation
+// error on both the plan and the campaign path; 100 itself is legal.
+func TestCapacityFactorCeiling(t *testing.T) {
+	for _, c := range []float64{100.5, 1e300, math.NaN(), math.Inf(1)} {
+		cs := ClusterSpec{Capacity: c}
+		if err := (PlanRequest{Cluster: cs}).Validate(); !IsValidationError(err) {
+			t.Errorf("capacity %v: PlanRequest.Validate error = %v, want a validation error", c, err)
+		}
+		if err := (CampaignRequest{Iters: 4, Cluster: cs}).Validate(); !IsValidationError(err) {
+			t.Errorf("capacity %v: CampaignRequest.Validate error = %v, want a validation error", c, err)
+		}
+	}
+	if err := (PlanRequest{Cluster: ClusterSpec{Capacity: 100}}).Validate(); err != nil {
+		t.Errorf("capacity 100 rejected: %v", err)
 	}
 }
 

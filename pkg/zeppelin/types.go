@@ -36,7 +36,7 @@ type ClusterSpec struct {
 	TokensPerGPU int `json:"tokens_per_gpu,omitempty"`
 	// Capacity is the admission capacity factor: the per-rank token
 	// ceiling is Capacity × TokensPerGPU × TP. 0 selects the default
-	// (1.25); a negative value is a validation error.
+	// (1.25); a negative value, or one above 100, is a validation error.
 	Capacity float64 `json:"capacity,omitempty"`
 }
 
@@ -240,9 +240,10 @@ func (r PlanRequest) resolve() (trainer.Config, workload.Dataset, trainer.Method
 }
 
 // Validate reports whether the request resolves to a runnable cell.
+// Every error it returns is a validation error (IsValidationError).
 func (r PlanRequest) Validate() error {
 	_, _, _, err := r.resolve()
-	return err
+	return campaign.NewValidationError(err)
 }
 
 // PlanResponse is the wire result of one Plan call: the placement the
@@ -273,12 +274,6 @@ type PlanResponse struct {
 	// PlanMode reports how an incremental planner produced the plan:
 	// "full", "patched", or "cached". Empty for stateless planners.
 	PlanMode string `json:"plan_mode,omitempty"`
-	// SolveMode reports the partition-solve path of a planner configured
-	// with WithParallelSolve: "serial" (one worker) or "parallel-N" (the
-	// solve fanned across N workers). Empty when the option is unset and
-	// for methods without a partition plan. Plans are bit-identical at
-	// every worker count, so SolveMode never implies a placement change.
-	SolveMode string `json:"solve_mode,omitempty"`
 	// IterTimeSec and TokensPerSec are the simulated end-to-end
 	// iteration readout for the planned batch.
 	IterTimeSec  float64 `json:"iter_time_sec"`
@@ -470,9 +465,10 @@ func faultsSpecOrNone(spec string) string {
 }
 
 // Validate reports whether the request resolves to a runnable campaign.
+// Every error it returns is a validation error (IsValidationError).
 func (r CampaignRequest) Validate() error {
 	_, err := r.config()
-	return err
+	return campaign.NewValidationError(err)
 }
 
 // CampaignEvent is the wire form of one campaign iteration — the
