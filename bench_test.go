@@ -534,7 +534,7 @@ func decisionBenchConfig(tr *decision.Trace) campaign.Config {
 			Model: model.LLaMA3B, Spec: cluster.ClusterA, Nodes: 1, TP: 1,
 			TokensPerGPU: 4096, Seed: 11,
 		},
-		Method:    zep.FullIncremental(),
+		Method:    zep.NewIncremental(zep.Full(), partition.IncrementalConfig{}),
 		Iters:     decisionBenchIters,
 		Arrival:   campaign.Drift{Path: []workload.Dataset{workload.ArXiv, workload.GitHub}, Iters: decisionBenchIters},
 		Policy:    campaign.Threshold{Ratio: 1.3},

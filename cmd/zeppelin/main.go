@@ -172,7 +172,6 @@ campaign flags: -iters N  -arrival steady|poisson|bursty|drift|replay
                 -faults none|straggler|nic|failstop|shrink[:k=v,...]
                 -autoscale on|k=v,... (closed-loop world sizing; keys
                 min|max|up-util|down-util|step|cooldown)
-                -incremental (Zeppelin plans through the incremental planner)
                 -serve SPEC (serving scenario; replaces the cell flags)  -json
 serve flags:    -serve SPEC (clients=N,arrival=poisson|gamma:cv=X|weibull:shape=X,
                 rate=R@from-to;...,slo=name:p99=DUR:prio=N;...,dataset=NAME,
@@ -256,9 +255,7 @@ func parseFlip(s string) (*zeppelin.FlipSpec, error) {
 // replayCmd runs the counterfactual engine: one deterministic campaign
 // re-run with at most one replan verdict flipped, reporting the
 // goodput/p99/migration-cost delta against the factual run (or a
-// bit-identity check with no flip). The campaign always plans through
-// the incremental planner — replan decisions only shape the stream
-// there.
+// bit-identity check with no flip).
 func replayCmd(w io.Writer, args []string, jsonOut bool) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	iters := fs.Int("iters", 50, "campaign iterations; must be >= 1")
@@ -303,7 +300,6 @@ func replayCmd(w io.Writer, args []string, jsonOut bool) error {
 		Iters:         *iters,
 		Seed:          *seed,
 		ReplanCostSec: *replanCost,
-		Incremental:   true,
 	}}
 	if *arrivalName == "drift" {
 		req.Campaign.Workload.DriftPath = strings.Split(*driftPath, ",")
@@ -356,8 +352,6 @@ func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) e
 		"fault scenario: none|straggler|nic|failstop|shrink, optionally parameterized as name:key=val,...")
 	autoscaleSpec := fs.String("autoscale", "",
 		"closed-loop autoscaler: \"on\" or key=val,... (min|max|up-util|down-util|step|cooldown); empty disables")
-	incremental := fs.Bool("incremental", false,
-		"plan Zeppelin through the incremental planner (exact mode: cached plans are bit-identical, so results match the stateless planner)")
 	serveSpec := fs.String("serve", "",
 		"serving scenario (clients=N,arrival=...,rate=...,slo=...); replaces the arrival/policy/faults cell with a request stream")
 	subJSON := fs.Bool("json", false, "emit the campaign artifact as JSON")
@@ -392,7 +386,6 @@ func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) e
 			Cluster:       zeppelin.ClusterSpec{Capacity: *capacity},
 			Iters:         *iters,
 			ReplanCostSec: *replanCost,
-			Incremental:   *incremental,
 			Serve:         spec,
 		}
 		if err := req.Validate(); err != nil {
@@ -422,7 +415,6 @@ func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) e
 		Faults:        *faultsSpec,
 		Iters:         *iters,
 		ReplanCostSec: *replanCost,
-		Incremental:   *incremental,
 	}
 	if *arrivalName == "drift" {
 		req.Workload.DriftPath = strings.Split(*driftPath, ",")

@@ -56,6 +56,19 @@ func TestCampaignCmdRejectsNonFinite(t *testing.T) {
 	wantUsage(t, []string{"-capacity", "100.5"}, "capacity factor")
 }
 
+// TestCapacityFloorIsUsageError: a capacity factor whose per-rank
+// ceiling rounds below one token is a usage error (exit 2) on the
+// campaign and serve subcommands, not an internal partitioner error once
+// the stream runs.
+func TestCapacityFloorIsUsageError(t *testing.T) {
+	wantUsage(t, []string{"-iters", "3", "-capacity", "0.0001"}, "capacity factor")
+	err := serveCmd(io.Discard, []string{"-serve", "clients=2,rate=20@0-4s", "-capacity", "0.0001"}, 1, 1, false)
+	var ue usageError
+	if err == nil || !errors.As(err, &ue) || !strings.Contains(err.Error(), "capacity factor") {
+		t.Fatalf("serve -capacity 0.0001: err = %v, want a usage error naming the capacity factor", err)
+	}
+}
+
 // TestTuneCmdRejectsNonFiniteSpace: a non-finite value in the search
 // space is a usage error, not a NaN-threshold winner.
 func TestTuneCmdRejectsNonFiniteSpace(t *testing.T) {
@@ -167,24 +180,5 @@ func TestReplayCmdIdentityAndFlip(t *testing.T) {
 		if !strings.Contains(flipped.String(), want) {
 			t.Fatalf("flip replay output missing %q:\n%s", want, flipped.String())
 		}
-	}
-}
-
-// TestCampaignCmdIncrementalMatchesStateless: the -incremental flag
-// swaps Zeppelin's planner for the exact-mode incremental one, which
-// must not move a single byte of the campaign artifact.
-func TestCampaignCmdIncrementalMatchesStateless(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full campaign in -short mode")
-	}
-	var plain, inc strings.Builder
-	if err := campaignCmd(&plain, []string{"-iters", "5", "-json"}, 1, 2, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := campaignCmd(&inc, []string{"-iters", "5", "-incremental", "-json"}, 1, 2, false); err != nil {
-		t.Fatal(err)
-	}
-	if plain.String() != inc.String() {
-		t.Fatal("-incremental campaign artifact differs from the stateless planner's")
 	}
 }

@@ -116,7 +116,7 @@ func TestShutdownDrainsRunningStreams(t *testing.T) {
 	t.Cleanup(ts.Close)
 	before := runtime.NumGoroutine()
 
-	id := createCampaign(t, ts, zeppelin.CampaignRequest{Iters: 10000, Incremental: true})
+	id := createCampaign(t, ts, zeppelin.CampaignRequest{Iters: 10000})
 	resp, err := http.Get(ts.URL + "/v1/campaigns/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)

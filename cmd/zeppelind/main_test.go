@@ -277,7 +277,7 @@ func TestCampaignStreamBitIdenticalToInProcess(t *testing.T) {
 func TestCampaignStreamHonorsClientDisconnect(t *testing.T) {
 	ts := testServer(t)
 	before := runtime.NumGoroutine()
-	id := createCampaign(t, ts, zeppelin.CampaignRequest{Iters: 10000, Incremental: true})
+	id := createCampaign(t, ts, zeppelin.CampaignRequest{Iters: 10000})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	reqHTTP, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/campaigns/"+id+"/events", nil)

@@ -19,10 +19,9 @@ import (
 // trace carries non-forced replan verdicts to inspect and flip.
 func obsCampaignReq(iters int) zeppelin.CampaignRequest {
 	return zeppelin.CampaignRequest{
-		Workload:    zeppelin.WorkloadSpec{Arrival: "drift", DriftPath: []string{"arxiv", "github"}},
-		Iters:       iters,
-		Seed:        42,
-		Incremental: true,
+		Workload: zeppelin.WorkloadSpec{Arrival: "drift", DriftPath: []string{"arxiv", "github"}},
+		Iters:    iters,
+		Seed:     42,
 	}
 }
 

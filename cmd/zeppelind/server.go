@@ -70,7 +70,7 @@ type server struct {
 	// disabled): plan requests and campaign sessions dedupe identical
 	// partition solves through it.
 	planCache *zeppelin.PlanCache
-	// planner answers /v1/plan; stateless, safe for concurrent use.
+	// planner answers /v1/plan; safe for concurrent use.
 	planner *zeppelin.Planner
 	// metrics backs GET /metrics: request-latency histograms, plan-solve
 	// timings, and per-kind decision counts.
@@ -88,7 +88,7 @@ type server struct {
 }
 
 // session is one created campaign: the request, the campaign that owns
-// the (possibly incremental) planner, and its lifecycle state.
+// its planner, and its lifecycle state.
 type session struct {
 	mu     sync.Mutex
 	id     string

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -182,18 +183,47 @@ func TestNonFiniteAndOversizedInputsAre400(t *testing.T) {
 		)
 	}
 	for _, c := range cases {
-		resp, err := http.Post(ts.URL+c.route, "application/json", strings.NewReader(c.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var eb zeppelin.ErrorBody
-		err = json.NewDecoder(resp.Body).Decode(&eb)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_request" {
-			t.Fatalf("%s %s: status=%d err=%v error=%+v", c.route, c.body, resp.StatusCode, err, eb)
-		}
-		if !strings.Contains(eb.Error.Message, c.substr) {
-			t.Fatalf("%s %s: message %q does not mention %q", c.route, c.body, eb.Error.Message, c.substr)
-		}
+		want400(t, ts, c.route, c.body, c.substr)
+	}
+}
+
+// TestUnplannableClusterSpecsAre400: a cluster spec the planner cannot
+// honour is the client's mistake. A capacity factor that cannot hold the
+// batch answered 500 on /v1/plan (or 201 on /v1/campaigns, failing the
+// session at iteration 0), and a negative tp or tokens_per_gpu was
+// silently replaced by its default; each now answers a structured 400.
+// So does the removed "incremental" campaign field.
+func TestUnplannableClusterSpecsAre400(t *testing.T) {
+	ts := testServer(t)
+	for _, c := range []struct{ route, body, substr string }{
+		{"/v1/plan", `{"cluster":{"capacity":0.5}}`, "capacity factor"},
+		{"/v1/plan", `{"cluster":{"capacity":0.0001}}`, "capacity factor"},
+		{"/v1/campaigns", `{"iters":3,"cluster":{"capacity":0.0001}}`, "capacity factor"},
+		{"/v1/plan", `{"cluster":{"tp":-1}}`, "tp"},
+		{"/v1/plan", `{"cluster":{"tokens_per_gpu":-5}}`, "tokens_per_gpu"},
+		{"/v1/campaigns", `{"iters":3,"cluster":{"tp":-1}}`, "tp"},
+		{"/v1/tune", `{"cluster":{"tokens_per_gpu":-5}}`, "tokens_per_gpu"},
+		{"/v1/campaigns", `{"iters":3,"incremental":true}`, "unknown field"},
+	} {
+		want400(t, ts, c.route, c.body, c.substr)
+	}
+}
+
+// want400 posts body to route and asserts a structured 400 whose message
+// mentions substr.
+func want400(t *testing.T, ts *httptest.Server, route, body, substr string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb zeppelin.ErrorBody
+	err = json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_request" {
+		t.Fatalf("%s %s: status=%d err=%v error=%+v", route, body, resp.StatusCode, err, eb)
+	}
+	if !strings.Contains(eb.Error.Message, substr) {
+		t.Fatalf("%s %s: message %q does not mention %q", route, body, eb.Error.Message, substr)
 	}
 }

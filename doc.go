@@ -82,10 +82,9 @@
 //   - internal/baselines  — TE CP, LLaMA CP, Hybrid DP
 //
 //   - internal/zeppelin   — the assembled system (trainer.Method); its
-//     Incremental front-end plans through the incremental re-planner and
-//     a keyed cache of Eq. 2 remapping solutions (exact mode is
-//     bit-identical to the stateless method, the property campaigns rely
-//     on)
+//     Incremental front-end plans through the incremental re-planner
+//     (exact mode is bit-identical to the stateless method, the property
+//     campaigns rely on)
 //
 //   - internal/trainer    — end-to-end iteration simulation
 //

@@ -309,7 +309,7 @@ func Start(ctx context.Context, cfg Config) (*Stream, error) {
 		espec:      espec,
 		rpn:        espec.GPUsPerNode,
 		baseWorld:  baseWorld,
-		capacity:   int(cfg.Trainer.CapacityFactor * float64(cfg.Trainer.TokensPerGPU*cfg.Trainer.TP)),
+		capacity:   cfg.Trainer.CapacityTokens(),
 		baseTokens: cfg.Trainer.TotalTokens(),
 		shapeIndep: cfg.shapeIndependent(),
 		speedAware: cfg.speedAware(),

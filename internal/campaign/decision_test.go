@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"zeppelin/internal/decision"
-	"zeppelin/internal/zeppelin"
 )
 
 // tracedConfig is the decision-test cell: an incremental planner (so
@@ -15,7 +14,7 @@ import (
 // stream (so both replan and reuse verdicts occur).
 func tracedConfig(seed int64, iters int, tr *decision.Trace, flip *Flip) Config {
 	return Config{
-		Trainer: testCell(seed), Method: zeppelin.FullIncremental(), Iters: iters,
+		Trainer: testCell(seed), Method: exactZeppelin(), Iters: iters,
 		Arrival: driftArrival(iters), Policy: Threshold{Ratio: 1.3},
 		Decisions: tr, Flip: flip,
 	}

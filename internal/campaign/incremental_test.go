@@ -11,6 +11,12 @@ import (
 	"zeppelin/internal/zeppelin"
 )
 
+// exactZeppelin is the complete system over an exact-mode incremental
+// planner, the way pkg/zeppelin plans every Zeppelin campaign.
+func exactZeppelin() *zeppelin.Incremental {
+	return zeppelin.NewIncremental(zeppelin.Full(), partition.IncrementalConfig{})
+}
+
 // reportJSON canonicalizes a report for stream-identity comparison.
 func reportJSON(t *testing.T, rep *Report) string {
 	t.Helper()
@@ -38,7 +44,7 @@ func TestIncrementalCampaignStreamIdentity(t *testing.T) {
 	}
 	want := runCampaign(t, base)
 
-	inc := zeppelin.FullIncremental()
+	inc := exactZeppelin()
 	fast := base
 	fast.Method = inc
 	got := runCampaign(t, fast)
@@ -68,7 +74,7 @@ func TestIncrementalCampaignStreamIdentityUnderDrift(t *testing.T) {
 	}
 	want := runCampaign(t, base)
 
-	inc := zeppelin.FullIncremental()
+	inc := exactZeppelin()
 	fast := base
 	fast.Method = inc
 	got := runCampaign(t, fast)
@@ -100,7 +106,7 @@ func TestIncrementalCampaignFaultForcesFullSolve(t *testing.T) {
 	}
 	want := runCampaign(t, base)
 
-	inc := zeppelin.FullIncremental()
+	inc := exactZeppelin()
 	fast := base
 	fast.Method = inc
 	got := runCampaign(t, fast)
@@ -146,7 +152,7 @@ func TestIncrementalCampaignGridSerialEqualsParallel(t *testing.T) {
 		cfgs := make([]Config, 0, 4)
 		for s := 0; s < 4; s++ {
 			cfgs = append(cfgs, Config{
-				Trainer: testCell(int64(100 + s)), Method: zeppelin.FullIncremental(),
+				Trainer: testCell(int64(100 + s)), Method: exactZeppelin(),
 				Iters: iters, Arrival: driftArrival(iters), Policy: Threshold{},
 			})
 		}

@@ -66,12 +66,6 @@ type PlanStats struct {
 	// Mode stays PlanCached — shared hits carry the same full-solve purity
 	// guarantee — but observability distinguishes the two.
 	Shared bool
-	// AddedSeqs/RemovedSeqs/DeltaTokens quantify the batch delta against
-	// the previous plan (zero on full solves without a predecessor and on
-	// cache hits).
-	AddedSeqs   int
-	RemovedSeqs int
-	DeltaTokens int
 }
 
 // Counters accumulates fast-path decisions over a planner's lifetime.
@@ -106,8 +100,6 @@ type IncrementalConfig struct {
 	// so patch chains cannot drift arbitrarily far from a solved base.
 	// <= 0 selects 16.
 	MaxPatchRun int
-	// CacheCap bounds the keyed plan cache (entries); <= 0 selects 16.
-	CacheCap int
 	// Shared, when set, is the process-wide plan cache tier: after a
 	// local cache miss (and before patching) the planner probes it for an
 	// exact full-solve hit, and every full solve it performs is published
@@ -131,7 +123,8 @@ type IncrementalConfig struct {
 	ReusePlans bool
 }
 
-// Fast-path defaults; see IncrementalConfig.
+// Fast-path defaults: DefaultCacheCap bounds the keyed plan cache
+// (entries); the others are IncrementalConfig's defaults.
 const (
 	DefaultCacheCap          = 16
 	DefaultMaxImbalanceDrift = 0.15
@@ -230,9 +223,6 @@ type cacheEntry struct {
 
 // NewIncremental builds an incremental planner.
 func NewIncremental(inc IncrementalConfig) *Incremental {
-	if inc.CacheCap <= 0 {
-		inc.CacheCap = DefaultCacheCap
-	}
 	if inc.MaxDeltaFrac < 0 {
 		inc.MaxDeltaFrac = 0
 	}
@@ -299,7 +289,7 @@ func (p *Incremental) Plan(cfg Config, batch []seq.Sequence) (*Result, PlanStats
 	// Patch the previous plan when the delta is small and structural
 	// conditions hold. tryPatch installs the new base itself, so only the
 	// cache entry remains to store.
-	if res, st, ok := p.tryPatch(cfg, batch); ok {
+	if res, ok := p.tryPatch(cfg, batch); ok {
 		p.counters.Patched++
 		p.patchRun++
 		// Arena-built plans are mutable (rebuilt two patches later), so
@@ -307,7 +297,7 @@ func (p *Incremental) Plan(cfg Config, batch []seq.Sequence) (*Result, PlanStats
 		if !p.inc.ReusePlans {
 			p.insertCache(key, cfg, batch, res)
 		}
-		return res, st, nil
+		return res, PlanStats{Mode: PlanPatched}, nil
 	}
 
 	// Full hierarchical solve, reusing the partitioner's scratch.
@@ -402,7 +392,7 @@ func (p *Incremental) insertCache(key uint64, cfg Config, batch []seq.Sequence, 
 		baseImb:  p.baseImb,
 		patchRun: p.patchRun,
 	}
-	if len(p.cache) < p.inc.CacheCap {
+	if len(p.cache) < DefaultCacheCap {
 		p.cache = append(p.cache, cacheEntry{})
 	}
 	copy(p.cache[1:], p.cache[:len(p.cache)-1])
@@ -458,31 +448,31 @@ func (p *Incremental) rebuildBase(cfg Config, res *Result) {
 
 // tryPatch attempts the delta patch. It never mutates planner state on
 // failure; on success it installs the patched plan as the new base.
-func (p *Incremental) tryPatch(cfg Config, batch []seq.Sequence) (*Result, PlanStats, bool) {
+func (p *Incremental) tryPatch(cfg Config, batch []seq.Sequence) (*Result, bool) {
 	if !p.haveBase || p.rosterDup || p.inc.MaxDeltaFrac <= 0 || p.patchRun >= p.inc.MaxPatchRun {
-		return nil, PlanStats{}, false
+		return nil, false
 	}
 	// Structural invalidation: elastic resize, capacity change, or any
 	// health (effective-speed) change forces the full solve — a patched
 	// plan would balance against a stale cluster view.
 	if p.cfgWorld != cfg.Cluster.World() || p.cfgNodes != cfg.Cluster.Nodes ||
 		p.cfgCapacity != cfg.CapacityTokens || !sameSpeeds(p.speeds, cfg.Speeds) {
-		return nil, PlanStats{}, false
+		return nil, false
 	}
 
 	removed, added, next, deltaTokens, total, ok := p.diff(batch)
 	if !ok {
-		return nil, PlanStats{}, false
+		return nil, false
 	}
 	if total == 0 || float64(deltaTokens) > p.inc.MaxDeltaFrac*float64(total) {
-		return nil, PlanStats{}, false
+		return nil, false
 	}
 	// Arrivals must be local-zone everywhere (below every node's intra
 	// threshold): longer sequences need the ring machinery of the full
 	// solve.
 	for _, a := range added {
 		if a.s.Len >= p.minS0 {
-			return nil, PlanStats{}, false
+			return nil, false
 		}
 	}
 
@@ -500,13 +490,13 @@ func (p *Incremental) tryPatch(cfg Config, batch []seq.Sequence) (*Result, PlanS
 		if rm.ring {
 			if !uncountRing(base, rm.s.ID, loads, &p.share) {
 				p.rmIDs = rmIDs
-				return nil, PlanStats{}, false
+				return nil, false
 			}
 			continue
 		}
 		if !uncountLocal(base, int(rm.rank), rm.s.ID, loads) {
 			p.rmIDs = rmIDs
-			return nil, PlanStats{}, false
+			return nil, false
 		}
 	}
 	p.rmIDs = rmIDs
@@ -525,7 +515,7 @@ func (p *Incremental) tryPatch(cfg Config, batch []seq.Sequence) (*Result, PlanS
 	for _, a := range added {
 		d := argminLoad(loads, cfg.Speeds)
 		if loads[d]+a.s.Len > L {
-			return nil, PlanStats{}, false
+			return nil, false
 		}
 		loads[d] += a.s.Len
 		next[a.pos].rank = int32(d)
@@ -535,7 +525,7 @@ func (p *Incremental) tryPatch(cfg Config, batch []seq.Sequence) (*Result, PlanS
 	// full-solve base would hide a restructuring the full algorithm wants
 	// (threshold shift, re-split); discard it and solve in full.
 	if effImbalance(loads, cfg.Speeds) > p.baseImb*(1+p.inc.MaxImbalanceDrift) {
-		return nil, PlanStats{}, false
+		return nil, false
 	}
 
 	// Phase 2 — build the patched plan in one pass: survivors copied in
@@ -557,12 +547,7 @@ func (p *Incremental) tryPatch(cfg Config, batch []seq.Sequence) (*Result, PlanS
 	p.res = res
 	p.roster, p.nextBuf = next, p.roster
 	p.loads, p.loadsBuf = loads, p.loads
-	return res, PlanStats{
-		Mode:        PlanPatched,
-		AddedSeqs:   len(added),
-		RemovedSeqs: len(removed),
-		DeltaTokens: deltaTokens,
-	}, true
+	return res, true
 }
 
 // buildPatched assembles the patched plan into an arena. Every local

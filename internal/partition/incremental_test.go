@@ -203,28 +203,26 @@ func samePlanStructure(a, b *seq.Plan) bool {
 func TestIncrementalCacheEviction(t *testing.T) {
 	cfg := incCell(t)
 	rng := rand.New(rand.NewSource(11))
-	a := sampleBatch(cfg, rng, 0.7)
-	b := sampleBatch(cfg, rng, 0.7)
-	c := sampleBatch(cfg, rng, 0.7)
+	batches := make([][]seq.Sequence, DefaultCacheCap+1)
+	for i := range batches {
+		batches[i] = sampleBatch(cfg, rng, 0.7)
+	}
 
-	p := NewIncremental(IncrementalConfig{CacheCap: 2})
-	mustPlan(t, p, cfg, a)
-	mustPlan(t, p, cfg, b)
-	if _, st := mustPlan(t, p, cfg, a); st.Mode != PlanCached {
-		t.Fatalf("a should still be cached, got %s", st.Mode)
+	p := NewIncremental(IncrementalConfig{})
+	for _, b := range batches[:DefaultCacheCap] {
+		mustPlan(t, p, cfg, b)
 	}
-	// Inserting c evicts the least recently used entry (b).
-	mustPlan(t, p, cfg, c)
-	if _, st := mustPlan(t, p, cfg, b); st.Mode != PlanCached {
-		// b was evicted: replanning it is a full solve.
-		if st.Mode != PlanFull {
-			t.Fatalf("evicted batch planned as %s", st.Mode)
-		}
-	} else {
-		t.Fatal("b should have been evicted by c")
+	if _, st := mustPlan(t, p, cfg, batches[0]); st.Mode != PlanCached {
+		t.Fatalf("batch 0 should still be cached, got %s", st.Mode)
 	}
-	if _, st := mustPlan(t, p, cfg, a); st.Mode == PlanCached {
-		t.Fatal("a should have been evicted after b's re-solve")
+	// One more batch evicts the least recently used entry (batch 1).
+	mustPlan(t, p, cfg, batches[DefaultCacheCap])
+	if _, st := mustPlan(t, p, cfg, batches[1]); st.Mode != PlanFull {
+		t.Fatalf("evicted batch planned as %s, want full", st.Mode)
+	}
+	// Re-solving batch 1 evicted the next least recently used (batch 2).
+	if _, st := mustPlan(t, p, cfg, batches[2]); st.Mode == PlanCached {
+		t.Fatal("batch 2 should have been evicted by batch 1's re-solve")
 	}
 }
 

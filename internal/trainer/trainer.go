@@ -86,7 +86,8 @@ type Config struct {
 	// TokensPerGPU is the per-GPU context budget (4k in the paper).
 	TokensPerGPU int
 	// CapacityFactor sets L = CapacityFactor × TokensPerGPU × TP. It
-	// must be finite and at most MaxCapacityFactor; <= 0 selects 1.25.
+	// must be finite, at most MaxCapacityFactor, and large enough that L
+	// is at least one token; <= 0 selects 1.25.
 	CapacityFactor float64
 	Seed           int64
 	// Health degrades the iteration's cluster (per-rank compute slowdowns,
@@ -123,11 +124,19 @@ func (c *Config) Validate() error {
 		// nodes, the regime every figure of the paper exercises.
 		c.CapacityFactor = 1.25
 	}
+	if c.CapacityTokens() < 1 {
+		return fmt.Errorf("trainer: capacity factor %g leaves a per-rank capacity below 1 token (%d tokens per GPU × TP %d)",
+			c.CapacityFactor, c.TokensPerGPU, c.TP)
+	}
 	if c.Spec.GPUsPerNode%c.TP != 0 {
 		return fmt.Errorf("trainer: TP %d does not divide GPUs per node %d", c.TP, c.Spec.GPUsPerNode)
 	}
 	return nil
 }
+
+// CapacityTokens is the per-rank token ceiling L = CapacityFactor ×
+// TokensPerGPU × TP, rounded down. Call it after Validate.
+func (c *Config) CapacityTokens() int { return int(c.CapacityFactor * float64(c.TokensPerGPU*c.TP)) }
 
 // GPUs returns the physical GPU count of the configuration.
 func (c *Config) GPUs() int { return c.Nodes * c.Spec.GPUsPerNode }
@@ -198,7 +207,7 @@ func (c *Config) NewEnv() (*Env, error) {
 		F:              f,
 		C:              cl,
 		CM:             cm,
-		CapacityTokens: int(c.CapacityFactor * float64(c.TokensPerGPU*c.TP)),
+		CapacityTokens: c.CapacityTokens(),
 		MemoryTokens:   memTokens,
 		Health:         c.Health,
 	}, nil

@@ -84,6 +84,27 @@ func TestConfigValidateRejects(t *testing.T) {
 	}
 }
 
+// TestConfigValidateSubTokenCapacity: a factor whose per-rank ceiling
+// rounds below one token is rejected instead of reaching the partitioner
+// as a capacity of 0; the smallest factor that leaves one token is legal.
+func TestConfigValidateSubTokenCapacity(t *testing.T) {
+	c := cfg7B(2)
+	c.CapacityFactor = 0.0001 // 0.41 tokens at 4096 tokens per GPU
+	if err := c.Validate(); err == nil {
+		t.Fatal("capacity factor 0.0001 accepted")
+	}
+	c = cfg7B(2)
+	c.TP = 2
+	c.CapacityFactor = 1.0 / 8192 // exactly 1 token at 4096 tokens × TP 2
+	env, err := c.NewEnv()
+	if err != nil {
+		t.Fatalf("one-token capacity rejected: %v", err)
+	}
+	if env.CapacityTokens != 1 {
+		t.Fatalf("capacity = %d tokens, want 1", env.CapacityTokens)
+	}
+}
+
 // TestConfigValidateCapacityFactor: a non-finite or oversized factor is
 // rejected instead of reaching the partitioner as an overflowed (or
 // NaN-derived) per-rank capacity; the ceiling itself stays legal.

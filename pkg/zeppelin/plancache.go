@@ -2,6 +2,8 @@ package zeppelin
 
 import (
 	"zeppelin/internal/partition"
+	"zeppelin/internal/trainer"
+	zep "zeppelin/internal/zeppelin"
 )
 
 // DefaultPlanCacheEntries is the shared plan cache's entry bound when
@@ -23,18 +25,10 @@ type PlanCache struct {
 }
 
 // PlanCacheStats is a point-in-time snapshot of the cache counters —
-// the payload zeppelind's /v1/stats reports under "plan_cache".
-type PlanCacheStats struct {
-	// Hits and Misses count exact-key probes since process start.
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	// Evictions counts plans dropped off the LRU tail to admit new ones —
-	// a full cache churning under distinct planning inputs.
-	Evictions uint64 `json:"evictions"`
-	// Entries is the current resident plan count, bounded by Capacity.
-	Entries  int `json:"entries"`
-	Capacity int `json:"capacity"`
-}
+// the payload zeppelind's /v1/stats reports under "plan_cache": exact-key
+// hits and misses since process start, LRU evictions, and the resident
+// entry count against its capacity.
+type PlanCacheStats = partition.SharedCacheStats
 
 // NewPlanCache builds a shared plan cache bounded to `entries` plans
 // (DefaultPlanCacheEntries when entries <= 0).
@@ -43,12 +37,20 @@ func NewPlanCache(entries int) *PlanCache {
 }
 
 // Stats snapshots the hit/miss counters.
-func (p *PlanCache) Stats() PlanCacheStats {
-	s := p.shared.Stats()
-	return PlanCacheStats{
-		Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions,
-		Entries: s.Entries, Capacity: s.Capacity,
+func (p *PlanCache) Stats() PlanCacheStats { return p.shared.Stats() }
+
+// planner is the one planning path of every request resolved here: a
+// Zeppelin method plans through its own exact-mode incremental planner,
+// which probes and publishes to the shared tier when one is wired (p is
+// nil-safe). Exact mode is bit-identical to the stateless solve, so
+// responses and event streams do not depend on it. Other methods are
+// returned unchanged.
+func (p *PlanCache) planner(m trainer.Method) trainer.Method {
+	zm, ok := m.(zep.Method)
+	if !ok {
+		return m
 	}
+	return zep.NewIncremental(zm, partition.IncrementalConfig{Shared: p.sharedTier()})
 }
 
 // sharedTier unwraps the internal cache; nil-safe so call sites can

@@ -11,12 +11,11 @@ import (
 // verdicts to flip.
 func replayCell(iters int) CampaignRequest {
 	return CampaignRequest{
-		Model:       "3B",
-		Cluster:     ClusterSpec{Preset: "A", Nodes: 1},
-		Workload:    WorkloadSpec{Arrival: "drift"},
-		Policy:      PolicySpec{Name: "threshold"},
-		Iters:       iters,
-		Incremental: true,
+		Model:    "3B",
+		Cluster:  ClusterSpec{Preset: "A", Nodes: 1},
+		Workload: WorkloadSpec{Arrival: "drift"},
+		Policy:   PolicySpec{Name: "threshold"},
+		Iters:    iters,
 	}
 }
 

@@ -39,7 +39,6 @@ func canonicalFixtures() map[string]any {
 			RingSeqs:         3,
 			RemapTransfers:   5,
 			RemapInterTokens: 1024,
-			PlanMode:         "patched",
 			IterTimeSec:      1.25,
 			TokensPerSec:     52428.8,
 			HostOverheadSec:  0.0035,
@@ -60,7 +59,6 @@ func canonicalFixtures() map[string]any {
 			Iters:         200,
 			Seed:          1000,
 			ReplanCostSec: 0.02,
-			Incremental:   true,
 		},
 		"campaign_request_autoscale": CampaignRequest{
 			Model: "7B",
@@ -223,9 +221,8 @@ func canonicalFixtures() map[string]any {
 					Arrival:   "drift",
 					DriftPath: []string{"arxiv", "github"},
 				},
-				Iters:       50,
-				Seed:        42,
-				Incremental: true,
+				Iters: 50,
+				Seed:  42,
 			},
 			Flip: &FlipSpec{Iter: 17, Decision: "reuse"},
 		},

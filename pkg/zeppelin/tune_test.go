@@ -158,6 +158,56 @@ func TestCapacityFactorCeiling(t *testing.T) {
 	}
 }
 
+// TestCapacityFactorFloor: a capacity factor that cannot hold the batch
+// is a validation error, not an internal partitioner error. A plan
+// samples the whole TokensPerGPU × GPUs budget, so any factor below 1 is
+// rejected there; a campaign trims arrivals to capacity, so only a
+// factor whose per-rank ceiling rounds below one token is rejected.
+func TestCapacityFactorFloor(t *testing.T) {
+	for _, c := range []float64{0.5, 0.999, 0.0001} {
+		if err := (PlanRequest{Cluster: ClusterSpec{Capacity: c}}).Validate(); !IsValidationError(err) {
+			t.Errorf("plan capacity %v: PlanRequest.Validate error = %v, want a validation error", c, err)
+		}
+	}
+	tiny := ClusterSpec{Capacity: 0.0001}
+	if err := (CampaignRequest{Iters: 3, Cluster: tiny}).Validate(); !IsValidationError(err) {
+		t.Errorf("campaign capacity 0.0001: CampaignRequest.Validate error = %v, want a validation error", err)
+	}
+	if err := (TuneRequest{Cluster: tiny}).Validate(); !IsValidationError(err) {
+		t.Errorf("tune capacity 0.0001: TuneRequest.Validate error = %v, want a validation error", err)
+	}
+	if err := (CampaignRequest{Iters: 3, Cluster: ClusterSpec{Capacity: 0.5}}).Validate(); err != nil {
+		t.Errorf("campaign capacity 0.5 rejected: %v", err)
+	}
+	if err := (PlanRequest{Cluster: ClusterSpec{Capacity: 1}}).Validate(); err != nil {
+		t.Errorf("plan capacity 1 rejected: %v", err)
+	}
+}
+
+// TestNegativeClusterSizesAreRejected: a negative tp or tokens_per_gpu
+// is a validation error, like a negative node count, instead of being
+// silently replaced by the default; zero still selects the default.
+func TestNegativeClusterSizesAreRejected(t *testing.T) {
+	for name, cs := range map[string]ClusterSpec{
+		"nodes":          {Nodes: -3},
+		"tp":             {TP: -1},
+		"tokens_per_gpu": {TokensPerGPU: -5},
+	} {
+		if err := (PlanRequest{Cluster: cs}).Validate(); !IsValidationError(err) || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: PlanRequest.Validate error = %v, want a validation error naming it", name, err)
+		}
+		if err := (CampaignRequest{Iters: 3, Cluster: cs}).Validate(); !IsValidationError(err) {
+			t.Errorf("%s: CampaignRequest.Validate error = %v, want a validation error", name, err)
+		}
+		if err := (TuneRequest{Cluster: cs}).Validate(); !IsValidationError(err) {
+			t.Errorf("%s: TuneRequest.Validate error = %v, want a validation error", name, err)
+		}
+	}
+	if err := (PlanRequest{Cluster: ClusterSpec{TP: 0, TokensPerGPU: 0}}).Validate(); err != nil {
+		t.Errorf("zero tp and tokens_per_gpu must select the defaults: %v", err)
+	}
+}
+
 // TestRunCampaignAutoscale drives the elastic autoscaler through the
 // public API: the world stays within [1, cluster nodes] and the scale
 // verdicts reach the decision trace.

@@ -10,7 +10,6 @@ import (
 	"zeppelin/internal/decision"
 	"zeppelin/internal/faults"
 	"zeppelin/internal/model"
-	"zeppelin/internal/partition"
 	"zeppelin/internal/trainer"
 	"zeppelin/internal/workload"
 	zep "zeppelin/internal/zeppelin"
@@ -36,7 +35,9 @@ type ClusterSpec struct {
 	TokensPerGPU int `json:"tokens_per_gpu,omitempty"`
 	// Capacity is the admission capacity factor: the per-rank token
 	// ceiling is Capacity × TokensPerGPU × TP. 0 selects the default
-	// (1.25); a negative value, or one above 100, is a validation error.
+	// (1.25). A negative value, one above 100, or one whose ceiling rounds
+	// below 1 token is a validation error; a plan request, which samples
+	// the whole TokensPerGPU × GPUs budget, also rejects any value below 1.
 	Capacity float64 `json:"capacity,omitempty"`
 }
 
@@ -59,8 +60,14 @@ func (c ClusterSpec) resolve() (cluster.Spec, ClusterSpec, error) {
 	if out.TP == 0 {
 		out.TP = 1
 	}
+	if out.TP < 1 {
+		return cluster.Spec{}, out, fmt.Errorf("zeppelin: tp must be >= 1, got %d", out.TP)
+	}
 	if out.TokensPerGPU == 0 {
 		out.TokensPerGPU = 4096
+	}
+	if out.TokensPerGPU < 1 {
+		return cluster.Spec{}, out, fmt.Errorf("zeppelin: tokens_per_gpu must be >= 1, got %d", out.TokensPerGPU)
 	}
 	if out.Capacity < 0 {
 		return cluster.Spec{}, out, fmt.Errorf("zeppelin: capacity factor must be >= 0, got %g", out.Capacity)
@@ -217,6 +224,11 @@ func (r PlanRequest) resolve() (trainer.Config, workload.Dataset, trainer.Method
 	if err != nil {
 		return trainer.Config{}, workload.Dataset{}, nil, err
 	}
+	if cs.Capacity > 0 && cs.Capacity < 1 {
+		// The sampled batch fills every rank's TokensPerGPU × TP budget,
+		// so a per-rank ceiling below that budget cannot hold it.
+		return trainer.Config{}, workload.Dataset{}, nil, fmt.Errorf("zeppelin: a plan's capacity factor must be >= 1 to hold the sampled batch, got %g", cs.Capacity)
+	}
 	d, err := WorkloadSpec{Dataset: r.Dataset}.dataset()
 	if err != nil {
 		return trainer.Config{}, workload.Dataset{}, nil, err
@@ -271,9 +283,6 @@ type PlanResponse struct {
 	// solution (Zeppelin with the remap layer only).
 	RemapTransfers   int `json:"remap_transfers,omitempty"`
 	RemapInterTokens int `json:"remap_inter_tokens,omitempty"`
-	// PlanMode reports how an incremental planner produced the plan:
-	// "full", "patched", or "cached". Empty for stateless planners.
-	PlanMode string `json:"plan_mode,omitempty"`
 	// IterTimeSec and TokensPerSec are the simulated end-to-end
 	// iteration readout for the planned batch.
 	IterTimeSec  float64 `json:"iter_time_sec"`
@@ -307,10 +316,6 @@ type CampaignRequest struct {
 	// 0 selects the default (20 ms), a negative value is a validation
 	// error (use a small positive value to approximate free replanning).
 	ReplanCostSec float64 `json:"replan_cost_sec,omitempty"`
-	// Incremental plans Zeppelin through the session-owned incremental
-	// planner (exact mode: results are bit-identical to the stateless
-	// planner, plans are cached and patched instead of re-solved).
-	Incremental bool `json:"incremental,omitempty"`
 	// Autoscale, when non-nil, runs the campaign under the closed-loop
 	// autoscaler: world size follows observed queue depth and
 	// utilization through the elastic-rescale path. Mutually exclusive
@@ -369,13 +374,7 @@ func (r CampaignRequest) configWith(pc *PlanCache) (campaign.Config, error) {
 	if err != nil {
 		return campaign.Config{}, err
 	}
-	if zm, ok := m.(zep.Method); ok && (r.Incremental || pc != nil) {
-		// The incremental wrapper serves two roles: the request-level
-		// Incremental fast path, and (for any Zeppelin campaign when a
-		// shared tier is wired) the probe/publish front of the
-		// process-wide plan cache. Exact mode either way: bit-identical.
-		m = zep.NewIncremental(zm, partition.IncrementalConfig{Shared: pc.sharedTier()})
-	}
+	m = pc.planner(m)
 	seed := r.Seed
 	if seed == 0 {
 		seed = DefaultSeed

@@ -63,23 +63,30 @@ func TestRunCampaignMatchesInternalRun(t *testing.T) {
 	}
 }
 
-// TestIncrementalCampaignMatchesStateless: the Incremental switch must
-// not move a single event (exact-mode property, through the public API).
-func TestIncrementalCampaignMatchesStateless(t *testing.T) {
+// TestCampaignCacheMatchesUncached: the shared plan tier must not move
+// a single byte of a campaign report, whether it is cold or already
+// holds every plan the campaign solves (exact-mode property, through the
+// public API).
+func TestCampaignCacheMatchesUncached(t *testing.T) {
 	req := CampaignRequest{Iters: 10, Workload: WorkloadSpec{Arrival: "drift", DriftPath: []string{"arxiv", "github"}}}
 	plain, err := RunCampaign(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Incremental = true
-	inc, err := RunCampaign(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(plain)
-	b, _ := json.Marshal(inc)
-	if !bytes.Equal(a, b) {
-		t.Fatal("incremental campaign report differs from stateless")
+	want, _ := json.Marshal(plain)
+	cache := NewPlanCache(0)
+	for _, state := range []string{"cold", "warm"} {
+		got, err := drainCampaign(context.Background(), req, WithCampaignPlanCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(got.report)
+		if !bytes.Equal(b, want) {
+			t.Fatalf("campaign report over a %s plan cache differs from the uncached one", state)
+		}
+		if st := cache.Stats(); state == "warm" && st.Hits == 0 {
+			t.Fatalf("warm cache served no plan: %+v", st)
+		}
 	}
 }
 
@@ -149,34 +156,30 @@ func TestPlanResponseShape(t *testing.T) {
 	if resp.RemapTransfers == 0 {
 		t.Fatal("full Zeppelin must carry a remap solution")
 	}
-	if resp.PlanMode != "" {
-		t.Fatalf("stateless planner reported plan mode %q", resp.PlanMode)
-	}
 }
 
-// TestIncrementalPlannerReportsMode: repeated plans through an
-// incremental planner come back bit-identical and report cache reuse.
-func TestIncrementalPlannerReportsMode(t *testing.T) {
-	p := NewPlanner(WithIncremental())
-	first, err := p.Plan(context.Background(), PlanRequest{})
+// TestPlannerCacheMatchesUncached: a repeated plan through a shared
+// plan cache is served from it, and both answers are byte-identical to a
+// cache-less planner's.
+func TestPlannerCacheMatchesUncached(t *testing.T) {
+	plain, err := Plan(context.Background(), PlanRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.PlanMode != "full" {
-		t.Fatalf("first plan mode = %q, want full", first.PlanMode)
+	want, _ := json.Marshal(plain)
+	cache := NewPlanCache(0)
+	p := NewPlanner(WithPlanCache(cache))
+	for i := 0; i < 2; i++ {
+		resp, err := p.Plan(context.Background(), PlanRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(resp); !bytes.Equal(got, want) {
+			t.Fatalf("plan %d through the cache differs from the cache-less answer:\n got %s\nwant %s", i, got, want)
+		}
 	}
-	second, err := p.Plan(context.Background(), PlanRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.PlanMode != "cached" {
-		t.Fatalf("repeat plan mode = %q, want cached", second.PlanMode)
-	}
-	a, _ := json.Marshal(struct{ A *PlanResponse }{first})
-	b, _ := json.Marshal(struct{ A *PlanResponse }{second})
-	if !bytes.Equal(bytes.ReplaceAll(a, []byte(`"plan_mode":"full"`), nil),
-		bytes.ReplaceAll(b, []byte(`"plan_mode":"cached"`), nil)) {
-		t.Fatal("cached plan differs from the full solve")
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats = %+v, want 1 hit and 1 miss", st)
 	}
 }
 
