@@ -61,6 +61,7 @@ import (
 	"strconv"
 	"strings"
 
+	"zeppelin/internal/kv"
 	"zeppelin/pkg/zeppelin"
 )
 
@@ -225,28 +226,18 @@ func experimentCmd(w io.Writer, name string, opts zeppelin.Options, jsonOut bool
 // replay subcommand
 // ---------------------------------------------------------------------
 
-// parseFlip resolves "-flip iter=N:decision=replan|reuse".
+// parseFlip resolves "-flip iter=N:decision=replan|reuse", ':'-separated
+// key=value entries under the kv package's rules.
 func parseFlip(s string) (*zeppelin.FlipSpec, error) {
 	f := &zeppelin.FlipSpec{Iter: -1}
-	for _, part := range strings.Split(s, ":") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, usageErrorf("replay: bad -flip component %q (want key=value)", part)
-		}
-		switch k {
-		case "iter":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return nil, usageErrorf("replay: bad -flip iter %q", v)
-			}
-			f.Iter = n
-		case "decision":
-			f.Decision = v
-		default:
-			return nil, usageErrorf("replay: unknown -flip key %q (want iter, decision)", k)
-		}
+	err := kv.Parse("replay -flip", s, ":", map[string]kv.Field{
+		"iter":     kv.Int(&f.Iter),
+		"decision": kv.String(&f.Decision),
+	})
+	if err == nil {
+		err = f.Validate()
 	}
-	if err := f.Validate(); err != nil {
+	if err != nil {
 		return nil, usageError{err}
 	}
 	return f, nil

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,32 @@ func TestParseFlip(t *testing.T) {
 		if _, err := parseFlip(bad); err == nil {
 			t.Fatalf("parseFlip(%q) accepted", bad)
 		}
+	}
+}
+
+// TestParseFlipSharedGrammar: -flip follows the shared key=value rules,
+// so values are trimmed and the iteration takes an integral float
+// literal.
+func TestParseFlipSharedGrammar(t *testing.T) {
+	for _, s := range []string{"iter=7.0:decision=reuse", "iter= 7:decision=reuse"} {
+		if f, err := parseFlip(s); err != nil || f.Iter != 7 || f.Decision != "reuse" {
+			t.Errorf("parseFlip(%q) = %+v, %v", s, f, err)
+		}
+	}
+}
+
+// TestServeCeilingIsUsageError: a serve spec asking for more than
+// serve.MaxRequests clients or expected requests is a usage error (exit
+// 2) before any timeline is expanded, on both subcommands that take one.
+func TestServeCeilingIsUsageError(t *testing.T) {
+	for _, spec := range []string{"clients=2000000", "rate=20000@0-100s"} {
+		dump := filepath.Join(t.TempDir(), "trace.ndjson")
+		err := serveCmd(io.Discard, []string{"-serve", spec, "-dump-trace", dump}, 1, 1, false)
+		var ue usageError
+		if err == nil || !errors.As(err, &ue) || !strings.Contains(err.Error(), "1000000") {
+			t.Fatalf("serve -serve %s: err = %v, want a usage error naming the ceiling", spec, err)
+		}
+		wantUsage(t, []string{"-serve", spec}, "1000000")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // exports. Every state is always emitted (zero when empty) so scrapes
 // see a stable series set and dashboards never miss a state that simply
 // had no sessions at scrape time.
-var sessionStates = []string{"created", "running", "done", "cancelled", "failed"}
+var sessionStates = []sessionState{stateCreated, stateRunning, stateDone, stateCancelled, stateFailed}
 
 // serverMetrics is the daemon's in-process observability state: the
 // pieces GET /metrics cannot read out of existing structures. Admission
@@ -150,7 +150,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		b.Sample("zeppelind_plan_cache_capacity", nil, float64(st.Capacity))
 	}
 
-	states := make(map[string]int, len(sessionStates))
+	states := make(map[sessionState]int, len(sessionStates))
 	s.mu.Lock()
 	sessions := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
@@ -162,7 +162,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	b.Metric("zeppelind_sessions", "gauge", "Campaign sessions in the table by lifecycle state.")
 	for _, st := range sessionStates {
-		b.Sample("zeppelind_sessions", []promtext.Label{promtext.L("state", st)}, float64(states[st]))
+		b.Sample("zeppelind_sessions", []promtext.Label{promtext.L("state", string(st))}, float64(states[st]))
 	}
 
 	b.Metric("zeppelind_http_request_duration_seconds", "histogram", "Admitted /v1 request latency per traffic class.")

@@ -126,3 +126,14 @@ func TestServeValidationAnswers400(t *testing.T) {
 		t.Fatalf("broken trace envelope = %s", body)
 	}
 }
+
+// TestServeCeilingAnswers400: a serve spec asking for more than
+// serve.MaxRequests clients or expected requests answers 400 at create,
+// instead of 201 and a timeline expanded into memory when the events
+// stream starts.
+func TestServeCeilingAnswers400(t *testing.T) {
+	ts := testServer(t)
+	for _, serve := range []string{`{"windows":[{"to_sec":100000,"rate":1000}]}`, `{"clients":2000000}`} {
+		want400(t, ts, "/v1/campaigns", `{"iters":1,"serve":`+serve+`}`, "1000000")
+	}
+}

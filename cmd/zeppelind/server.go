@@ -87,6 +87,20 @@ type server struct {
 	sessions    map[string]*session
 }
 
+// sessionState is a session's lifecycle state: created, then running
+// once its events stream starts, then one of the three terminal states.
+// A deleted session has left the table.
+type sessionState string
+
+const (
+	stateCreated   sessionState = "created"
+	stateRunning   sessionState = "running"
+	stateDone      sessionState = "done"
+	stateCancelled sessionState = "cancelled"
+	stateFailed    sessionState = "failed"
+	stateDeleted   sessionState = "deleted"
+)
+
 // session is one created campaign: the request, the campaign that owns
 // its planner, and its lifecycle state.
 type session struct {
@@ -95,7 +109,7 @@ type session struct {
 	seq    int // creation order; the listing and eviction sort on it
 	camp   *zeppelin.Campaign
 	req    zeppelin.CampaignRequest // as created; replay re-runs it
-	state  string                   // created | running | done | cancelled | failed | deleted
+	state  sessionState
 	events int
 	errMsg string
 }
@@ -104,17 +118,17 @@ type session struct {
 func (s *session) finished() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.state == "done" || s.state == "cancelled" || s.state == "failed"
+	return s.state == stateDone || s.state == stateCancelled || s.state == stateFailed
 }
 
 // sessionStatus is the wire form of a session.
 type sessionStatus struct {
-	ID        string `json:"id"`
-	State     string `json:"state"`
-	Iters     int    `json:"iters"`
-	Events    int    `json:"events"`
-	EventsURL string `json:"events_url"`
-	Error     string `json:"error,omitempty"`
+	ID        string       `json:"id"`
+	State     sessionState `json:"state"`
+	Iters     int          `json:"iters"`
+	Events    int          `json:"events"`
+	EventsURL string       `json:"events_url"`
+	Error     string       `json:"error,omitempty"`
 }
 
 func (s *session) status() sessionStatus {
@@ -263,13 +277,13 @@ func (s *server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 type statsBody struct {
 	Admission []zeppelin.AdmissionStats `json:"admission"`
 	PlanCache *zeppelin.PlanCacheStats  `json:"plan_cache,omitempty"`
-	Sessions  map[string]int            `json:"sessions"`
+	Sessions  map[sessionState]int      `json:"sessions"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	body := statsBody{
 		Admission: s.admission.Stats(),
-		Sessions:  make(map[string]int),
+		Sessions:  make(map[sessionState]int),
 	}
 	if s.planCache != nil {
 		st := s.planCache.Stats()
@@ -348,7 +362,7 @@ func (s *server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	s.nextID++
-	sess := &session{id: fmt.Sprintf("c%d", s.nextID), seq: s.nextID, camp: camp, req: req, state: "created"}
+	sess := &session{id: fmt.Sprintf("c%d", s.nextID), seq: s.nextID, camp: camp, req: req, state: stateCreated}
 	s.sessions[sess.id] = sess
 	s.evictLocked(sess)
 	s.mu.Unlock()
@@ -405,10 +419,10 @@ func (s *server) evictLocked(keep *session) {
 func (s *session) claimForEviction() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state != "created" {
+	if s.state != stateCreated {
 		return false
 	}
-	s.state = "deleted"
+	s.state = stateDeleted
 	return true
 }
 
@@ -416,7 +430,7 @@ func (s *session) claimForEviction() bool {
 func (s *session) isCreated() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.state == "created"
+	return s.state == stateCreated
 }
 
 // lookup returns the session for a path id, or nil after writing a 404.
@@ -466,13 +480,13 @@ func (s *server) handleDeleteCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.mu.Lock()
-	if sess.state == "running" {
+	if sess.state == stateRunning {
 		sess.mu.Unlock()
 		writeError(w, http.StatusConflict, "conflict",
 			"campaign session %q is running; disconnect its events stream before deleting", sess.id)
 		return
 	}
-	sess.state = "deleted"
+	sess.state = stateDeleted
 	sess.mu.Unlock()
 	s.mu.Lock()
 	delete(s.sessions, sess.id)
@@ -495,14 +509,14 @@ func (s *server) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.mu.Lock()
-	if sess.state != "created" {
+	if sess.state != stateCreated {
 		state := sess.state
 		sess.mu.Unlock()
 		writeError(w, http.StatusConflict, "conflict",
 			"campaign session %q is %s; events stream exactly once per session", sess.id, state)
 		return
 	}
-	sess.state = "running"
+	sess.state = stateRunning
 	sess.mu.Unlock()
 
 	// The session context merges both cancellation sources: the client
@@ -515,19 +529,19 @@ func (s *server) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.base, cancel)
 	defer stop()
 
-	finish := func(state, msg string) {
+	finish := func(state sessionState, msg string) {
 		sess.mu.Lock()
 		sess.state = state
 		sess.errMsg = msg
 		sess.mu.Unlock()
 	}
 	if err := s.acquire(ctx); err != nil {
-		finish("cancelled", err.Error())
+		finish(stateCancelled, err.Error())
 		return
 	}
 	defer s.release()
 	if err := sess.camp.Start(ctx); err != nil {
-		finish("failed", err.Error())
+		finish(stateFailed, err.Error())
 		// Start-time validation failures — a broken replay trace, a serve
 		// timeline referencing an unknown SLO class — are the client's
 		// input, not a daemon fault: answer 400, not 500.
@@ -565,16 +579,16 @@ func (s *server) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	switch err := sess.camp.Err(); {
 	case writeErr != nil:
-		finish("cancelled", "client disconnected: "+writeErr.Error())
+		finish(stateCancelled, "client disconnected: "+writeErr.Error())
 	case err == nil:
-		finish("done", "")
+		finish(stateDone, "")
 		// Per-class serving metrics only exist for fully drained serve
 		// streams — partial streams would undercount every class.
 		s.recordServe(sess)
 	case ctx.Err() != nil:
-		finish("cancelled", err.Error())
+		finish(stateCancelled, err.Error())
 	default:
-		finish("failed", err.Error())
+		finish(stateFailed, err.Error())
 	}
 	// The stream ran exactly once, so this folds the session's decision
 	// trace into the metrics counters (and the decision log) exactly once.

@@ -2,8 +2,9 @@ package campaign
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
+
+	"zeppelin/internal/kv"
 )
 
 // Autoscaler closes the elasticity loop: instead of replaying a declared
@@ -15,7 +16,7 @@ import (
 // when ranks sit idle). Transitions ride the same elastic-rescale path
 // as planned shrink/grow fault events: the stale skeleton is discarded,
 // the next plan is forced, and resident sequence state migrates through
-// the Eq. 2 solver at Config.MigrateBytesPerToken.
+// the Eq. 2 solver at the model's KV footprint per token.
 //
 // The controller is deliberately conservative: steps are bounded
 // (Step nodes per transition), transitions are rate-limited (Cooldown
@@ -103,46 +104,26 @@ func (a *Autoscaler) validate(clusterNodes int) error {
 	return nil
 }
 
-// ParseAutoscaler builds an Autoscaler from the CLI grammar: "on" (or
-// the empty string) selects all defaults, otherwise comma-separated
-// key=value pairs with keys min, max, up-util, down-util, step,
-// cooldown. Bounds are checked later against the cluster by validate.
+// ParseAutoscaler builds an Autoscaler from the CLI grammar: "on" or a
+// blank string selects all defaults, otherwise ','-separated key=value
+// options under the kv package's rules (the README's "Spec grammar")
+// with keys min, max, up-util, down-util, step, cooldown. Bounds are
+// checked later against the cluster by validate.
 func ParseAutoscaler(s string) (*Autoscaler, error) {
 	a := &Autoscaler{}
-	s = strings.TrimSpace(s)
-	if s == "" || s == "on" {
+	if strings.TrimSpace(s) == "on" {
 		return a, nil
 	}
-	for _, field := range strings.Split(s, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return nil, fmt.Errorf("campaign: autoscaler option %q is not key=value", field)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "min":
-			a.MinNodes, err = strconv.Atoi(val)
-		case "max":
-			a.MaxNodes, err = strconv.Atoi(val)
-		case "up-util":
-			a.UpUtil, err = strconv.ParseFloat(val, 64)
-		case "down-util":
-			a.DownUtil, err = strconv.ParseFloat(val, 64)
-		case "step":
-			a.Step, err = strconv.Atoi(val)
-		case "cooldown":
-			a.Cooldown, err = strconv.Atoi(val)
-		default:
-			return nil, fmt.Errorf("campaign: unknown autoscaler option %q (want min|max|up-util|down-util|step|cooldown)", key)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("campaign: autoscaler option %s=%q: %v", key, val, err)
-		}
+	err := kv.Parse("campaign autoscaler", s, ",", map[string]kv.Field{
+		"min":       kv.Int(&a.MinNodes),
+		"max":       kv.Int(&a.MaxNodes),
+		"up-util":   kv.Float(&a.UpUtil),
+		"down-util": kv.Float(&a.DownUtil),
+		"step":      kv.Int(&a.Step),
+		"cooldown":  kv.Int(&a.Cooldown),
+	})
+	if err != nil {
+		return nil, err
 	}
 	return a, nil
 }

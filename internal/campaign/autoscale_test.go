@@ -255,3 +255,24 @@ func TestParseAutoscaler(t *testing.T) {
 		}
 	}
 }
+
+// TestParseAutoscalerSharedGrammar: the -autoscale grammar follows the
+// shared key=value rules — an empty entry is an error, integer keys
+// take integral float literals, and a non-finite gain fails at parse
+// time, not first in validate.
+func TestParseAutoscalerSharedGrammar(t *testing.T) {
+	for _, s := range []string{",", "min=2,", "min=2,,max=3", "up-util=NaN"} {
+		if a, err := ParseAutoscaler(s); err == nil {
+			t.Errorf("ParseAutoscaler(%q) = %+v, want an error", s, *a)
+		}
+	}
+	for s, want := range map[string]Autoscaler{
+		"min=2.0":      {MinNodes: 2},
+		"step=1e1":     {Step: 10},
+		"cooldown=1e1": {Cooldown: 10},
+	} {
+		if a, err := ParseAutoscaler(s); err != nil || *a != want {
+			t.Errorf("ParseAutoscaler(%q) = %v, %v; want %+v", s, a, err, want)
+		}
+	}
+}

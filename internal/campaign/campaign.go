@@ -98,10 +98,6 @@ type Config struct {
 	// a negative value is a validation error (use a small positive value
 	// to approximate free replanning).
 	ReplanCost float64
-	// ReuseOverhead is the bookkeeping charge of a reuse iteration in
-	// seconds (routing the batch through the frozen skeleton). Zero
-	// selects DefaultReuseOverhead; a negative value means free.
-	ReuseOverhead float64
 	// Faults is the fault-and-elasticity schedule the campaign runs
 	// under; nil means a healthy fixed-size cluster (bit-identical to
 	// pre-fault-layer campaigns).
@@ -112,12 +108,6 @@ type Config struct {
 	// same Eq. 2 state migration on every transition. Mutually exclusive
 	// with Faults — the two both own the world size.
 	Autoscaler *Autoscaler
-	// MigrateBytesPerToken scales elastic state migrations: bytes of
-	// resident sequence state per token shipped through the Eq. 2 solver
-	// on planned shrink/grow transitions. Zero derives the model's KV
-	// footprint (2 × hidden × bytes × layers / TP); negative means
-	// migrations are free.
-	MigrateBytesPerToken float64
 	// Decisions, when non-nil, records every replan/admission/placement
 	// choice the campaign loop makes, with the scored alternatives each
 	// site considered. Records are appended from the single campaign
@@ -149,11 +139,13 @@ type Flip struct {
 	Replan bool
 }
 
-// Default iteration charges; see Config.ReplanCost / Config.ReuseOverhead.
-const (
-	DefaultReplanCost    = 20e-3
-	DefaultReuseOverhead = 0.2e-3
-)
+// DefaultReplanCost is the per-replan charge in seconds; see
+// Config.ReplanCost.
+const DefaultReplanCost = 20e-3
+
+// reuseOverhead is the bookkeeping charge of a reuse iteration in
+// seconds (routing the batch through the frozen skeleton).
+const reuseOverhead = 0.2e-3
 
 // Validate fills defaults and checks the configuration. Errors are
 // validation-classified (IsValidation) so the HTTP layer can answer bad
@@ -191,12 +183,6 @@ func (c *Config) Validate() error {
 	if c.ReplanCost == 0 {
 		c.ReplanCost = DefaultReplanCost
 	}
-	switch {
-	case c.ReuseOverhead == 0:
-		c.ReuseOverhead = DefaultReuseOverhead
-	case c.ReuseOverhead < 0:
-		c.ReuseOverhead = 0
-	}
 	if c.Faults != nil {
 		espec := c.Trainer.EffectiveSpec()
 		if err := c.Faults.Validate(c.Trainer.Nodes, espec.GPUsPerNode, espec.NICsPerNode); err != nil {
@@ -210,14 +196,6 @@ func (c *Config) Validate() error {
 		if err := c.Autoscaler.validate(c.Trainer.Nodes); err != nil {
 			return asValidation(err)
 		}
-	}
-	switch {
-	case c.MigrateBytesPerToken == 0:
-		c.MigrateBytesPerToken = 2 * float64(c.Trainer.Model.Hidden) *
-			float64(c.Trainer.Model.BytesPerElem) * float64(c.Trainer.Model.Layers) /
-			float64(c.Trainer.TP)
-	case c.MigrateBytesPerToken < 0:
-		c.MigrateBytesPerToken = 0
 	}
 	return nil
 }
@@ -258,6 +236,10 @@ type Stream struct {
 	shapeIndep bool
 	speedAware bool
 	layers     float64
+	// stateBytes is the resident sequence state per token that elastic
+	// transitions ship through the Eq. 2 solver: the model's KV
+	// footprint, 2 × hidden × bytes × layers / TP.
+	stateBytes float64
 
 	// Loop state carried across iterations.
 	rng         *rand.Rand
@@ -303,6 +285,7 @@ func Start(ctx context.Context, cfg Config) (*Stream, error) {
 	}
 	espec := cfg.Trainer.EffectiveSpec()
 	baseWorld := cfg.Trainer.GPUs() / cfg.Trainer.TP
+	m := cfg.Trainer.Model
 	st := &Stream{
 		ctx:        ctx,
 		cfg:        cfg,
@@ -314,6 +297,7 @@ func Start(ctx context.Context, cfg Config) (*Stream, error) {
 		shapeIndep: cfg.shapeIndependent(),
 		speedAware: cfg.speedAware(),
 		layers:     float64(cfg.Trainer.Model.Layers),
+		stateBytes: 2 * float64(m.Hidden) * float64(m.BytesPerElem) * float64(m.Layers) / float64(cfg.Trainer.TP),
 		rng:        rand.New(rand.NewSource(cfg.Trainer.Seed)),
 		busySum:    make([]float64, baseWorld),
 		report:     &Report{Records: make([]IterRecord, 0, cfg.Iters)},
@@ -438,7 +422,7 @@ func (s *Stream) step() (IterRecord, error) {
 			recovery += cfg.Faults.Restart()
 		} else {
 			_, mig, err := faults.Migration(s.espec, view.PrevNodes, view.Nodes,
-				s.prevTokens, cfg.MigrateBytesPerToken)
+				s.prevTokens, s.stateBytes)
 			if err != nil {
 				return IterRecord{}, fmt.Errorf("campaign: iteration %d migration: %w", it, err)
 			}
@@ -611,7 +595,7 @@ func (s *Stream) step() (IterRecord, error) {
 		}
 		rec.Penalty = penalty
 		span = res.LayerTime * penalty
-		rec.Time = span*s.layers + res.GradSync + cfg.ReuseOverhead
+		rec.Time = span*s.layers + res.GradSync + reuseOverhead
 		rec.Imbalance = realizedImb * penalty
 		s.sinceReplan++
 	}

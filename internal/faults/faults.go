@@ -29,12 +29,11 @@ package faults
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"zeppelin/internal/cluster"
+	"zeppelin/internal/kv"
 	"zeppelin/internal/remap"
 )
 
@@ -394,8 +393,9 @@ func evenLayout(tokens, active, world int) []int {
 //
 //	name[:key=value[,key=value...]]
 //
-// with scenarios (defaults in brackets, iteration windows scale with the
-// horizon):
+// where the parameters follow the key=value rules every spec shares
+// (package kv; the README's "Spec grammar"), with scenarios (defaults in
+// brackets, iteration windows scale with the horizon):
 //
 //	none | healthy  — no faults (returns nil)
 //	straggler       — one rank runs x× slower for the middle half of the
@@ -413,133 +413,107 @@ func evenLayout(tokens, active, world int) []int {
 // non-finite value) return an error; the CLI surfaces them as usage
 // errors.
 func ByName(spec string, iters, nodes, ranksPerNode int) (*Schedule, error) {
-	name, params, err := parseSpec(spec)
-	if err != nil {
-		return nil, err
+	name, params, _ := strings.Cut(strings.TrimSpace(spec), ":")
+	name = strings.TrimSpace(name)
+	parse := func(fields map[string]kv.Field) error {
+		return kv.Parse(fmt.Sprintf("faults scenario %q", name), params, ",", fields)
 	}
-	var paramErr error
-	has := func(key string) bool { _, ok := params[key]; return ok }
-	get := func(key string, def float64) float64 {
-		if v, ok := params[key]; ok {
-			delete(params, key)
-			return v
-		}
-		return def
-	}
-	geti := func(key string, def int) int {
-		v := get(key, float64(def))
-		if v != math.Trunc(v) {
-			if paramErr == nil {
-				paramErr = fmt.Errorf("faults: parameter %s must be an integer, got %v", key, v)
-			}
-			return def
-		}
-		return int(v)
-	}
-	// Default windows scale with the horizon. Defaults adapt to whatever
-	// the user pinned — an explicit `from` past the default `to` (or
-	// vice versa) shifts the unpinned boundary so the window stays
-	// well-formed; fully explicit windows are taken verbatim and
-	// validated as given. Short campaigns floor collapsed defaults into
-	// a well-formed (possibly past-the-horizon, i.e. inert) window.
-	window := func(fromKey, toKey string, fromDef, toDef int) (int, int) {
-		fromSet, toSet := has(fromKey), has(toKey)
-		from := geti(fromKey, fromDef)
-		to := geti(toKey, toDef)
-		if !toSet && to <= from {
-			to = from + 1
-		}
-		if !fromSet && from >= to {
-			from = to - 1
-			if from < 0 {
-				from = 0
-			}
-		}
-		return from, to
-	}
-	var s *Schedule
 	switch name {
 	case "none", "healthy":
-		s = nil
+		return nil, parse(nil)
 	case "straggler":
-		from, to := window("from", "to", iters/4, 3*iters/4)
-		s = &Schedule{Name: "straggler", Stragglers: []Straggler{{
-			Rank:   geti("rank", ranksPerNode/2),
-			Factor: get("x", 2.5),
-			From:   from,
-			To:     to,
-		}}}
+		st := Straggler{Rank: ranksPerNode / 2, Factor: 2.5}
+		from, to := pin{v: iters / 4}, pin{v: 3 * iters / 4}
+		if err := parse(map[string]kv.Field{
+			"rank": kv.Int(&st.Rank), "x": kv.Float(&st.Factor), "from": from.field(), "to": to.field(),
+		}); err != nil {
+			return nil, err
+		}
+		st.From, st.To = window(from, to)
+		return &Schedule{Name: name, Stragglers: []Straggler{st}}, nil
 	case "nic":
-		from, to := window("from", "to", iters/4, 3*iters/4)
-		s = &Schedule{Name: "nic", NICFaults: []NICFault{{
-			NIC:    geti("nic", 1),
-			Factor: get("x", 0.25),
-			From:   from,
-			To:     to,
-		}}}
+		nf := NICFault{NIC: 1, Factor: 0.25}
+		from, to := pin{v: iters / 4}, pin{v: 3 * iters / 4}
+		if err := parse(map[string]kv.Field{
+			"nic": kv.Int(&nf.NIC), "x": kv.Float(&nf.Factor), "from": from.field(), "to": to.field(),
+		}); err != nil {
+			return nil, err
+		}
+		nf.From, nf.To = window(from, to)
+		return &Schedule{Name: name, NICFaults: []NICFault{nf}}, nil
 	case "failstop":
-		from, to := window("from", "to", 35*iters/100, 65*iters/100)
-		s = &Schedule{Name: "failstop", RestartCost: get("restart", 0), Outages: []NodeOutage{{
-			Node:     geti("node", nodes-1),
-			From:     from,
-			To:       to,
-			FailStop: true,
-		}}}
+		s := &Schedule{Name: name}
+		o := NodeOutage{Node: nodes - 1, FailStop: true}
+		from, to := pin{v: 35 * iters / 100}, pin{v: 65 * iters / 100}
+		if err := parse(map[string]kv.Field{
+			"node": kv.Int(&o.Node), "restart": kv.Float(&s.RestartCost), "from": from.field(), "to": to.field(),
+		}); err != nil {
+			return nil, err
+		}
+		o.From, o.To = window(from, to)
+		s.Outages = []NodeOutage{o}
+		return s, nil
 	case "shrink":
-		node := geti("node", nodes-1)
-		rank := geti("rank", node*ranksPerNode+ranksPerNode/2)
-		factor := get("x", 3)
-		warn, from := window("warn", "from", iters/4, 11*iters/20)
-		toSet := has("to")
-		to := geti("to", 3*iters/4)
-		if !toSet && to <= from {
-			to = from + 1
+		st := Straggler{Factor: 3}
+		o := NodeOutage{Node: nodes - 1}
+		var rank pin
+		warn, from, to := pin{v: iters / 4}, pin{v: 11 * iters / 20}, pin{v: 3 * iters / 4}
+		if err := parse(map[string]kv.Field{
+			"node": kv.Int(&o.Node), "rank": rank.field(), "x": kv.Float(&st.Factor),
+			"warn": warn.field(), "from": from.field(), "to": to.field(),
+		}); err != nil {
+			return nil, err
+		}
+		st.Rank = rank.v
+		if !rank.set {
+			st.Rank = o.Node*ranksPerNode + ranksPerNode/2
 		}
 		// The drain's cause precedes it: a sick host on the leaving node
 		// runs hot until the scheduler shrinks the node away; capacity
 		// grows back healthy at the window's end.
-		s = &Schedule{
-			Name:       "shrink",
-			Stragglers: []Straggler{{Rank: rank, Factor: factor, From: warn, To: from}},
-			Outages:    []NodeOutage{{Node: node, From: from, To: to}},
+		st.From, o.From = window(warn, from)
+		st.To = o.From
+		o.To = to.v
+		if !to.set && o.To <= o.From {
+			o.To = o.From + 1
 		}
-	default:
-		return nil, fmt.Errorf("faults: unknown scenario %q (want none|straggler|nic|failstop|shrink)", name)
+		return &Schedule{Name: name, Stragglers: []Straggler{st}, Outages: []NodeOutage{o}}, nil
 	}
-	if paramErr != nil {
-		return nil, paramErr
-	}
-	for key := range params {
-		return nil, fmt.Errorf("faults: scenario %q does not take key %q", name, key)
-	}
-	return s, nil
+	return nil, fmt.Errorf("faults: unknown scenario %q (want none|straggler|nic|failstop|shrink)", name)
 }
 
-// parseSpec splits "name:key=val,key=val" into its parts.
-func parseSpec(spec string) (string, map[string]float64, error) {
-	name, rest, has := strings.Cut(strings.TrimSpace(spec), ":")
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return "", nil, fmt.Errorf("faults: empty scenario spec")
+// pin is an integer parameter that records whether the spec set it, so
+// defaults can adapt to the values a user pinned.
+type pin struct {
+	v   int
+	set bool
+}
+
+func (p *pin) field() kv.Field {
+	bind := kv.Int(&p.v)
+	return func(v string) error {
+		p.set = true
+		return bind(v)
 	}
-	params := make(map[string]float64)
-	if !has {
-		return name, params, nil
+}
+
+// window resolves a [from, to) iteration window. Default windows scale
+// with the horizon and adapt to whatever the user pinned: an explicit
+// from past the default to (or vice versa) shifts the unpinned boundary
+// so the window stays well-formed; fully explicit windows are taken
+// verbatim and validated as given. Short campaigns floor collapsed
+// defaults into a well-formed (possibly past-the-horizon, i.e. inert)
+// window.
+func window(from, to pin) (int, int) {
+	f, t := from.v, to.v
+	if !to.set && t <= f {
+		t = f + 1
 	}
-	for _, kv := range strings.Split(rest, ",") {
-		key, val, ok := strings.Cut(kv, "=")
-		key = strings.TrimSpace(key)
-		if !ok || key == "" {
-			return "", nil, fmt.Errorf("faults: malformed parameter %q (want key=value)", kv)
+	if !from.set && f >= t {
+		f = t - 1
+		if f < 0 {
+			f = 0
 		}
-		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			return "", nil, fmt.Errorf("faults: parameter %s: %v", key, err)
-		}
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return "", nil, fmt.Errorf("faults: parameter %s must be finite, got %v", key, f)
-		}
-		params[key] = f
 	}
-	return name, params, nil
+	return f, t
 }

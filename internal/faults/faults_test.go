@@ -191,6 +191,21 @@ func TestByNameRejectsMalformedSpecs(t *testing.T) {
 	}
 }
 
+// TestByNameSharedGrammar: the parameters follow the shared key=value
+// rules — an empty parameter list means no parameters, and an integer
+// beyond ±(2^53 - 1) is rejected instead of wrapping.
+func TestByNameSharedGrammar(t *testing.T) {
+	for _, spec := range []string{"straggler:", "straggler: "} {
+		s, err := ByName(spec, 200, 2, 8)
+		if err != nil || s.Stragglers[0] != (Straggler{Rank: 4, Factor: 2.5, From: 50, To: 150}) {
+			t.Errorf("%q = %+v, %v; want the default straggler", spec, s, err)
+		}
+	}
+	if s, err := ByName("straggler:rank=1e300", 200, 2, 8); err == nil {
+		t.Errorf("straggler:rank=1e300 accepted as %+v", s.Stragglers[0])
+	}
+}
+
 // TestByNameRejectsNonFinite: NaN and ±Inf never reach a schedule. A
 // NaN factor slips past Validate's range checks, an infinite straggler
 // factor makes a zero-speed rank, and a NaN restart cost poisons every

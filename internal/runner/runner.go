@@ -57,8 +57,6 @@ func (j *Job) identity() string {
 type Options struct {
 	// Workers bounds the pool; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
-	// NoMemo disables the config-hash result cache.
-	NoMemo bool
 }
 
 // Engine executes job grids over a bounded worker pool. An Engine is
@@ -66,7 +64,6 @@ type Options struct {
 // cache persists for its lifetime.
 type Engine struct {
 	workers int
-	memoize bool
 
 	mu    sync.Mutex
 	cache map[string]*outcome
@@ -85,7 +82,6 @@ func New(opts Options) *Engine {
 	}
 	return &Engine{
 		workers: w,
-		memoize: !opts.NoMemo,
 		cache:   make(map[string]*outcome),
 	}
 }
@@ -199,7 +195,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) (*ResultSet, error) {
 	leaderByIdentity := make(map[string]int)
 	for i := range jobs {
 		j := &jobs[i]
-		if !e.memoize || j.SamplerName == "" {
+		if j.SamplerName == "" {
 			leaders = append(leaders, i)
 			continue
 		}
@@ -300,7 +296,7 @@ func (e *Engine) execute(j *Job) *outcome {
 	batch := j.Config.Batch(j.Sample)
 	res, err := trainer.Run(j.Config, j.Method, batch)
 	o := &outcome{res: res, err: err}
-	if e.memoize && j.SamplerName != "" {
+	if j.SamplerName != "" {
 		e.mu.Lock()
 		e.cache[j.identity()] = o
 		e.mu.Unlock()

@@ -179,17 +179,6 @@ func TestAnonymousSamplersNeverMemoize(t *testing.T) {
 	}
 }
 
-func TestNoMemoOption(t *testing.T) {
-	eng := New(Options{NoMemo: true})
-	rs, err := eng.Run(context.Background(), []Job{quickJob("a", 5, baselines.TECP{}), quickJob("b", 5, baselines.TECP{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.CacheHits != 0 || eng.CacheSize() != 0 {
-		t.Fatal("NoMemo engine must not cache")
-	}
-}
-
 func TestWriteJSONArtifact(t *testing.T) {
 	rs, err := New(Options{Workers: 2}).Run(context.Background(), []Job{
 		quickJob("a", 1, baselines.TECP{}),

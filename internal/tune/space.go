@@ -11,11 +11,13 @@ package tune
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"zeppelin/internal/campaign"
+	"zeppelin/internal/kv"
 	"zeppelin/internal/trainer"
 )
 
@@ -284,72 +286,47 @@ type Space struct {
 // declared: the threshold policy's replan ratio.
 const DefaultSpaceGrammar = "policy=threshold,threshold=1.05:1.6"
 
-// ParseSpace parses the space grammar: comma-separated key=value
-// dimensions, where a value is `a|b|c` (explicit set), `lo:hi`
-// (inclusive interval), or a single literal (pinned). Keys: policy,
-// threshold, every, replan-cost, capacity, autoscale (on|off), up-util,
-// down-util, cooldown, step. The empty string selects
-// DefaultSpaceGrammar.
+// ParseSpace parses the space grammar: ','-separated key=value
+// dimensions under the kv package's rules (the README's "Spec grammar"),
+// where a value is `a|b|c` (explicit set), `lo:hi` (inclusive interval),
+// or a single literal (pinned). Keys: policy, threshold, every,
+// replan-cost, capacity, autoscale (on|off), up-util, down-util,
+// cooldown, step. A blank string selects DefaultSpaceGrammar.
 func ParseSpace(s string) (Space, error) {
 	if strings.TrimSpace(s) == "" {
 		s = DefaultSpaceGrammar
 	}
 	sp := Space{Grammar: s}
-	for _, field := range strings.Split(s, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return sp, fmt.Errorf("tune: space dimension %q is not key=value", field)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		if val == "" {
-			return sp, fmt.Errorf("tune: space dimension %q has an empty value", field)
-		}
-		var err error
-		switch key {
-		case "policy":
-			sp.Policies, err = parsePolicies(val)
-		case "threshold":
-			sp.Threshold, err = parseRange(key, val, 1, 10)
-		case "every":
-			sp.Every, err = parseIntRange(key, val, 1, 10_000)
-		case "replan-cost":
-			sp.ReplanCost, err = parseRange(key, val, 1e-9, 3600)
-		case "capacity":
-			sp.Capacity, err = parseRange(key, val, 0.1, trainer.MaxCapacityFactor)
-		case "autoscale":
-			sp.Autoscale, err = parseAutoscaleStates(val)
-		case "up-util":
-			sp.UpUtil, err = parseRange(key, val, 1e-9, 1)
-		case "down-util":
-			sp.DownUtil, err = parseRange(key, val, 0, 1)
-		case "cooldown":
-			sp.Cooldown, err = parseIntRange(key, val, 1, 10_000)
-		case "step":
-			sp.Step, err = parseIntRange(key, val, 1, 10_000)
-		default:
-			err = fmt.Errorf("tune: unknown space dimension %q", key)
-		}
-		if err != nil {
-			return sp, err
-		}
+	floats := func(r *Range, lo, hi float64) kv.Field {
+		return kv.Of(r, func(v string) (Range, error) { return parseRange(v, lo, hi) })
 	}
-	return sp, nil
+	ints := func(r *IntRange, lo, hi int) kv.Field {
+		return kv.Of(r, func(v string) (IntRange, error) { return parseIntRange(v, lo, hi) })
+	}
+	err := kv.Parse("tune space", s, ",", map[string]kv.Field{
+		"policy":      kv.Of(&sp.Policies, parsePolicies),
+		"threshold":   floats(&sp.Threshold, 1, 10),
+		"every":       ints(&sp.Every, 1, 10_000),
+		"replan-cost": floats(&sp.ReplanCost, 1e-9, 3600),
+		"capacity":    floats(&sp.Capacity, 0.1, trainer.MaxCapacityFactor),
+		"autoscale":   kv.Of(&sp.Autoscale, parseAutoscaleStates),
+		"up-util":     floats(&sp.UpUtil, 1e-9, 1),
+		"down-util":   floats(&sp.DownUtil, 0, 1),
+		"cooldown":    ints(&sp.Cooldown, 1, 10_000),
+		"step":        ints(&sp.Step, 1, 10_000),
+	})
+	return sp, err
 }
 
+// parsePolicies reads a `|` set of replan policy names.
 func parsePolicies(val string) ([]string, error) {
 	var out []string
 	for _, p := range strings.Split(val, "|") {
 		p = strings.TrimSpace(p)
-		switch p {
-		case "always", "never", "threshold", "periodic":
-			out = append(out, p)
-		default:
-			return nil, fmt.Errorf("tune: unknown policy %q (want always|never|threshold|periodic)", p)
+		if _, err := campaign.PolicyByName(p, 0, 0); err != nil {
+			return nil, err
 		}
+		out = append(out, p)
 	}
 	return dedupStrings(out), nil
 }
@@ -365,7 +342,7 @@ func parseAutoscaleStates(val string) ([]bool, error) {
 		case "off", "false":
 			b = false
 		default:
-			return nil, fmt.Errorf("tune: autoscale state %q (want on|off)", p)
+			return nil, fmt.Errorf("autoscale state %q (want on|off)", p)
 		}
 		if !seen[b] {
 			seen[b] = true
@@ -375,86 +352,64 @@ func parseAutoscaleStates(val string) ([]bool, error) {
 	return out, nil
 }
 
-func parseRange(key, val string, lo, hi float64) (Range, error) {
-	check := func(v float64) error {
-		if !(v >= lo && v <= hi) { // NaN fails too
-			return fmt.Errorf("tune: %s value %g outside [%g, %g]", key, v, lo, hi)
+// parseRange reads a continuous dimension whose every value lies in
+// [lo, hi].
+func parseRange(val string, lo, hi float64) (Range, error) {
+	num := func(s string) (float64, error) {
+		v, err := kv.ParseFloat(strings.TrimSpace(s))
+		if err == nil && !(v >= lo && v <= hi) {
+			err = fmt.Errorf("value %g outside [%g, %g]", v, lo, hi)
 		}
-		return nil
+		return v, err
 	}
 	if strings.Contains(val, "|") {
 		var r Range
 		for _, p := range strings.Split(val, "|") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+			v, err := num(p)
 			if err != nil {
-				return r, fmt.Errorf("tune: %s value %q: %v", key, p, err)
-			}
-			if err := check(v); err != nil {
-				return r, err
+				return Range{}, err
 			}
 			r.Set = append(r.Set, v)
 		}
 		sort.Float64s(r.Set)
-		r.Set = dedupFloats(r.Set)
+		r.Set = slices.Compact(r.Set)
 		return r, nil
 	}
 	if a, b, ok := strings.Cut(val, ":"); ok {
-		l, err := strconv.ParseFloat(strings.TrimSpace(a), 64)
+		l, err := num(a)
 		if err != nil {
-			return Range{}, fmt.Errorf("tune: %s lower bound %q: %v", key, a, err)
+			return Range{}, err
 		}
-		h, err := strconv.ParseFloat(strings.TrimSpace(b), 64)
+		h, err := num(b)
 		if err != nil {
-			return Range{}, fmt.Errorf("tune: %s upper bound %q: %v", key, b, err)
+			return Range{}, err
 		}
 		if l > h {
-			return Range{}, fmt.Errorf("tune: %s range %g:%g is inverted", key, l, h)
-		}
-		if err := check(l); err != nil {
-			return Range{}, err
-		}
-		if err := check(h); err != nil {
-			return Range{}, err
+			return Range{}, fmt.Errorf("range %g:%g is inverted", l, h)
 		}
 		return Range{Lo: l, Hi: h}, nil
 	}
-	v, err := strconv.ParseFloat(val, 64)
+	v, err := num(val)
 	if err != nil {
-		return Range{}, fmt.Errorf("tune: %s value %q: %v", key, val, err)
-	}
-	if err := check(v); err != nil {
 		return Range{}, err
 	}
 	return Range{Lo: v, Hi: v}, nil
 }
 
-func parseIntRange(key, val string, lo, hi int) (IntRange, error) {
-	r, err := parseRange(key, val, float64(lo), float64(hi))
+// parseIntRange is parseRange for integer dimensions.
+func parseIntRange(val string, lo, hi int) (IntRange, error) {
+	r, err := parseRange(val, float64(lo), float64(hi))
 	if err != nil {
 		return IntRange{}, err
 	}
-	toInt := func(v float64) (int, error) {
-		if v != float64(int(v)) {
-			return 0, fmt.Errorf("tune: %s value %g is not an integer", key, v)
+	for _, v := range append([]float64{r.Lo, r.Hi}, r.Set...) {
+		if v != math.Trunc(v) {
+			return IntRange{}, fmt.Errorf("value %g is not an integer", v)
 		}
-		return int(v), nil
 	}
-	var ir IntRange
+	ir := IntRange{Lo: int(r.Lo), Hi: int(r.Hi)}
 	for _, v := range r.Set {
-		n, err := toInt(v)
-		if err != nil {
-			return ir, err
-		}
-		ir.Set = append(ir.Set, n)
-	}
-	if len(ir.Set) > 0 {
-		return ir, nil
-	}
-	if ir.Lo, err = toInt(r.Lo); err != nil {
-		return ir, err
-	}
-	if ir.Hi, err = toInt(r.Hi); err != nil {
-		return ir, err
+		ir.Set = append(ir.Set, int(v))
 	}
 	return ir, nil
 }
@@ -466,16 +421,6 @@ func dedupStrings(in []string) []string {
 		if !seen[s] {
 			seen[s] = true
 			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func dedupFloats(in []float64) []float64 {
-	out := in[:0]
-	for i, v := range in {
-		if i == 0 || v != in[i-1] {
-			out = append(out, v)
 		}
 	}
 	return out

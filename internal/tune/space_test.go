@@ -71,6 +71,16 @@ func TestParseSpaceRejects(t *testing.T) {
 	}
 }
 
+// TestParseSpaceRejectsEmptyEntries: under the shared key=value rules
+// an empty entry is an error, not skipped.
+func TestParseSpaceRejectsEmptyEntries(t *testing.T) {
+	for _, s := range []string{",", "threshold=1.1,", "threshold=1.1,,every=2"} {
+		if _, err := ParseSpace(s); err == nil || !strings.Contains(err.Error(), "is not key=value") {
+			t.Errorf("ParseSpace(%q) = %v, want an entry error", s, err)
+		}
+	}
+}
+
 // TestParseSpaceRejectsNonFinite: NaN fails every bound comparison, so
 // the range check must be written to reject it, not just ±Inf.
 func TestParseSpaceRejectsNonFinite(t *testing.T) {

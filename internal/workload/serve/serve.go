@@ -2,12 +2,13 @@
 // campaign engine: multi-client workload specs with Poisson/Gamma/Weibull
 // inter-arrival processes, per-window rate schedules, SLO classes with
 // per-class deadlines, and session/prefix structure for KV-affinity-aware
-// routing. A spec is written in the same flag grammar as the tuner's
-// search space ("clients=3,arrival=gamma:cv=2.0,rate=50@0-60s;120@60-300s,
+// routing. A spec is written in the key=value grammar every spec shares
+// (package kv: "clients=3,arrival=gamma:cv=2.0,rate=50@0-60s;120@60-300s,
 // slo=interactive:p99=200ms") and expands deterministically into a
-// timestamped request timeline. Recorded timelines round-trip through
-// NDJSON (trace-replay v2), making captured traces a first-class
-// generator alongside the synthetic processes.
+// timestamped request timeline of about MaxRequests requests at most.
+// Recorded timelines round-trip through NDJSON (trace-replay v2), making
+// captured traces a first-class generator alongside the synthetic
+// processes.
 package serve
 
 import (
@@ -19,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"zeppelin/internal/kv"
 	"zeppelin/internal/workload"
 )
 
@@ -79,6 +81,11 @@ var (
 	Routes     = []string{"balance", "affinity"}
 )
 
+// MaxRequests bounds what one spec may ask for: its client count, and
+// the request count its windows expect, Σ rate × (To − From). Timeline
+// holds the whole request list in memory (about 265 B a request).
+const MaxRequests = 1_000_000
+
 // Spec is a ServeGen-style multi-client workload description.
 type Spec struct {
 	Clients   int
@@ -124,7 +131,8 @@ func DefaultClasses() []SLOClass {
 	}
 }
 
-// Parse reads the serve-spec grammar: comma-separated key=value entries
+// Parse reads the serve-spec grammar: ','-separated key=value entries
+// under the kv package's rules (the README's "Spec grammar")
 //
 //	clients=3                          number of concurrent clients
 //	arrival=gamma:cv=2.0               poisson | gamma[:cv=X] | weibull[:shape=X]
@@ -137,56 +145,50 @@ func DefaultClasses() []SLOClass {
 //	route=affinity                     balance | affinity
 //	horizon=120s                       default window span for bare rates
 //
-// Omitted keys take DefaultSpec values. The result is validated.
+// The arrival and class parameters are ':'-separated key=value entries
+// under the same rules. Omitted keys take DefaultSpec values. The result
+// is validated.
 func Parse(s string) (Spec, error) {
 	spec := DefaultSpec()
-	spec.Windows = nil
-	spec.Classes = nil
+	spec.Windows = []RateWindow{{Rate: 8}} // a bare rate spans the horizon
 	var horizonSet bool
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("serve: entry %q is not key=value", part)
-		}
-		var err error
-		switch key {
-		case "clients":
-			spec.Clients, err = strconv.Atoi(val)
-		case "arrival":
-			err = parseArrival(&spec, val)
-		case "rate":
-			spec.Windows, err = parseWindows(val)
-		case "slo":
-			spec.Classes, err = parseClasses(val)
-		case "dataset":
-			spec.Dataset = val
-		case "sessions":
-			spec.Sessions, err = strconv.Atoi(val)
-		case "prefix":
-			spec.Prefix, err = strconv.ParseFloat(val, 64)
-		case "form":
-			spec.Formation = val
-		case "route":
-			spec.Route = val
-		case "horizon":
-			spec.Horizon, err = time.ParseDuration(val)
+	err := kv.Parse("serve", s, ",", map[string]kv.Field{
+		"clients": kv.Int(&spec.Clients),
+		"arrival": func(v string) error {
+			name, params, _ := strings.Cut(v, ":")
+			spec.Process = name
+			return kv.Parse("arrival "+name, params, ":", map[string]kv.Field{
+				"cv": kv.Float(&spec.CV), "shape": kv.Float(&spec.Shape),
+			})
+		},
+		"rate": kv.Of(&spec.Windows, parseWindows),
+		"slo": func(v string) error {
+			spec.Classes = nil
+			for i, c := range strings.Split(v, ";") {
+				name, params, _ := strings.Cut(c, ":")
+				cls := SLOClass{Name: name, Priority: -i} // later classes rank lower by default
+				err := kv.Parse(fmt.Sprintf("class %q", name), params, ":", map[string]kv.Field{
+					"p99": kv.Duration(&cls.Deadline), "prio": kv.Int(&cls.Priority),
+				})
+				if err != nil {
+					return err
+				}
+				spec.Classes = append(spec.Classes, cls)
+			}
+			return nil
+		},
+		"dataset":  kv.String(&spec.Dataset),
+		"sessions": kv.Int(&spec.Sessions),
+		"prefix":   kv.Float(&spec.Prefix),
+		"form":     kv.String(&spec.Formation),
+		"route":    kv.String(&spec.Route),
+		"horizon": func(v string) error {
 			horizonSet = true
-		default:
-			return Spec{}, fmt.Errorf("serve: unknown key %q", key)
-		}
-		if err != nil {
-			return Spec{}, fmt.Errorf("serve: %s=%s: %v", key, val, err)
-		}
-	}
-	if len(spec.Windows) == 0 {
-		spec.Windows = []RateWindow{{From: 0, To: spec.Horizon, Rate: 8}}
-	}
-	if len(spec.Classes) == 0 {
-		spec.Classes = DefaultClasses()
+			return kv.Duration(&spec.Horizon)(v)
+		},
+	})
+	if err != nil {
+		return Spec{}, err
 	}
 	// Bare "rate=50" windows span the horizon; a later horizon key must
 	// still apply, so resolve zero-width windows here.
@@ -207,30 +209,6 @@ func Parse(s string) (Spec, error) {
 		return Spec{}, err
 	}
 	return spec, nil
-}
-
-func parseArrival(spec *Spec, val string) error {
-	parts := strings.Split(val, ":")
-	spec.Process = parts[0]
-	for _, p := range parts[1:] {
-		k, v, ok := strings.Cut(p, "=")
-		if !ok {
-			return fmt.Errorf("parameter %q is not key=value", p)
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return err
-		}
-		switch k {
-		case "cv":
-			spec.CV = f
-		case "shape":
-			spec.Shape = f
-		default:
-			return fmt.Errorf("unknown arrival parameter %q", k)
-		}
-	}
-	return nil
 }
 
 func parseWindows(val string) ([]RateWindow, error) {
@@ -275,39 +253,11 @@ func parseDur(s string) (time.Duration, error) {
 	return time.Duration(f * float64(time.Second)), nil
 }
 
-func parseClasses(val string) ([]SLOClass, error) {
-	var out []SLOClass
-	for i, c := range strings.Split(val, ";") {
-		parts := strings.Split(c, ":")
-		cls := SLOClass{Name: parts[0], Priority: -i} // later classes rank lower by default
-		for _, p := range parts[1:] {
-			k, v, ok := strings.Cut(p, "=")
-			if !ok {
-				return nil, fmt.Errorf("class parameter %q is not key=value", p)
-			}
-			var err error
-			switch k {
-			case "p99":
-				cls.Deadline, err = time.ParseDuration(v)
-			case "prio":
-				cls.Priority, err = strconv.Atoi(v)
-			default:
-				err = fmt.Errorf("unknown class parameter %q", k)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, cls)
-	}
-	return out, nil
-}
-
 // Validate checks the spec is well-formed, including that the dataset
 // exists and its bin weights are sane (workload.Dataset.Validate).
 func (s *Spec) Validate() error {
-	if s.Clients < 1 {
-		return fmt.Errorf("serve: clients must be >= 1, got %d", s.Clients)
+	if s.Clients < 1 || s.Clients > MaxRequests {
+		return fmt.Errorf("serve: clients must be in [1, %d], got %d", MaxRequests, s.Clients)
 	}
 	switch s.Process {
 	case ProcessPoisson, ProcessGamma, ProcessWeibull:
@@ -323,6 +273,7 @@ func (s *Spec) Validate() error {
 	if len(s.Windows) == 0 {
 		return fmt.Errorf("serve: at least one rate window required")
 	}
+	var expected float64
 	for i, w := range s.Windows {
 		if w.Rate <= 0 || math.IsNaN(w.Rate) || math.IsInf(w.Rate, 0) {
 			return fmt.Errorf("serve: window %d rate must be finite and > 0, got %v", i, w.Rate)
@@ -333,6 +284,10 @@ func (s *Spec) Validate() error {
 		if i > 0 && w.From < s.Windows[i-1].To {
 			return fmt.Errorf("serve: window %d starts at %v before window %d ends at %v", i, w.From, i-1, s.Windows[i-1].To)
 		}
+		expected += w.Rate * (w.To - w.From).Seconds()
+	}
+	if expected > MaxRequests {
+		return fmt.Errorf("serve: rate windows expect %.0f requests, above the %d ceiling", expected, MaxRequests)
 	}
 	if len(s.Classes) == 0 {
 		return fmt.Errorf("serve: at least one SLO class required")

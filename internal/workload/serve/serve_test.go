@@ -94,6 +94,53 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseSharedGrammar: the serve spec and its arrival and class
+// parameters follow the shared key=value rules — an empty entry is an
+// error, values are trimmed, integer fields take integral float
+// literals, and an empty parameter list means no parameters.
+func TestParseSharedGrammar(t *testing.T) {
+	for _, bad := range []string{",", "clients=2,", "clients=2,,rate=3"} {
+		if _, err := Parse(bad); err == nil || !strings.Contains(err.Error(), "is not key=value") {
+			t.Errorf("Parse(%q) = %v, want an entry error", bad, err)
+		}
+	}
+	for _, c := range []struct {
+		spec string
+		ok   func(Spec) bool
+	}{
+		{"clients=2.0", func(s Spec) bool { return s.Clients == 2 }},
+		{"clients=1e1", func(s Spec) bool { return s.Clients == 10 }},
+		{"clients= 2", func(s Spec) bool { return s.Clients == 2 }},
+		{"clients =2", func(s Spec) bool { return s.Clients == 2 }},
+		{"slo=a:p99=1s:prio=2.0", func(s Spec) bool { return s.Classes[0].Priority == 2 }},
+		// The value is trimmed, so the class name loses its leading space.
+		{"slo= a:p99=1s", func(s Spec) bool { return s.Classes[0].Name == "a" }},
+		{"arrival=gamma:", func(s Spec) bool { return s.Process == ProcessGamma && s.CV == 1 }},
+		{"arrival=gamma: cv=2", func(s Spec) bool { return s.CV == 2 }},
+	} {
+		spec, err := Parse(c.spec)
+		if err != nil || !c.ok(spec) {
+			t.Errorf("Parse(%q) = %+v, %v", c.spec, spec, err)
+		}
+	}
+}
+
+// TestValidateBoundsTimeline: Timeline holds every request in memory,
+// so a spec may ask for at most MaxRequests clients and expected
+// requests (Σ rate × span).
+func TestValidateBoundsTimeline(t *testing.T) {
+	for _, bad := range []string{
+		"clients=1000001", "rate=1000@0-100000s", "rate=20000@0-100s", "rate=500000@0-1s;500001@1-2s",
+	} {
+		if _, err := Parse(bad); err == nil || !strings.Contains(err.Error(), "1000000") {
+			t.Errorf("Parse(%q) = %v, want a MaxRequests rejection", bad, err)
+		}
+	}
+	if _, err := Parse("clients=1000000,rate=10000@0-100s"); err != nil {
+		t.Errorf("a spec at the ceiling was rejected: %v", err)
+	}
+}
+
 func TestTimelineDeterministic(t *testing.T) {
 	spec, err := Parse("clients=3,arrival=gamma:cv=2.0,rate=40@0-10s,slo=interactive:p99=500ms:prio=2;batch:p99=4s:prio=1")
 	if err != nil {

@@ -123,7 +123,7 @@ func TestParseServeSpecMirrorsInternalGrammar(t *testing.T) {
 }
 
 // TestServeSpecPrefixConvention: wire zero selects the default prefix,
-// negative selects none — the ReuseOverhead convention.
+// negative selects none — the faults.Schedule.RestartCost convention.
 func TestServeSpecPrefixConvention(t *testing.T) {
 	def, err := (&ServeSpec{}).resolve()
 	if err != nil {
@@ -294,5 +294,28 @@ func TestServeRequestValidation(t *testing.T) {
 	// internal errors stay unclassified.
 	if IsValidationError(context.Canceled) {
 		t.Error("context.Canceled misclassified as validation error")
+	}
+}
+
+// TestServeRequestCeiling: a serve spec asking for more than
+// serve.MaxRequests clients or expected requests is a validation error
+// on every entry point — the CLI grammar, request validation, and
+// timeline generation — before any timeline is expanded.
+func TestServeRequestCeiling(t *testing.T) {
+	if _, err := ParseServeSpec("rate=1000@0-100000s"); err == nil {
+		t.Error("ParseServeSpec accepted a 10^8-request spec")
+	}
+	for _, spec := range []*ServeSpec{
+		{Clients: 2_000_000},
+		{Windows: []ServeWindow{{ToSec: 100000, Rate: 1000}}},
+	} {
+		// Fatal, not Error: past a missed check, GenerateServeTimeline
+		// would expand the spec.
+		if err := (CampaignRequest{Iters: 1, Serve: spec}).Validate(); !IsValidationError(err) {
+			t.Fatalf("%+v: Validate = %v, want a validation error", *spec, err)
+		}
+		if _, err := GenerateServeTimeline(spec, 1); err == nil {
+			t.Errorf("%+v: GenerateServeTimeline expanded an over-ceiling spec", *spec)
+		}
 	}
 }
