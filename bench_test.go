@@ -459,51 +459,6 @@ func BenchmarkFig15PlanIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkFig15PlanIncrementalReuse is the steady-state allocation
-// guarantee: with ReusePlans the warm patch path must report 0 allocs/op
-// under -benchmem. The measured window bounces through the stream
-// (…510, 511, 510, 509…) instead of wrapping, so every step is a small
-// adjacent-batch delta and no lap boundary ever forces an allocating
-// full solve; MaxPatchRun is lifted for the same reason. The pinned
-// assertion lives in internal/partition's TestIncrementalPatchZeroAlloc
-// — this benchmark reports the number CI tracks.
-func BenchmarkFig15PlanIncrementalReuse(b *testing.B) {
-	stream, _ := fig15BenchStream(fig15BenchRanks, fig15BenchStreamCap)
-	cfg := experiments.Fig15PlanConfig(fig15BenchRanks)
-	p := partition.NewIncremental(partition.IncrementalConfig{
-		MaxDeltaFrac:      experiments.Fig15MaxDeltaFrac,
-		MaxImbalanceDrift: 0.5,
-		MaxPatchRun:       1 << 30,
-		ReusePlans:        true,
-	})
-	bounce := func(i int) int {
-		span := len(stream) - fig15BenchWarm - 1
-		if k := i % (2 * span); k < span {
-			return fig15BenchWarm + k
-		} else {
-			return fig15BenchWarm + 2*span - k
-		}
-	}
-	for i := 0; i < fig15BenchWarm; i++ {
-		if _, _, err := p.Plan(cfg, stream[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	warm := p.Counters()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := p.Plan(cfg, stream[bounce(i)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	c := p.Counters()
-	if total := c.Plans() - warm.Plans(); total > 0 {
-		b.ReportMetric(float64(c.Patched-warm.Patched)/float64(total), "patched-frac")
-	}
-}
-
 // BenchmarkFig15ScalingSweep regenerates the whole fig15 experiment (all
 // world sizes, both paths) — the end-to-end cost of the scaling figure.
 func BenchmarkFig15ScalingSweep(b *testing.B) {

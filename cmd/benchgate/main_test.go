@@ -103,7 +103,6 @@ func TestDefaultGateCoversPlannerStack(t *testing.T) {
 	gated := []string{
 		"BenchmarkFig15PlanFull",
 		"BenchmarkFig15PlanIncremental",
-		"BenchmarkFig15PlanIncrementalReuse",
 		"BenchmarkFig15ParallelSolve/solve-workers=1",
 		"BenchmarkFig15ParallelSolve/sessions",
 		"BenchmarkPartitionerPlan",

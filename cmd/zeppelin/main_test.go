@@ -141,6 +141,26 @@ func TestServeCeilingIsUsageError(t *testing.T) {
 	}
 }
 
+// TestItersCeilingIsUsageError: an -iters above the campaign ceiling is
+// a usage error (exit 2) on every campaign-running subcommand, not a Go
+// panic when the campaign pre-sizes its report.
+func TestItersCeilingIsUsageError(t *testing.T) {
+	const huge = "1125899906842624"
+	runs := map[string]func() error{
+		"campaign": func() error { return campaignCmd(io.Discard, []string{"-iters", huge}, 1, 1, false) },
+		"serve":    func() error { return serveCmd(io.Discard, []string{"-iters", huge}, 1, 1, false) },
+		"tune":     func() error { return tuneCmd(io.Discard, []string{"-budget", "1", "-iters", huge}, 1, 1, false) },
+		"replay":   func() error { return replayCmd(io.Discard, []string{"-iters", huge}, false) },
+	}
+	for name, run := range runs {
+		err := run()
+		var ue usageError
+		if err == nil || !errors.As(err, &ue) || !strings.Contains(err.Error(), "100000") {
+			t.Errorf("%s -iters %s: err = %v, want a usage error naming the ceiling", name, huge, err)
+		}
+	}
+}
+
 // TestReplayCmdRejectsInvalidFlags: flag mistakes are usage errors.
 func TestReplayCmdRejectsInvalidFlags(t *testing.T) {
 	cases := []struct {

@@ -161,10 +161,11 @@ func TestCampaignAutoscaleOverHTTP(t *testing.T) {
 }
 
 // TestNonFiniteAndOversizedInputsAre400: NaN/±Inf inside a fault spec or
-// a tune space, and a capacity factor above the ceiling, are rejected up
-// front with the structured 400 — not a 201 session whose event stream
-// dies on a NaN, a 200 with an empty body, or a 500 from an overflowed
-// partitioner capacity.
+// a tune space, a capacity factor above the ceiling, and iters above
+// campaign.MaxIters are rejected up front with the structured 400 — not
+// a 201 session whose event stream dies on a NaN or a makeslice panic, a
+// 200 with an empty body, a dropped connection, or a 500 from an
+// overflowed partitioner capacity.
 func TestNonFiniteAndOversizedInputsAre400(t *testing.T) {
 	ts := testServer(t)
 	type badCase struct{ route, body, substr string }
@@ -182,6 +183,10 @@ func TestNonFiniteAndOversizedInputsAre400(t *testing.T) {
 			badCase{"/v1/campaigns", `{"iters":4,"cluster":{"capacity":` + c + `}}`, "capacity factor"},
 		)
 	}
+	cases = append(cases,
+		badCase{"/v1/campaigns", `{"iters":1125899906842624}`, "100000"},
+		badCase{"/v1/tune", `{"budget":1,"iters":1125899906842624}`, "100000"},
+	)
 	for _, c := range cases {
 		want400(t, ts, c.route, c.body, c.substr)
 	}

@@ -69,9 +69,9 @@
 //     reuse and, under a configured tolerance, delta patching of the
 //     previous plan (departures cut, arrivals greedily re-placed) with
 //     imbalance-drift self-regulation and full-solve fallback on any
-//     health or capacity change; SharedCache adds the process-wide
-//     tier behind it — a mutex-guarded LRU of full solves only (never
-//     patched plans), shared across planners with hit/miss counting
+//     health or capacity change; SharedCache is the process-wide tier
+//     behind it — the same exact-key LRU under a mutex, holding full
+//     solves only (never patched plans), with hit/miss counting
 //
 //   - internal/attention  — three-queue ring attention engine
 //

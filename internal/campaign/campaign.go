@@ -86,7 +86,7 @@ type Config struct {
 	// campaign's single RNG stream.
 	Trainer trainer.Config
 	Method  trainer.Method
-	// Iters is the campaign horizon (≥ 1).
+	// Iters is the campaign horizon, in [1, MaxIters].
 	Iters int
 	// Arrival generates each iteration's batch; default Steady(arxiv).
 	Arrival Arrival
@@ -143,6 +143,12 @@ type Flip struct {
 // Config.ReplanCost.
 const DefaultReplanCost = 20e-3
 
+// MaxIters bounds Config.Iters: ten times the longest horizon any
+// surface defaults to (serve's 10,000 ticks). Start sizes the report for
+// the whole horizon up front, so an unbounded value would fail there
+// instead of as a validation error.
+const MaxIters = 100_000
+
 // reuseOverhead is the bookkeeping charge of a reuse iteration in
 // seconds (routing the batch through the frozen skeleton).
 const reuseOverhead = 0.2e-3
@@ -156,6 +162,9 @@ func (c *Config) Validate() error {
 	}
 	if c.Iters <= 0 {
 		return validationf("campaign: iters must be >= 1, got %d", c.Iters)
+	}
+	if c.Iters > MaxIters {
+		return validationf("campaign: iters must be <= %d, got %d", MaxIters, c.Iters)
 	}
 	if err := c.Trainer.Validate(); err != nil {
 		return asValidation(err)

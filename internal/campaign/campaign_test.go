@@ -212,6 +212,15 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(context.Background(), Config{Trainer: testCell(1), Method: zeppelin.Full(), Iters: 0}); err == nil {
 		t.Fatal("zero iterations must error")
 	}
+	// An unbounded horizon is a validation error, not a makeslice panic
+	// in Start.
+	if _, err := Run(context.Background(), Config{Trainer: testCell(1), Method: zeppelin.Full(), Iters: 1 << 50}); !IsValidation(err) {
+		t.Fatalf("iters 2^50: err = %v, want validation error", err)
+	}
+	atCap := Config{Trainer: testCell(1), Method: zeppelin.Full(), Iters: MaxIters}
+	if err := atCap.Validate(); err != nil {
+		t.Fatalf("iters = MaxIters must validate: %v", err)
+	}
 }
 
 func TestPercentile(t *testing.T) {

@@ -235,7 +235,11 @@ func TestWriteFunctionsProduceOutput(t *testing.T) {
 	WriteFig1(&sb)
 	WriteTable2(&sb)
 	WriteFig5(&sb)
-	if err := WriteTable3(&sb); err != nil {
+	cols, err := Table3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RenderTable3(&sb, cols); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFig12(&sb, Options{}); err != nil {

@@ -36,7 +36,7 @@ func TestFig15SweepCompletesTo8192Ranks(t *testing.T) {
 		}
 		// Cost-equality: the planner's own drift bound (15%) plus rounding
 		// slack. A violation here means the self-regulation guard broke.
-		if cell.MaxCostRatio > 1+partition.DefaultMaxImbalanceDrift+0.05 {
+		if cell.MaxCostRatio > 1+partition.MaxImbalanceDrift+0.05 {
 			t.Fatalf("%d ranks: cost ratio %.3f exceeds drift bound", cell.Ranks, cell.MaxCostRatio)
 		}
 		if cell.Full.P50Micros <= 0 || cell.Incremental.P50Micros <= 0 {

@@ -106,15 +106,6 @@ func rankRange(perRank []float64, layers float64) Table3Range {
 	return r
 }
 
-// WriteTable3 renders the component table.
-func WriteTable3(w io.Writer) error {
-	cols, err := Table3()
-	if err != nil {
-		return err
-	}
-	return RenderTable3(w, cols)
-}
-
 // RenderTable3 renders already-computed columns (cmd/zeppelin computes
 // them with its own engine, then renders here).
 func RenderTable3(w io.Writer, cols []Table3Column) error {

@@ -300,31 +300,6 @@ func (s *Schedule) FirstTransition() int {
 	return first
 }
 
-// LastTransition returns the latest iteration at which any fault clears
-// (-1 for a nil or empty schedule) — the point recovery is measured from.
-func (s *Schedule) LastTransition() int {
-	last := -1
-	if s == nil {
-		return last
-	}
-	for _, st := range s.Stragglers {
-		if st.To > last {
-			last = st.To
-		}
-	}
-	for _, nf := range s.NICFaults {
-		if nf.To > last {
-			last = nf.To
-		}
-	}
-	for _, o := range s.Outages {
-		if o.To > last {
-			last = o.To
-		}
-	}
-	return last
-}
-
 func ones(n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {

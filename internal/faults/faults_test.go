@@ -130,11 +130,8 @@ func TestTransitionBounds(t *testing.T) {
 	if f := s.FirstTransition(); f != 10 {
 		t.Fatalf("first transition = %d", f)
 	}
-	if l := s.LastTransition(); l != 40 {
-		t.Fatalf("last transition = %d", l)
-	}
 	var nilSched *Schedule
-	if nilSched.FirstTransition() != -1 || nilSched.LastTransition() != -1 {
+	if nilSched.FirstTransition() != -1 {
 		t.Fatal("nil schedule has no transitions")
 	}
 }

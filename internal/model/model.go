@@ -106,11 +106,6 @@ func (c Config) AttnFlopsForPairs(pairs float64) float64 {
 // a sequence of length s: s(s+1)/2.
 func CausalPairs(s float64) float64 { return s * (s + 1) / 2 }
 
-// CausalAttnFlops is the attention-core FLOPs for a full causal sequence.
-func (c Config) CausalAttnFlops(s float64) float64 {
-	return c.AttnFlopsForPairs(CausalPairs(s))
-}
-
 // LinearFlopsPerToken is the per-token FLOPs of the token-wise modules:
 // QKV and output projections plus the (gated) FFN. For MoE models the FFN
 // term is TopK experts wide. Each weight contributes a multiply–add.

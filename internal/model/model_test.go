@@ -76,8 +76,8 @@ func TestCausalPairs(t *testing.T) {
 
 func TestAttnFlopsQuadraticScaling(t *testing.T) {
 	c := LLaMA7B
-	f1 := c.CausalAttnFlops(8192)
-	f2 := c.CausalAttnFlops(16384)
+	f1 := c.AttnFlopsForPairs(CausalPairs(8192))
+	f2 := c.AttnFlopsForPairs(CausalPairs(16384))
 	ratio := f2 / f1
 	if math.Abs(ratio-4) > 0.01 {
 		t.Fatalf("doubling length should ~4x attention flops, got %.3fx", ratio)
@@ -128,7 +128,7 @@ func TestPropertyAttnSuperlinear(t *testing.T) {
 	f := func(a uint16) bool {
 		s := float64(a%32768) + 2
 		// superlinearity: f(2s) > 2 f(s)
-		return c.CausalAttnFlops(2*s) > 2*c.CausalAttnFlops(s)
+		return c.AttnFlopsForPairs(CausalPairs(2*s)) > 2*c.AttnFlopsForPairs(CausalPairs(s))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

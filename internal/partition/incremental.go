@@ -2,31 +2,28 @@
 // partitioner every iteration, so planning latency bounds campaign
 // goodput. The Incremental planner exploits how little the input usually
 // changes between consecutive iterations: it keeps a keyed plan cache
-// (exact reuse of a previously solved batch under the same cluster view)
-// and, when a tolerance is configured, patches the previous plan in place
-// of a full solve — removing departed sequences and greedily re-placing
-// only the arrivals — whenever the batch delta is small and structurally
-// local. Any health change (effective-speed view), elastic resize,
-// capacity change, or structurally large delta invalidates the fast path
-// and falls back to the full hierarchical solve.
+// (exact reuse of a previously solved batch under the same cluster view;
+// the same LRU type as the process-wide SharedCache) and, when a
+// tolerance is configured, patches the previous plan in place of a full
+// solve — removing departed sequences and greedily re-placing only the
+// arrivals — whenever the batch delta is small and structurally local.
+// Any health change (effective-speed view), elastic resize, capacity
+// change, or structurally large delta invalidates the fast path and
+// falls back to the full hierarchical solve.
 //
 // The patch path is engineered for latency: the previous placement lives
 // in a roster sorted by sequence ID, so the batch delta is a two-pointer
 // merge (no per-call map churn); feasibility is judged on the load vector
 // alone and the patched plan is then built in a single pass over one flat
-// backing array, with all transient state in reused scratch buffers (and,
-// under IncrementalConfig.ReusePlans, the plan itself in a reused arena —
-// the steady state then allocates nothing at all). Patched
-// plans are cost-equal to full solves within the configured drift (the
-// golden tests pin this), and every fast-path decision is deterministic,
-// so campaigns running over an Incremental planner remain
+// backing array, with all transient state in reused scratch buffers.
+// Patched plans are cost-equal to full solves within MaxImbalanceDrift
+// (the golden tests pin this), and every fast-path decision is
+// deterministic, so campaigns running over an Incremental planner remain
 // bit-reproducible per (Config, seed).
 package partition
 
 import (
 	"fmt"
-	"hash/maphash"
-	"math"
 	"slices"
 	"sort"
 
@@ -36,15 +33,17 @@ import (
 // PlanMode identifies how the Incremental planner produced a plan.
 type PlanMode uint8
 
-// The three fast-path outcomes: a full hierarchical solve, a patch of the
-// previous plan, or an exact keyed-cache hit.
+// The four fast-path outcomes: a full hierarchical solve, a patch of the
+// previous plan, an exact hit in the planner's own cache, or an exact
+// hit in the process-wide shared tier (IncrementalConfig.Shared).
 const (
 	PlanFull PlanMode = iota
 	PlanPatched
 	PlanCached
+	PlanShared
 )
 
-// String names a mode for stats output.
+// String names a mode for stats output and decision records.
 func (m PlanMode) String() string {
 	switch m {
 	case PlanFull:
@@ -53,19 +52,11 @@ func (m PlanMode) String() string {
 		return "patched"
 	case PlanCached:
 		return "cached"
+	case PlanShared:
+		return "shared"
 	default:
 		return fmt.Sprintf("mode(%d)", uint8(m))
 	}
-}
-
-// PlanStats describes one Plan call's fast-path decision.
-type PlanStats struct {
-	Mode PlanMode
-	// Shared marks a PlanCached outcome that was served from the
-	// process-wide shared tier rather than this planner's own cache. The
-	// Mode stays PlanCached — shared hits carry the same full-solve purity
-	// guarantee — but observability distinguishes the two.
-	Shared bool
 }
 
 // Counters accumulates fast-path decisions over a planner's lifetime.
@@ -89,46 +80,29 @@ type IncrementalConfig struct {
 	// keyed-cache hits, which are bit-identical to full solves, the mode
 	// campaigns use when stream identity matters.
 	MaxDeltaFrac float64
-	// MaxImbalanceDrift self-regulates patch quality: a patched plan
-	// whose load imbalance exceeds (1 + drift) × the imbalance of the
-	// planner's last full solve is discarded and re-solved in full. This
-	// catches the discontinuous cases — a threshold shift that would have
-	// re-split a long sequence — where greedy patching cannot follow the
-	// full algorithm. <= 0 selects 0.15.
-	MaxImbalanceDrift float64
-	// MaxPatchRun bounds consecutive patches before a forced full solve,
-	// so patch chains cannot drift arbitrarily far from a solved base.
-	// <= 0 selects 16.
-	MaxPatchRun int
 	// Shared, when set, is the process-wide plan cache tier: after a
 	// local cache miss (and before patching) the planner probes it for an
 	// exact full-solve hit, and every full solve it performs is published
 	// back. Shared holds full solves only — pure functions of the inputs
 	// — so hits are bit-identical to re-solving and the planner's
 	// determinism guarantees are unchanged. Nil keeps the planner fully
-	// private (the historical behavior).
+	// private.
 	Shared *SharedCache
-	// ReusePlans opts the patch path into plan-arena reuse: patched plans
-	// are built into two ping-ponged arenas owned by the planner instead
-	// of freshly allocated, making steady-state re-planning
-	// allocation-free (0 allocs/op once buffer sizes stabilize, pinned by
-	// tests). The plans themselves are bit-identical to the default
-	// mode's. In exchange, a patched Result is only valid until the
-	// second following Plan call (the arena it lives in is then rebuilt);
-	// full solves and cache hits still return immutable heap plans. And
-	// patched plans are not inserted into the keyed cache — arena plans
-	// are mutable, so a verbatim repeat of a patched batch re-patches
-	// instead of hitting the cache. Callers that retain plans across
-	// iterations (campaigns, the fig15 sweep) must leave this off.
-	ReusePlans bool
 }
 
-// Fast-path defaults: DefaultCacheCap bounds the keyed plan cache
-// (entries); the others are IncrementalConfig's defaults.
+// Fast-path bounds. DefaultCacheCap bounds each planner's keyed plan
+// cache (entries). MaxImbalanceDrift self-regulates patch quality: a
+// patched plan whose load imbalance exceeds (1 + drift) × the imbalance
+// of the planner's last full solve is discarded and re-solved in full.
+// This catches the discontinuous cases — a threshold shift that would
+// have re-split a long sequence — where greedy patching cannot follow
+// the full algorithm. MaxPatchRun bounds consecutive patches before a
+// forced full solve, so patch chains cannot drift arbitrarily far from a
+// solved base.
 const (
-	DefaultCacheCap          = 16
-	DefaultMaxImbalanceDrift = 0.15
-	DefaultMaxPatchRun       = 16
+	DefaultCacheCap   = 16
+	MaxImbalanceDrift = 0.15
+	MaxPatchRun       = 16
 )
 
 // Incremental is a stateful planner for re-planning hot paths. Not safe
@@ -137,7 +111,7 @@ type Incremental struct {
 	inc  IncrementalConfig
 	part *Partitioner
 
-	cache []cacheEntry // front = most recent; tiny, scanned linearly
+	cache planCache // entries carry the drift anchor they were solved under
 
 	// Patch base: the most recent plan, its per-rank token loads, and its
 	// placement roster sorted by sequence ID.
@@ -159,35 +133,17 @@ type Incremental struct {
 	patchRun int
 
 	counters Counters
-	seed     maphash.Seed
 
 	// Reused scratch.
-	keyBuf   []byte
 	curBuf   []placedSeq // incoming batch sorted by ID
 	nextBuf  []placedSeq // next roster under construction (swapped in)
 	added    []addedSeq
 	removed  []placedSeq
 	loadsBuf []int
 	share    []int
-	rmIDs    []int        // removed-ID set, ascending (roster order)
-	arrHead  []int        // per-rank arrival chain heads (index into added)
-	arrNext  []int        // arrival chain links
-	arenas   [2]planArena // ReusePlans ping-pong targets
-	arenaIdx int
-}
-
-// planArena is one reusable patched-plan target: the Plan struct, the
-// flat backing array its local lists slice into, the ring list, and the
-// Result wrapper. Under ReusePlans two arenas alternate so the previous
-// patch's plan stays readable (it is the patch base) while the next one
-// builds; without ReusePlans a zero-value arena is used once and its
-// buffers escape into the immutable returned Result.
-type planArena struct {
-	plan  *seq.Plan
-	flat  []seq.Sequence
-	rings []seq.Ring
-	s0    []int
-	res   Result
+	rmIDs    []int // removed-ID set, ascending (roster order)
+	arrHead  []int // per-rank arrival chain heads (index into added)
+	arrNext  []int // arrival chain links
 }
 
 // placedSeq is one roster entry: a sequence and where the plan holds it.
@@ -204,35 +160,12 @@ type addedSeq struct {
 	pos int
 }
 
-// cacheEntry is one keyed plan: the exact inputs plus the solved result.
-// Results are immutable once cached (patching copies, never mutates).
-// baseImb and patchRun snapshot the drift-regulation state at insertion,
-// so adopting a cached *patched* plan as the new patch base restores its
-// original full-solve anchor instead of re-anchoring on the drifted
-// value (which would compound MaxImbalanceDrift cycle over cycle).
-type cacheEntry struct {
-	key      uint64
-	world    int
-	capacity int
-	speeds   []float64
-	batch    []seq.Sequence
-	res      *Result
-	baseImb  float64
-	patchRun int
-}
-
 // NewIncremental builds an incremental planner.
 func NewIncremental(inc IncrementalConfig) *Incremental {
 	if inc.MaxDeltaFrac < 0 {
 		inc.MaxDeltaFrac = 0
 	}
-	if inc.MaxImbalanceDrift <= 0 {
-		inc.MaxImbalanceDrift = DefaultMaxImbalanceDrift
-	}
-	if inc.MaxPatchRun <= 0 {
-		inc.MaxPatchRun = DefaultMaxPatchRun
-	}
-	return &Incremental{inc: inc, seed: maphash.MakeSeed()}
+	return &Incremental{inc: inc, cache: newPlanCache(DefaultCacheCap)}
 }
 
 // Counters reports the cumulative fast-path decision counts.
@@ -242,7 +175,7 @@ func (p *Incremental) Counters() Counters { return p.counters }
 // cold. Campaigns call it at start so a reused planner instance is
 // deterministic run over run.
 func (p *Incremental) Reset() {
-	p.cache = p.cache[:0]
+	p.cache.entries = p.cache.entries[:0]
 	p.haveBase = false
 	p.res = nil
 	p.counters = Counters{}
@@ -251,17 +184,17 @@ func (p *Incremental) Reset() {
 }
 
 // Plan produces a placement for the batch under the configuration,
-// taking the fastest sound path: exact cache hit, patch of the previous
-// plan, or full solve. The returned Result is immutable — callers and
-// the cache share it.
-func (p *Incremental) Plan(cfg Config, batch []seq.Sequence) (*Result, PlanStats, error) {
+// taking the fastest sound path: an exact hit in the planner's own cache
+// or the shared tier, a patch of the previous plan, or a full solve. The
+// returned Result is immutable — callers and the caches share it.
+func (p *Incremental) Plan(cfg Config, batch []seq.Sequence) (*Result, PlanMode, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, PlanStats{}, err
+		return nil, PlanFull, err
 	}
-	key := p.hashKey(cfg, batch)
+	key := p.cache.hash(cfg, batch)
 
 	// Exact keyed reuse: same cluster view, capacity, and batch.
-	if e := p.lookup(key, cfg, batch); e != nil {
+	if e := p.cache.get(key, cfg, batch); e != nil {
 		p.counters.Cached++
 		res, baseImb, patchRun := e.res, e.baseImb, e.patchRun
 		p.rebuildBase(cfg, res)
@@ -269,134 +202,68 @@ func (p *Incremental) Plan(cfg Config, batch []seq.Sequence) (*Result, PlanStats
 		// the full-solve baseline it was judged against.
 		p.baseImb = baseImb
 		p.patchRun = patchRun
-		return res, PlanStats{Mode: PlanCached}, nil
+		return res, PlanCached, nil
 	}
 
+	res, mode, err := p.planMiss(cfg, batch)
+	if err != nil {
+		return nil, PlanFull, err
+	}
+	// Front the plan in the local cache with the drift anchor the miss
+	// path left behind: the rebuilt base's own imbalance and patch run 0
+	// after a full solve or shared hit, the advanced patch run after a
+	// patch.
+	e, _ := p.cache.put(key, cfg, batch, res)
+	e.baseImb, e.patchRun = p.baseImb, p.patchRun
+	return res, mode, nil
+}
+
+// planMiss plans a batch the local cache does not hold: a shared-tier
+// hit, a patch of the previous plan, or a full solve, in that order.
+func (p *Incremental) planMiss(cfg Config, batch []seq.Sequence) (*Result, PlanMode, error) {
 	// Exact hit in the process-wide shared tier: another planner already
 	// full-solved these inputs. The result is bit-identical to solving
 	// here, so adopt it as this planner's patch base (its own imbalance is
-	// the drift anchor, exactly as a fresh full solve would set) and front
-	// it in the local cache.
+	// the drift anchor, exactly as a fresh full solve would set).
 	if p.inc.Shared != nil {
 		if res, ok := p.inc.Shared.Get(cfg, batch); ok {
 			p.counters.Shared++
 			p.rebuildBase(cfg, res)
-			p.insertCache(key, cfg, batch, res)
-			return res, PlanStats{Mode: PlanCached, Shared: true}, nil
+			return res, PlanShared, nil
 		}
 	}
 
 	// Patch the previous plan when the delta is small and structural
-	// conditions hold. tryPatch installs the new base itself, so only the
-	// cache entry remains to store.
+	// conditions hold. tryPatch installs the new base itself.
 	if res, ok := p.tryPatch(cfg, batch); ok {
 		p.counters.Patched++
 		p.patchRun++
-		// Arena-built plans are mutable (rebuilt two patches later), so
-		// only the default mode's immutable plans enter the keyed cache.
-		if !p.inc.ReusePlans {
-			p.insertCache(key, cfg, batch, res)
-		}
-		return res, PlanStats{Mode: PlanPatched}, nil
+		return res, PlanPatched, nil
 	}
 
 	// Full hierarchical solve, reusing the partitioner's scratch.
 	if p.part == nil {
 		part, err := New(cfg)
 		if err != nil {
-			return nil, PlanStats{}, err
+			return nil, PlanFull, err
 		}
 		p.part = part
 	} else if err := p.part.Reconfigure(cfg); err != nil {
-		return nil, PlanStats{}, err
+		return nil, PlanFull, err
 	}
 	res, err := p.part.Plan(batch)
 	if err != nil {
-		return nil, PlanStats{}, err
+		return nil, PlanFull, err
 	}
 	p.counters.Full++
-	// Rebuild the base first: insertCache snapshots the fresh drift
-	// anchor (this solve's own imbalance, patchRun 0).
 	p.rebuildBase(cfg, res)
-	p.insertCache(key, cfg, batch, res)
 	// Full solves are pure functions of (cfg, batch): publish to the
 	// shared tier so concurrent requests and sessions dedupe the work.
 	// Patched plans above never publish — they are history-dependent.
 	if p.inc.Shared != nil {
 		p.inc.Shared.Put(cfg, batch, res)
 	}
-	return res, PlanStats{Mode: PlanFull}, nil
-}
-
-// hashKey folds the cluster view, capacity, and batch into a cache key
-// through one flat buffer hash (per-field Write calls are measurable at
-// thousand-sequence batch sizes).
-func (p *Incremental) hashKey(cfg Config, batch []seq.Sequence) uint64 {
-	need := 8 * (4 + len(cfg.Speeds) + 1 + 2*len(batch))
-	if cap(p.keyBuf) < need {
-		p.keyBuf = make([]byte, need)
-	}
-	b := p.keyBuf[:0]
-	put := func(u uint64) {
-		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-	}
-	put(uint64(cfg.Cluster.Nodes))
-	put(uint64(cfg.Cluster.GPUsPerNode))
-	put(uint64(cfg.CapacityTokens))
-	put(uint64(len(cfg.Speeds)))
-	for _, s := range cfg.Speeds {
-		put(math.Float64bits(s))
-	}
-	put(uint64(len(batch)))
-	for _, s := range batch {
-		put(uint64(s.ID))
-		put(uint64(s.Len))
-	}
-	p.keyBuf = b
-	return maphash.Bytes(p.seed, b)
-}
-
-// lookup finds a cache entry whose key and exact inputs match, promoting
-// it to the front (LRU order).
-func (p *Incremental) lookup(key uint64, cfg Config, batch []seq.Sequence) *cacheEntry {
-	for i := range p.cache {
-		e := &p.cache[i]
-		if e.key != key || e.world != cfg.Cluster.World() || e.capacity != cfg.CapacityTokens {
-			continue
-		}
-		if !sameSpeeds(e.speeds, cfg.Speeds) || !sameBatch(e.batch, batch) {
-			continue
-		}
-		if i != 0 {
-			hit := *e
-			copy(p.cache[1:i+1], p.cache[:i])
-			p.cache[0] = hit
-		}
-		return &p.cache[0]
-	}
-	return nil
-}
-
-// insertCache fronts a solved plan in the keyed cache (LRU eviction),
-// snapshotting the planner's current drift anchor. Callers insert after
-// updating baseImb/patchRun for the plan being cached.
-func (p *Incremental) insertCache(key uint64, cfg Config, batch []seq.Sequence, res *Result) {
-	e := cacheEntry{
-		key:      key,
-		world:    cfg.Cluster.World(),
-		capacity: cfg.CapacityTokens,
-		speeds:   copyF(cfg.Speeds),
-		batch:    append([]seq.Sequence(nil), batch...),
-		res:      res,
-		baseImb:  p.baseImb,
-		patchRun: p.patchRun,
-	}
-	if len(p.cache) < DefaultCacheCap {
-		p.cache = append(p.cache, cacheEntry{})
-	}
-	copy(p.cache[1:], p.cache[:len(p.cache)-1])
-	p.cache[0] = e
+	return res, PlanFull, nil
 }
 
 // rebuildBase reconstructs the patch base from a solved plan: per-rank
@@ -449,7 +316,7 @@ func (p *Incremental) rebuildBase(cfg Config, res *Result) {
 // tryPatch attempts the delta patch. It never mutates planner state on
 // failure; on success it installs the patched plan as the new base.
 func (p *Incremental) tryPatch(cfg Config, batch []seq.Sequence) (*Result, bool) {
-	if !p.haveBase || p.rosterDup || p.inc.MaxDeltaFrac <= 0 || p.patchRun >= p.inc.MaxPatchRun {
+	if !p.haveBase || p.rosterDup || p.inc.MaxDeltaFrac <= 0 || p.patchRun >= MaxPatchRun {
 		return nil, false
 	}
 	// Structural invalidation: elastic resize, capacity change, or any
@@ -524,23 +391,14 @@ func (p *Incremental) tryPatch(cfg Config, batch []seq.Sequence) (*Result, bool)
 	// Quality self-regulation: a patch whose balance drifts past the
 	// full-solve base would hide a restructuring the full algorithm wants
 	// (threshold shift, re-split); discard it and solve in full.
-	if effImbalance(loads, cfg.Speeds) > p.baseImb*(1+p.inc.MaxImbalanceDrift) {
+	if effImbalance(loads, cfg.Speeds) > p.baseImb*(1+MaxImbalanceDrift) {
 		return nil, false
 	}
 
 	// Phase 2 — build the patched plan in one pass: survivors copied in
 	// base order minus the removed IDs, arrivals appended per rank in
 	// placement order (identical content to cutting then appending).
-	// Under ReusePlans the target is the next ping-pong arena; otherwise
-	// a zero-value arena whose buffers escape into the immutable Result.
-	var arena *planArena
-	if p.inc.ReusePlans {
-		arena = &p.arenas[p.arenaIdx]
-		p.arenaIdx ^= 1
-	} else {
-		arena = &planArena{}
-	}
-	res := p.buildPatched(arena, base, len(batch), added, next, rmIDs)
+	res := p.buildPatched(base, len(batch), added, next, rmIDs)
 
 	// Commit: swap in the next roster and loads; the old buffers become
 	// scratch for the following patch.
@@ -550,12 +408,11 @@ func (p *Incremental) tryPatch(cfg Config, batch []seq.Sequence) (*Result, bool)
 	return res, true
 }
 
-// buildPatched assembles the patched plan into an arena. Every local
-// list slices into one flat backing array (capped three-index, so a
-// stray external append cannot clobber a neighbor), rings are the base's
-// minus removals, and the Result wrapper reuses the arena's S0 buffer.
+// buildPatched assembles the patched plan. Every local list slices into
+// one flat backing array (capped three-index, so a stray external append
+// cannot clobber a neighbor), and rings are the base's minus removals.
 // nLocal bounds the flat array: every local entry is a batch member.
-func (p *Incremental) buildPatched(a *planArena, base *seq.Plan, nLocal int, added []addedSeq, next []placedSeq, rmIDs []int) *Result {
+func (p *Incremental) buildPatched(base *seq.Plan, nLocal int, added []addedSeq, next []placedSeq, rmIDs []int) *Result {
 	world := base.World
 	// Per-rank arrival chains, linked in reverse so traversal from each
 	// head yields placement order.
@@ -570,25 +427,16 @@ func (p *Incremental) buildPatched(a *planArena, base *seq.Plan, nLocal int, add
 		p.arrHead[r] = i
 	}
 
-	if a.plan == nil || a.plan.World != world {
-		a.plan = seq.NewPlan(world)
-	}
-	plan := a.plan
-	if cap(a.flat) < nLocal {
-		a.flat = make([]seq.Sequence, 0, nLocal)
-	}
-	flat := a.flat[:0]
-	if cap(a.rings) < len(base.Rings) {
-		a.rings = make([]seq.Ring, 0, len(base.Rings))
-	}
-	rings := a.rings[:0]
-	for _, ring := range base.Rings {
-		if !idRemoved(rmIDs, ring.Seq.ID) {
-			rings = append(rings, ring)
+	plan := seq.NewPlan(world)
+	if len(base.Rings) > 0 {
+		plan.Rings = make([]seq.Ring, 0, len(base.Rings))
+		for _, ring := range base.Rings {
+			if !idRemoved(rmIDs, ring.Seq.ID) {
+				plan.Rings = append(plan.Rings, ring)
+			}
 		}
 	}
-	a.rings = rings
-	plan.Rings = rings
+	flat := make([]seq.Sequence, 0, nLocal)
 	for r := 0; r < world; r++ {
 		start := len(flat)
 		for _, s := range base.Local[r] {
@@ -599,18 +447,11 @@ func (p *Incremental) buildPatched(a *planArena, base *seq.Plan, nLocal int, add
 		for i := p.arrHead[r]; i >= 0; i = p.arrNext[i] {
 			flat = append(flat, added[i].s)
 		}
-		if len(flat) == start {
-			plan.Local[r] = nil
-		} else {
+		if len(flat) > start {
 			plan.Local[r] = flat[start:len(flat):len(flat)]
 		}
 	}
-	a.flat = flat
-
-	a.s0 = growI(a.s0, len(p.res.S0))
-	copy(a.s0, p.res.S0)
-	a.res = Result{Plan: plan, S1: p.res.S1, S0: a.s0}
-	return &a.res
+	return &Result{Plan: plan, S1: p.res.S1, S0: append([]int(nil), p.res.S0...)}
 }
 
 // idRemoved reports whether id is in the ascending removed-ID set.

@@ -58,14 +58,14 @@ func mutate(batch []seq.Sequence, rng *rand.Rand, frac float64, nextID int) ([]s
 	return out, nextID
 }
 
-func mustPlan(t *testing.T, p *Incremental, cfg Config, batch []seq.Sequence) (*Result, PlanStats) {
+func mustPlan(t *testing.T, p *Incremental, cfg Config, batch []seq.Sequence) (*Result, PlanMode) {
 	t.Helper()
 	res, st, err := p.Plan(cfg, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Plan.Validate(batch); err != nil {
-		t.Fatalf("%s plan invalid: %v", st.Mode, err)
+		t.Fatalf("%s plan invalid: %v", st, err)
 	}
 	return res, st
 }
@@ -77,12 +77,12 @@ func TestIncrementalExactCacheHit(t *testing.T) {
 
 	p := NewIncremental(IncrementalConfig{})
 	res1, st1 := mustPlan(t, p, cfg, batch)
-	if st1.Mode != PlanFull {
-		t.Fatalf("first plan mode = %s, want full", st1.Mode)
+	if st1 != PlanFull {
+		t.Fatalf("first plan mode = %s, want full", st1)
 	}
 	res2, st2 := mustPlan(t, p, cfg, batch)
-	if st2.Mode != PlanCached {
-		t.Fatalf("repeat plan mode = %s, want cached", st2.Mode)
+	if st2 != PlanCached {
+		t.Fatalf("repeat plan mode = %s, want cached", st2)
 	}
 	if res1 != res2 {
 		t.Fatal("cache hit must return the identical result")
@@ -101,8 +101,8 @@ func TestIncrementalExactModeNeverPatches(t *testing.T) {
 
 	next, _ := mutate(batch, rng, 0.05, 1<<20)
 	_, st := mustPlan(t, p, cfg, next)
-	if st.Mode != PlanFull {
-		t.Fatalf("exact mode planned %s on a delta, want full", st.Mode)
+	if st != PlanFull {
+		t.Fatalf("exact mode planned %s on a delta, want full", st)
 	}
 }
 
@@ -136,9 +136,9 @@ func TestIncrementalPatchCostEqual(t *testing.T) {
 			refImb := LoadImbalance(ref.Plan, nil)
 			if gotImb > refImb*tol {
 				t.Fatalf("seed %d iter %d (%s): imbalance %.4f vs full %.4f exceeds %.0f%% tolerance",
-					seed, it, st.Mode, gotImb, refImb, (tol-1)*100)
+					seed, it, st, gotImb, refImb, (tol-1)*100)
 			}
-			if st.Mode == PlanPatched {
+			if st == PlanPatched {
 				patched++
 			}
 		}
@@ -212,16 +212,16 @@ func TestIncrementalCacheEviction(t *testing.T) {
 	for _, b := range batches[:DefaultCacheCap] {
 		mustPlan(t, p, cfg, b)
 	}
-	if _, st := mustPlan(t, p, cfg, batches[0]); st.Mode != PlanCached {
-		t.Fatalf("batch 0 should still be cached, got %s", st.Mode)
+	if _, st := mustPlan(t, p, cfg, batches[0]); st != PlanCached {
+		t.Fatalf("batch 0 should still be cached, got %s", st)
 	}
 	// One more batch evicts the least recently used entry (batch 1).
 	mustPlan(t, p, cfg, batches[DefaultCacheCap])
-	if _, st := mustPlan(t, p, cfg, batches[1]); st.Mode != PlanFull {
-		t.Fatalf("evicted batch planned as %s, want full", st.Mode)
+	if _, st := mustPlan(t, p, cfg, batches[1]); st != PlanFull {
+		t.Fatalf("evicted batch planned as %s, want full", st)
 	}
 	// Re-solving batch 1 evicted the next least recently used (batch 2).
-	if _, st := mustPlan(t, p, cfg, batches[2]); st.Mode == PlanCached {
+	if _, st := mustPlan(t, p, cfg, batches[2]); st == PlanCached {
 		t.Fatal("batch 2 should have been evicted by batch 1's re-solve")
 	}
 }
@@ -238,8 +238,8 @@ func TestIncrementalHealthInvalidation(t *testing.T) {
 
 	// Same-view small delta patches...
 	next, nextID := mutate(batch, rng, 0.04, 1<<20)
-	if _, st := mustPlan(t, p, cfg, next); st.Mode != PlanPatched {
-		t.Fatalf("healthy small delta planned as %s, want patched", st.Mode)
+	if _, st := mustPlan(t, p, cfg, next); st != PlanPatched {
+		t.Fatalf("healthy small delta planned as %s, want patched", st)
 	}
 
 	// ...but the same delta under a new straggler view must full-solve.
@@ -254,8 +254,8 @@ func TestIncrementalHealthInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Mode != PlanFull {
-		t.Fatalf("straggler onset planned as %s, want full", st.Mode)
+	if st != PlanFull {
+		t.Fatalf("straggler onset planned as %s, want full", st)
 	}
 	if err := res.Plan.Validate(next); err != nil {
 		t.Fatal(err)
@@ -264,13 +264,13 @@ func TestIncrementalHealthInvalidation(t *testing.T) {
 	// Under the unchanged degraded view, patching resumes (speed-aware
 	// greedy placement).
 	next, _ = mutate(next, rng, 0.04, nextID)
-	if _, st := mustPlan(t, p, degraded, next); st.Mode != PlanPatched {
-		t.Fatalf("stable degraded view planned as %s, want patched", st.Mode)
+	if _, st := mustPlan(t, p, degraded, next); st != PlanPatched {
+		t.Fatalf("stable degraded view planned as %s, want patched", st)
 	}
 
 	// Fault clearing (back to nil speeds) invalidates again.
-	if _, st := mustPlan(t, p, cfg, next); st.Mode != PlanFull {
-		t.Fatalf("fault clearing planned as %s, want full", st.Mode)
+	if _, st := mustPlan(t, p, cfg, next); st != PlanFull {
+		t.Fatalf("fault clearing planned as %s, want full", st)
 	}
 }
 
@@ -282,14 +282,14 @@ func TestIncrementalResizeInvalidation(t *testing.T) {
 	mustPlan(t, p, cfg, batch)
 
 	shrunk := Config{Cluster: cluster.MustNew(cluster.ClusterA, 2), CapacityTokens: cfg.CapacityTokens}
-	if _, st := mustPlan(t, p, shrunk, batch); st.Mode != PlanFull {
-		t.Fatalf("elastic resize planned as %s, want full", st.Mode)
+	if _, st := mustPlan(t, p, shrunk, batch); st != PlanFull {
+		t.Fatalf("elastic resize planned as %s, want full", st)
 	}
 
 	grown := cfg
 	grown.CapacityTokens = cfg.CapacityTokens * 2
-	if _, st := mustPlan(t, p, grown, batch); st.Mode != PlanFull {
-		t.Fatalf("capacity change planned as %s, want full", st.Mode)
+	if _, st := mustPlan(t, p, grown, batch); st != PlanFull {
+		t.Fatalf("capacity change planned as %s, want full", st)
 	}
 }
 
@@ -308,8 +308,8 @@ func TestIncrementalLongArrivalFallsBack(t *testing.T) {
 		}
 	}
 	long := append(append([]seq.Sequence(nil), batch...), seq.Sequence{ID: 1 << 20, Len: minS0})
-	if _, st := mustPlan(t, p, cfg, long); st.Mode != PlanFull {
-		t.Fatalf("ring-zone arrival planned as %s, want full", st.Mode)
+	if _, st := mustPlan(t, p, cfg, long); st != PlanFull {
+		t.Fatalf("ring-zone arrival planned as %s, want full", st)
 	}
 }
 
@@ -323,8 +323,8 @@ func TestIncrementalReset(t *testing.T) {
 	if c := p.Counters(); c.Plans() != 0 {
 		t.Fatalf("counters survive Reset: %+v", c)
 	}
-	if _, st := mustPlan(t, p, cfg, batch); st.Mode != PlanFull {
-		t.Fatalf("post-Reset plan mode = %s, want full", st.Mode)
+	if _, st := mustPlan(t, p, cfg, batch); st != PlanFull {
+		t.Fatalf("post-Reset plan mode = %s, want full", st)
 	}
 }
 
@@ -352,11 +352,57 @@ func TestIncrementalPatchRepeatCached(t *testing.T) {
 		next = next[:len(next)-1]
 	}
 	res1, st := mustPlan(t, p, cfg, next)
-	if st.Mode != PlanPatched {
-		t.Fatalf("delta planned as %s, want patched", st.Mode)
+	if st != PlanPatched {
+		t.Fatalf("delta planned as %s, want patched", st)
 	}
 	res2, st2 := mustPlan(t, p, cfg, next)
-	if st2.Mode != PlanCached || res2 != res1 {
-		t.Fatalf("verbatim repeat of patched batch: mode %s, same=%v", st2.Mode, res1 == res2)
+	if st2 != PlanCached || res2 != res1 {
+		t.Fatalf("verbatim repeat of patched batch: mode %s, same=%v", st2, res1 == res2)
+	}
+}
+
+// TestIncrementalCacheHitRestoresDriftAnchor: a cache hit on a patched
+// plan must restore the patch-run count it was cached with, not restart
+// the chain from zero. After MaxPatchRun consecutive patches, an
+// unrelated full solve and a replay of the last patched batch, the next
+// small delta must be a full solve — the restored bound forbids a 17th
+// patch on the same base.
+func TestIncrementalCacheHitRestoresDriftAnchor(t *testing.T) {
+	cfg := incCell(t)
+	rng := rand.New(rand.NewSource(37))
+	batch := sampleBatch(cfg, rng, 0.8)
+	p := NewIncremental(IncrementalConfig{MaxDeltaFrac: 0.3})
+	mustPlan(t, p, cfg, batch)
+
+	// Each step retires the shortest sequence and admits an arrival of
+	// the same length under a fresh, larger ID: the smallest delta there
+	// is, so every step patches.
+	nextID := 1 << 20
+	swapShortest := func(b []seq.Sequence) []seq.Sequence {
+		shortest := 0
+		for i, s := range b {
+			if s.Len < b[shortest].Len {
+				shortest = i
+			}
+		}
+		out := append(append([]seq.Sequence(nil), b[:shortest]...), b[shortest+1:]...)
+		out = append(out, seq.Sequence{ID: nextID, Len: b[shortest].Len})
+		nextID++
+		return out
+	}
+	for i := 0; i < MaxPatchRun; i++ {
+		batch = swapShortest(batch)
+		if _, st := mustPlan(t, p, cfg, batch); st != PlanPatched {
+			t.Fatalf("chain step %d planned as %s, want patched", i, st)
+		}
+	}
+	if _, st := mustPlan(t, p, cfg, sampleBatch(cfg, rng, 0.6)); st != PlanFull {
+		t.Fatalf("unrelated batch planned as %s, want full", st)
+	}
+	if _, st := mustPlan(t, p, cfg, batch); st != PlanCached {
+		t.Fatalf("replayed patched batch planned as %s, want cached", st)
+	}
+	if _, st := mustPlan(t, p, cfg, swapShortest(batch)); st != PlanFull {
+		t.Fatalf("delta after a cached %d-patch chain planned as %s, want full", MaxPatchRun, st)
 	}
 }

@@ -12,7 +12,9 @@
 // per-iteration hot path of streaming campaigns) and the threshold-retry
 // loops inside one call allocate almost nothing beyond the plan they
 // return. The Incremental planner (incremental.go) layers a keyed plan
-// cache and delta patching on top for the re-planning fast path.
+// cache and delta patching on top for the re-planning fast path; one
+// exact-key LRU type (plancache.go) backs both its per-planner cache and
+// the process-wide SharedCache.
 package partition
 
 import (

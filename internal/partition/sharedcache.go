@@ -18,8 +18,6 @@
 package partition
 
 import (
-	"hash/maphash"
-	"math"
 	"sync"
 
 	"zeppelin/internal/seq"
@@ -34,26 +32,10 @@ const DefaultSharedCap = 256
 // NewSharedCache. All methods are safe for concurrent use.
 type SharedCache struct {
 	mu        sync.Mutex
-	cap       int
-	seed      maphash.Seed
-	entries   []sharedEntry // front = most recently used
+	lru       planCache // guarded by mu
 	hits      uint64
 	misses    uint64
 	evictions uint64
-	keyBuf    []byte // hash scratch, guarded by mu
-}
-
-// sharedEntry is one published full solve plus the exact inputs that
-// produced it. Key collisions are survivable: every lookup re-compares
-// the full inputs, the hash only prunes.
-type sharedEntry struct {
-	key      uint64
-	nodes    int
-	perNode  int
-	capacity int
-	speeds   []float64
-	batch    []seq.Sequence
-	res      *Result
 }
 
 // SharedCacheStats is a point-in-time counter snapshot.
@@ -73,7 +55,7 @@ func NewSharedCache(cap int) *SharedCache {
 	if cap <= 0 {
 		cap = DefaultSharedCap
 	}
-	return &SharedCache{cap: cap, seed: maphash.MakeSeed()}
+	return &SharedCache{lru: newPlanCache(cap)}
 }
 
 // Get returns the published full solve for the exact inputs, promoting
@@ -81,15 +63,9 @@ func NewSharedCache(cap int) *SharedCache {
 func (c *SharedCache) Get(cfg Config, batch []seq.Sequence) (*Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := c.hashLocked(cfg, batch)
-	if i := c.findLocked(key, cfg, batch); i >= 0 {
-		if i != 0 {
-			hit := c.entries[i]
-			copy(c.entries[1:i+1], c.entries[:i])
-			c.entries[0] = hit
-		}
+	if e := c.lru.get(c.lru.hash(cfg, batch), cfg, batch); e != nil {
 		c.hits++
-		return c.entries[0].res, true
+		return e.res, true
 	}
 	c.misses++
 	return nil, false
@@ -103,32 +79,13 @@ func (c *SharedCache) Get(cfg Config, batch []seq.Sequence) (*Result, bool) {
 func (c *SharedCache) Put(cfg Config, batch []seq.Sequence, res *Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := c.hashLocked(cfg, batch)
-	if i := c.findLocked(key, cfg, batch); i >= 0 {
-		if i != 0 {
-			hit := c.entries[i]
-			copy(c.entries[1:i+1], c.entries[:i])
-			c.entries[0] = hit
-		}
+	key := c.lru.hash(cfg, batch)
+	if c.lru.get(key, cfg, batch) != nil {
 		return
 	}
-	e := sharedEntry{
-		key:      key,
-		nodes:    cfg.Cluster.Nodes,
-		perNode:  cfg.Cluster.GPUsPerNode,
-		capacity: cfg.CapacityTokens,
-		speeds:   copyF(cfg.Speeds),
-		batch:    append([]seq.Sequence(nil), batch...),
-		res:      res,
-	}
-	if len(c.entries) < c.cap {
-		c.entries = append(c.entries, sharedEntry{})
-	} else {
-		// The shift below drops the LRU tail to make room.
+	if _, evicted := c.lru.put(key, cfg, batch, res); evicted {
 		c.evictions++
 	}
-	copy(c.entries[1:], c.entries[:len(c.entries)-1])
-	c.entries[0] = e
 }
 
 // Stats snapshots the counters.
@@ -137,53 +94,6 @@ func (c *SharedCache) Stats() SharedCacheStats {
 	defer c.mu.Unlock()
 	return SharedCacheStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Entries: len(c.entries), Capacity: c.cap,
+		Entries: len(c.lru.entries), Capacity: c.lru.cap,
 	}
-}
-
-// findLocked scans for an exact match. Unlike the per-planner cache's
-// world-level check, the node split is compared explicitly: a 2×8 and a
-// 4×4 cluster share a world of 16 but bucket sequences differently, and
-// a shared tier sees both shapes.
-func (c *SharedCache) findLocked(key uint64, cfg Config, batch []seq.Sequence) int {
-	for i := range c.entries {
-		e := &c.entries[i]
-		if e.key != key || e.nodes != cfg.Cluster.Nodes || e.perNode != cfg.Cluster.GPUsPerNode ||
-			e.capacity != cfg.CapacityTokens {
-			continue
-		}
-		if !sameSpeeds(e.speeds, cfg.Speeds) || !sameBatch(e.batch, batch) {
-			continue
-		}
-		return i
-	}
-	return -1
-}
-
-// hashLocked folds the node shape, capacity, speed view, and batch into
-// one flat-buffer hash (the same fields findLocked compares exactly).
-func (c *SharedCache) hashLocked(cfg Config, batch []seq.Sequence) uint64 {
-	need := 8 * (4 + len(cfg.Speeds) + 1 + 2*len(batch))
-	if cap(c.keyBuf) < need {
-		c.keyBuf = make([]byte, need)
-	}
-	b := c.keyBuf[:0]
-	put := func(u uint64) {
-		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-	}
-	put(uint64(cfg.Cluster.Nodes))
-	put(uint64(cfg.Cluster.GPUsPerNode))
-	put(uint64(cfg.CapacityTokens))
-	put(uint64(len(cfg.Speeds)))
-	for _, s := range cfg.Speeds {
-		put(math.Float64bits(s))
-	}
-	put(uint64(len(batch)))
-	for _, s := range batch {
-		put(uint64(s.ID))
-		put(uint64(s.Len))
-	}
-	c.keyBuf = b
-	return maphash.Bytes(c.seed, b)
 }

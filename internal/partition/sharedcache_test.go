@@ -22,20 +22,24 @@ func TestSharedCacheCrossPlannerHit(t *testing.T) {
 
 	producer := NewIncremental(IncrementalConfig{Shared: shared})
 	res1, st1 := mustPlan(t, producer, cfg, batch)
-	if st1.Mode != PlanFull {
-		t.Fatalf("producer mode = %s, want full", st1.Mode)
+	if st1 != PlanFull {
+		t.Fatalf("producer mode = %s, want full", st1)
 	}
 
 	consumer := NewIncremental(IncrementalConfig{Shared: shared})
 	res2, st2 := mustPlan(t, consumer, cfg, batch)
-	if st2.Mode != PlanCached {
-		t.Fatalf("consumer mode = %s, want cached (shared hit)", st2.Mode)
+	if st2 != PlanShared {
+		t.Fatalf("consumer mode = %s, want shared", st2)
 	}
 	if res2 != res1 {
 		t.Fatal("shared hit returned a different Result than the published solve")
 	}
-	if c := consumer.Counters(); c.Shared != 1 || c.Full != 0 {
-		t.Fatalf("consumer counters = %+v, want exactly one shared hit", c)
+	// The shared hit now sits in the consumer's own cache too.
+	if _, st3 := mustPlan(t, consumer, cfg, batch); st3 != PlanCached {
+		t.Fatalf("consumer repeat mode = %s, want cached", st3)
+	}
+	if c := consumer.Counters(); c.Shared != 1 || c.Cached != 1 || c.Full != 0 {
+		t.Fatalf("consumer counters = %+v, want one shared and one local hit", c)
 	}
 
 	// The shared result matches an independent stateless solve.
@@ -72,12 +76,12 @@ func TestSharedCacheDistinguishesNodeSplit(t *testing.T) {
 
 	shared := NewSharedCache(8)
 	p1 := NewIncremental(IncrementalConfig{Shared: shared})
-	if _, st := mustPlan(t, p1, cfg28, batch); st.Mode != PlanFull {
-		t.Fatalf("first shape mode = %s, want full", st.Mode)
+	if _, st := mustPlan(t, p1, cfg28, batch); st != PlanFull {
+		t.Fatalf("first shape mode = %s, want full", st)
 	}
 	p2 := NewIncremental(IncrementalConfig{Shared: shared})
-	if _, st := mustPlan(t, p2, cfg44, batch); st.Mode != PlanFull {
-		t.Fatalf("4x4 shape served the 2x8 plan: mode = %s, want full", st.Mode)
+	if _, st := mustPlan(t, p2, cfg44, batch); st != PlanFull {
+		t.Fatalf("4x4 shape served the 2x8 plan: mode = %s, want full", st)
 	}
 	if st := shared.Stats(); st.Entries != 2 {
 		t.Fatalf("entries = %d, want 2 (one per node shape)", st.Entries)
@@ -102,8 +106,8 @@ func TestSharedCacheSpeedViewsAreDistinct(t *testing.T) {
 	p := NewIncremental(IncrementalConfig{Shared: shared})
 	mustPlan(t, p, cfg, batch)
 	q := NewIncremental(IncrementalConfig{Shared: shared})
-	if _, st := mustPlan(t, q, degraded, batch); st.Mode != PlanFull {
-		t.Fatalf("degraded view hit the healthy entry: mode = %s", st.Mode)
+	if _, st := mustPlan(t, q, degraded, batch); st != PlanFull {
+		t.Fatalf("degraded view hit the healthy entry: mode = %s", st)
 	}
 }
 

@@ -186,20 +186,6 @@ func (p *Plan) TotalTokens() int {
 	return n
 }
 
-// RingsOn returns the rings that include a rank, preserving plan order.
-func (p *Plan) RingsOn(rank int) []Ring {
-	var out []Ring
-	for _, ring := range p.Rings {
-		for _, r := range ring.Ranks {
-			if r == rank {
-				out = append(out, ring)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Validate checks structural invariants: ranks in range, ring sizes ≥ 2,
 // no duplicate ranks within a ring, zone consistency, and exact token
 // conservation against the input batch.

@@ -116,13 +116,6 @@ func TestPlanAccounting(t *testing.T) {
 	if pairs[0] <= pairs[1] {
 		t.Fatal("rank 0 has an extra local sequence, so more pairs")
 	}
-	rings := p.RingsOn(2)
-	if len(rings) != 1 || rings[0].Seq.ID != 0 {
-		t.Fatalf("RingsOn(2) = %v", rings)
-	}
-	if len(p.RingsOn(99)) != 0 {
-		t.Fatal("no rings expected on absent rank")
-	}
 }
 
 func TestPlanValidateCatchesErrors(t *testing.T) {

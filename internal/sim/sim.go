@@ -35,7 +35,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Time is simulated time in seconds.
@@ -225,9 +224,6 @@ func (e *Engine) NewResource(name string, rate float64) *Resource {
 	e.resources = append(e.resources, r)
 	return r
 }
-
-// Resources returns all registered resources in creation order.
-func (e *Engine) Resources() []*Resource { return e.resources }
 
 // Tasks returns all registered tasks in creation order.
 func (e *Engine) Tasks() []*Task { return e.tasks }
@@ -472,40 +468,6 @@ func (e *Engine) CriticalPath() Time {
 		}
 	}
 	return best
-}
-
-// RankSpans returns, for each rank present, the earliest start and latest
-// end among its non-barrier tasks. Useful for imbalance reporting.
-func (e *Engine) RankSpans() map[int][2]Time {
-	out := make(map[int][2]Time)
-	for _, t := range e.tasks {
-		if t.Kind == KindBarrier || t.state != stateDone {
-			continue
-		}
-		sp, ok := out[t.Rank]
-		if !ok {
-			out[t.Rank] = [2]Time{t.Start, t.End}
-			continue
-		}
-		if t.Start < sp[0] {
-			sp[0] = t.Start
-		}
-		if t.End > sp[1] {
-			sp[1] = t.End
-		}
-		out[t.Rank] = sp
-	}
-	return out
-}
-
-// SortedRanks returns the sorted rank ids present in a span map.
-func SortedRanks(spans map[int][2]Time) []int {
-	ranks := make([]int, 0, len(spans))
-	for r := range spans {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	return ranks
 }
 
 // AlmostEqual reports whether two times are equal within a small tolerance,

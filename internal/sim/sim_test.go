@@ -223,22 +223,20 @@ func TestCriticalPathLowerBoundsMakespan(t *testing.T) {
 	}
 }
 
+// TestRankSpans: rank 0's work spans [0, 5] — its second task waits
+// past its own free GPU (t=1) for a dependency on rank 1 (ends t=3).
 func TestRankSpans(t *testing.T) {
 	e := NewEngine()
 	r0 := e.NewResource("gpu0", 0)
 	r1 := e.NewResource("gpu1", 0)
-	e.Compute("a", 0, r0, 1)
+	first := e.Compute("a", 0, r0, 1)
 	late := e.Compute("b", 0, r0, 2)
 	late.After(e.Compute("c", 1, r1, 3))
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	spans := e.RankSpans()
-	if spans[0][0] != 0 || spans[0][1] != 5 {
-		t.Fatalf("rank 0 span = %v, want [0,5]", spans[0])
-	}
-	if got := SortedRanks(spans); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("sorted ranks = %v", got)
+	if first.Start != 0 || late.End != 5 {
+		t.Fatalf("rank 0 span = [%v,%v], want [0,5]", first.Start, late.End)
 	}
 }
 

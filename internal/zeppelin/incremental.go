@@ -25,7 +25,7 @@ import (
 type Incremental struct {
 	m       Method
 	planner *partition.Incremental
-	last    partition.PlanStats
+	last    partition.PlanMode
 }
 
 // NewIncremental wraps a Zeppelin configuration with incremental planning
@@ -47,21 +47,16 @@ func (z *Incremental) SpeedAware() bool { return true }
 // it at Run start (campaign.Replanner).
 func (z *Incremental) ResetPlanner() {
 	z.planner.Reset()
-	z.last = partition.PlanStats{}
+	z.last = partition.PlanFull
 }
 
 // PlannerCounters exposes the cumulative fast-path decision counts.
 func (z *Incremental) PlannerCounters() partition.Counters { return z.planner.Counters() }
 
 // LastPlanMode names the most recent Plan call's fast path for decision
-// tracing: "full", "patched", "cached", or "shared" (a cached-mode hit
-// served from the process-wide tier). Implements campaign.PlanModeReporter.
-func (z *Incremental) LastPlanMode() string {
-	if z.last.Shared {
-		return "shared"
-	}
-	return z.last.Mode.String()
-}
+// tracing: "full", "patched", "cached", or "shared" (an exact hit served
+// from the process-wide tier). Implements campaign.PlanModeReporter.
+func (z *Incremental) LastPlanMode() string { return z.last.String() }
 
 // Plan is Method.Plan through the incremental fast path.
 func (z *Incremental) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Placement, error) {
@@ -69,12 +64,12 @@ func (z *Incremental) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Plac
 	if err != nil {
 		return nil, err
 	}
-	res, st, err := z.planner.Plan(pcfg, batch)
+	res, mode, err := z.planner.Plan(pcfg, batch)
 	if err != nil {
 		return nil, err
 	}
-	z.last = st
+	z.last = mode
 	// Cache hits were validated when first solved; revalidating every
 	// reuse would put the O(n) conservation check back on the fast path.
-	return z.m.place(env, batch, res.Plan, pcfg.Speeds, st.Mode != partition.PlanCached)
+	return z.m.place(env, batch, res.Plan, pcfg.Speeds, mode != partition.PlanCached && mode != partition.PlanShared)
 }

@@ -8,6 +8,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"zeppelin/internal/campaign"
 )
 
 // tuneSmokeRequest is a deliberately tiny search: two-dimension space,
@@ -155,6 +157,25 @@ func TestCapacityFactorCeiling(t *testing.T) {
 	}
 	if err := (PlanRequest{Cluster: ClusterSpec{Capacity: 100}}).Validate(); err != nil {
 		t.Errorf("capacity 100 rejected: %v", err)
+	}
+}
+
+// TestItersCeiling: a horizon above campaign.MaxIters is a validation
+// error on every campaign path (training, serve, tune) instead of a
+// makeslice panic when the campaign starts; MaxIters itself is legal.
+func TestItersCeiling(t *testing.T) {
+	const huge = 1 << 50
+	if err := (CampaignRequest{Iters: huge}).Validate(); !IsValidationError(err) {
+		t.Errorf("CampaignRequest.Validate error = %v, want a validation error", err)
+	}
+	if err := (CampaignRequest{Iters: huge, Serve: &ServeSpec{}}).Validate(); !IsValidationError(err) {
+		t.Errorf("serve CampaignRequest.Validate error = %v, want a validation error", err)
+	}
+	if err := (TuneRequest{Budget: 1, Iters: huge}).Validate(); !IsValidationError(err) {
+		t.Errorf("TuneRequest.Validate error = %v, want a validation error", err)
+	}
+	if err := (CampaignRequest{Iters: campaign.MaxIters}).Validate(); err != nil {
+		t.Errorf("iters = MaxIters rejected: %v", err)
 	}
 }
 
