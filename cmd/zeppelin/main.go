@@ -8,12 +8,13 @@
 //
 //	zeppelin [-seeds N] [-workers N] [-json] <experiment>
 //	zeppelin [-seeds N] [-workers N] campaign [-iters N] [-arrival P] [-drift D] [-policy P] [-json] [...]
+//	zeppelin [-seeds N] [-workers N] serve [-serve SPEC] [-iters N] [-trace FILE] [-dump-trace FILE] [-json] [...]
 //	zeppelin [-seeds N] [-workers N] tune [-space S] [-budget N] [-weights W] [-json] [...]
 //	zeppelin replay [-iters N] [-seed N] [-flip iter=N:decision=replan|reuse] [-json] [...]
 //	zeppelin -version
 //
-// where <experiment> is one of: fig1, table2, fig3, fig5, fig8, fig9,
-// fig10, fig11, fig12, fig13, fig14, fig15, table3, all.
+// where <experiment> is one of the experiments the usage message lists
+// (zeppelin -h), or all.
 //
 // -workers bounds the concurrent simulation pool (default GOMAXPROCS);
 // results are bit-identical for every worker count. -json emits the
@@ -28,6 +29,11 @@
 // elastic shrink/grow) runs the whole stream under a deterministic
 // fault schedule, with fault/recovery markers in the per-iteration
 // records and the rendered timeline.
+//
+// The serve subcommand compares the serving router's objectives (load
+// balance vs KV-cache affinity) on one SLO-classed request stream,
+// seed-averaged with per-class tables; -dump-trace records the
+// scenario's timeline as NDJSON and -trace replays such a file.
 //
 // The tune subcommand closes the loop: it sweeps a declared parameter
 // space — replan policy and threshold, replan cost, admission capacity,
@@ -223,6 +229,80 @@ func experimentCmd(w io.Writer, name string, opts zeppelin.Options, jsonOut bool
 }
 
 // ---------------------------------------------------------------------
+// campaign-cell flags
+// ---------------------------------------------------------------------
+
+// workloadFlags are the campaign-cell flags campaign, replay and tune
+// share: the arrival workload and the fault scenario.
+type workloadFlags struct{ arrival, dataset, drift, faults *string }
+
+// addWorkloadFlags registers the workload flags on fs with arrival as
+// the -arrival default.
+func addWorkloadFlags(fs *flag.FlagSet, arrival string) workloadFlags {
+	return workloadFlags{
+		arrival: fs.String("arrival", arrival, "arrival process: steady|poisson|bursty|drift|replay"),
+		dataset: fs.String("dataset", "arxiv", "base dataset for steady/poisson/bursty/replay arrivals"),
+		drift:   fs.String("drift", "arxiv,github,prolong64k", "comma-separated dataset waypoints for -arrival drift"),
+		faults: fs.String("faults", "none",
+			"fault scenario: none|straggler|nic|failstop|shrink, optionally parameterized as name:key=val,..."),
+	}
+}
+
+// workload resolves the arrival flags; -drift applies to the drift
+// arrival only.
+func (c workloadFlags) workload() zeppelin.WorkloadSpec {
+	w := zeppelin.WorkloadSpec{Dataset: *c.dataset, Arrival: *c.arrival}
+	if *c.arrival == "drift" {
+		w.DriftPath = strings.Split(*c.drift, ",")
+	}
+	return w
+}
+
+// cellFlags add the replanning controller campaign and replay share
+// (tune searches it instead).
+type cellFlags struct {
+	workloadFlags
+	name                  string
+	policy                *string
+	threshold, replanCost *float64
+	every                 *int
+}
+
+// addCellFlags registers the workload and replanning-controller flags
+// on fs with arrival as the -arrival default.
+func addCellFlags(fs *flag.FlagSet, arrival string) *cellFlags {
+	return &cellFlags{
+		workloadFlags: addWorkloadFlags(fs, arrival),
+		name:          fs.Name(),
+		policy:        fs.String("policy", "threshold", "replan policy: always|never|threshold|periodic"),
+		threshold:     fs.Float64("threshold", zeppelin.DefaultThreshold, "imbalance ratio for -policy threshold"),
+		every:         fs.Int("every", 10, "replan cadence for -policy periodic"),
+		replanCost: fs.Float64("replan-cost", zeppelin.DefaultReplanCostSec,
+			"seconds charged per replan; must be >= 0 (0 selects the default)"),
+	}
+}
+
+// check rejects a negative -replan-cost as a usage error.
+func (c *cellFlags) check() error {
+	if *c.replanCost < 0 {
+		return usageErrorf("%s: -replan-cost must be >= 0, got %v", c.name, *c.replanCost)
+	}
+	return nil
+}
+
+// request resolves the cell onto a campaign request over iters
+// iterations.
+func (c *cellFlags) request(iters int) zeppelin.CampaignRequest {
+	return zeppelin.CampaignRequest{
+		Workload:      c.workload(),
+		Policy:        zeppelin.PolicySpec{Name: *c.policy, Threshold: *c.threshold, Every: *c.every},
+		Faults:        *c.faults,
+		Iters:         iters,
+		ReplanCostSec: *c.replanCost,
+	}
+}
+
+// ---------------------------------------------------------------------
 // replay subcommand
 // ---------------------------------------------------------------------
 
@@ -251,16 +331,7 @@ func replayCmd(w io.Writer, args []string, jsonOut bool) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	iters := fs.Int("iters", 50, "campaign iterations; must be >= 1")
 	seed := fs.Int64("seed", 0, "campaign RNG seed")
-	arrivalName := fs.String("arrival", "drift", "arrival process: steady|poisson|bursty|drift|replay")
-	datasetName := fs.String("dataset", "arxiv", "base dataset for steady/poisson/bursty/replay arrivals")
-	driftPath := fs.String("drift", "arxiv,github,prolong64k", "comma-separated dataset waypoints for -arrival drift")
-	policyName := fs.String("policy", "threshold", "replan policy: always|never|threshold|periodic")
-	threshold := fs.Float64("threshold", zeppelin.DefaultThreshold, "imbalance ratio for -policy threshold")
-	every := fs.Int("every", 10, "replan cadence for -policy periodic")
-	replanCost := fs.Float64("replan-cost", zeppelin.DefaultReplanCostSec,
-		"seconds charged per replan; must be >= 0 (0 selects the default)")
-	faultsSpec := fs.String("faults", "none",
-		"fault scenario: none|straggler|nic|failstop|shrink, optionally parameterized as name:key=v,...")
+	cell := addCellFlags(fs, "drift")
 	flipSpec := fs.String("flip", "", "decision to invert, as iter=N:decision=replan|reuse (empty checks bit-identity)")
 	subJSON := fs.Bool("json", false, "emit the replay report as JSON")
 	if err := fs.Parse(args); err != nil {
@@ -272,29 +343,13 @@ func replayCmd(w io.Writer, args []string, jsonOut bool) error {
 	if *iters < 1 {
 		return usageErrorf("replay: -iters must be >= 1, got %d", *iters)
 	}
-	if *replanCost < 0 {
-		return usageErrorf("replay: -replan-cost must be >= 0, got %v", *replanCost)
+	if err := cell.check(); err != nil {
+		return err
 	}
 	jsonOut = jsonOut || *subJSON
 
-	req := zeppelin.ReplayRequest{Campaign: zeppelin.CampaignRequest{
-		Workload: zeppelin.WorkloadSpec{
-			Dataset: *datasetName,
-			Arrival: *arrivalName,
-		},
-		Policy: zeppelin.PolicySpec{
-			Name:      *policyName,
-			Threshold: *threshold,
-			Every:     *every,
-		},
-		Faults:        *faultsSpec,
-		Iters:         *iters,
-		Seed:          *seed,
-		ReplanCostSec: *replanCost,
-	}}
-	if *arrivalName == "drift" {
-		req.Campaign.Workload.DriftPath = strings.Split(*driftPath, ",")
-	}
+	req := zeppelin.ReplayRequest{Campaign: cell.request(*iters)}
+	req.Campaign.Seed = *seed
 	if err := req.Campaign.Validate(); err != nil {
 		return usageError{err}
 	}
@@ -329,18 +384,9 @@ func replayCmd(w io.Writer, args []string, jsonOut bool) error {
 func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
 	iters := fs.Int("iters", 50, "campaign iterations; must be >= 1")
-	arrivalName := fs.String("arrival", "steady", "arrival process: steady|poisson|bursty|drift|replay")
-	datasetName := fs.String("dataset", "arxiv", "base dataset for steady/poisson/bursty/replay arrivals")
-	driftPath := fs.String("drift", "arxiv,github,prolong64k", "comma-separated dataset waypoints for -arrival drift")
-	policyName := fs.String("policy", "threshold", "replan policy: always|never|threshold|periodic")
-	threshold := fs.Float64("threshold", zeppelin.DefaultThreshold, "imbalance ratio for -policy threshold")
-	every := fs.Int("every", 10, "replan cadence for -policy periodic")
-	replanCost := fs.Float64("replan-cost", zeppelin.DefaultReplanCostSec,
-		"seconds charged per replan; must be >= 0 (0 selects the default)")
+	cell := addCellFlags(fs, "steady")
 	capacity := fs.Float64("capacity", 0,
 		"admission capacity factor (per-rank ceiling = capacity × tokens-per-gpu × TP); 0 selects the default (1.25)")
-	faultsSpec := fs.String("faults", "none",
-		"fault scenario: none|straggler|nic|failstop|shrink, optionally parameterized as name:key=val,...")
 	autoscaleSpec := fs.String("autoscale", "",
 		"closed-loop autoscaler: \"on\" or key=val,... (min|max|up-util|down-util|step|cooldown); empty disables")
 	serveSpec := fs.String("serve", "",
@@ -355,8 +401,8 @@ func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) e
 	if *iters < 1 {
 		return usageErrorf("campaign: -iters must be >= 1, got %d", *iters)
 	}
-	if *replanCost < 0 {
-		return usageErrorf("campaign: -replan-cost must be >= 0, got %v", *replanCost)
+	if err := cell.check(); err != nil {
+		return err
 	}
 	jsonOut = jsonOut || *subJSON
 
@@ -376,7 +422,7 @@ func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) e
 		req := zeppelin.CampaignRequest{
 			Cluster:       zeppelin.ClusterSpec{Capacity: *capacity},
 			Iters:         *iters,
-			ReplanCostSec: *replanCost,
+			ReplanCostSec: *cell.replanCost,
 			Serve:         spec,
 		}
 		if err := req.Validate(); err != nil {
@@ -392,24 +438,8 @@ func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) e
 		return cmp.WriteText(w)
 	}
 
-	req := zeppelin.CampaignRequest{
-		Cluster: zeppelin.ClusterSpec{Capacity: *capacity},
-		Workload: zeppelin.WorkloadSpec{
-			Dataset: *datasetName,
-			Arrival: *arrivalName,
-		},
-		Policy: zeppelin.PolicySpec{
-			Name:      *policyName,
-			Threshold: *threshold,
-			Every:     *every,
-		},
-		Faults:        *faultsSpec,
-		Iters:         *iters,
-		ReplanCostSec: *replanCost,
-	}
-	if *arrivalName == "drift" {
-		req.Workload.DriftPath = strings.Split(*driftPath, ",")
-	}
+	req := cell.request(*iters)
+	req.Cluster = zeppelin.ClusterSpec{Capacity: *capacity}
 	if *autoscaleSpec != "" {
 		as, err := zeppelin.ParseAutoscaleSpec(*autoscaleSpec)
 		if err != nil {
@@ -562,11 +592,7 @@ func tuneCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) error
 	iters := fs.Int("iters", zeppelin.DefaultTuneIters, "per-evaluation campaign horizon; must be >= 1")
 	weightsSpec := fs.String("weights", "", "fitness weights as goodput,p99,migration,utilization (empty selects 0.4,0.2,0.2,0.2)")
 	searchSeed := fs.Int64("search-seed", 0, "mutation-stream seed; 0 selects 1")
-	arrivalName := fs.String("arrival", "drift", "arrival process: steady|poisson|bursty|drift|replay")
-	datasetName := fs.String("dataset", "arxiv", "base dataset for steady/poisson/bursty/replay arrivals")
-	driftPath := fs.String("drift", "arxiv,github,prolong64k", "comma-separated dataset waypoints for -arrival drift")
-	faultsSpec := fs.String("faults", "none",
-		"fault scenario the evaluations run under: none|straggler|nic|failstop|shrink[:k=v,...]")
+	cell := addWorkloadFlags(fs, "drift")
 	subJSON := fs.Bool("json", false, "emit the tune report as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -583,20 +609,14 @@ func tuneCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) error
 	jsonOut = jsonOut || *subJSON
 
 	req := zeppelin.TuneRequest{
-		Workload: zeppelin.WorkloadSpec{
-			Dataset: *datasetName,
-			Arrival: *arrivalName,
-		},
-		Faults:     *faultsSpec,
+		Workload:   cell.workload(),
+		Faults:     *cell.faults,
 		Space:      *space,
 		Budget:     *budget,
 		Iters:      *iters,
 		Seeds:      seeds,
 		SearchSeed: *searchSeed,
 		Workers:    workers,
-	}
-	if *arrivalName == "drift" {
-		req.Workload.DriftPath = strings.Split(*driftPath, ",")
 	}
 	if *weightsSpec != "" {
 		tw, err := parseTuneWeights(*weightsSpec)

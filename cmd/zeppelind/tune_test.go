@@ -163,8 +163,8 @@ func TestCampaignAutoscaleOverHTTP(t *testing.T) {
 // TestNonFiniteAndOversizedInputsAre400: NaN/±Inf inside a fault spec or
 // a tune space, a capacity factor above the ceiling, and iters above
 // campaign.MaxIters are rejected up front with the structured 400 — not
-// a 201 session whose event stream dies on a NaN or a makeslice panic, a
-// 200 with an empty body, a dropped connection, or a 500 from an
+// a 201 session whose event stream dies on a NaN or never ends, a 200
+// with an empty body, a dropped connection, or a 500 from an
 // overflowed partitioner capacity.
 func TestNonFiniteAndOversizedInputsAre400(t *testing.T) {
 	ts := testServer(t)

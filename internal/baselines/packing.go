@@ -151,44 +151,3 @@ func (p *packingPlacement) LinearEffectiveTokens(env *trainer.Env) []float64 {
 
 func (p *packingPlacement) MicroBatches() int     { return p.mb }
 func (p *packingPlacement) HostOverhead() float64 { return hostOverheadBase }
-
-// RedundantPairShare reports the fraction of the packed attention work
-// that is cross-sequence (wasted) for a batch at a world size — exposed
-// for tests and the Fig. 3 analysis. Packing is whole-sequence first-fit-
-// decreasing into bins of capacity max(total/world, longest sequence).
-func RedundantPairShare(batch []seq.Sequence, world int) float64 {
-	if len(batch) == 0 || world <= 0 {
-		return 0
-	}
-	tokens := seq.TotalLen(batch)
-	capacity := (tokens + world - 1) / world
-	sorted := append([]seq.Sequence(nil), batch...)
-	seq.SortByLenDesc(sorted)
-	if sorted[0].Len > capacity {
-		capacity = sorted[0].Len
-	}
-	var bins []int
-	var useful float64
-	for _, s := range sorted {
-		useful += model.CausalPairs(float64(s.Len))
-		placed := false
-		for i := range bins {
-			if bins[i]+s.Len <= capacity {
-				bins[i] += s.Len
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			bins = append(bins, s.Len)
-		}
-	}
-	var total float64
-	for _, fill := range bins {
-		total += model.CausalPairs(float64(fill))
-	}
-	if total == 0 {
-		return 0
-	}
-	return 1 - useful/total
-}

@@ -3,6 +3,7 @@ package baselines
 import (
 	"testing"
 
+	"zeppelin/internal/model"
 	"zeppelin/internal/seq"
 	"zeppelin/internal/trainer"
 	"zeppelin/internal/workload"
@@ -30,20 +31,34 @@ func TestPackingRuns(t *testing.T) {
 // Packing wastes work on short-sequence batches (cross-sequence pairs) —
 // it must lose to Zeppelin-style per-sequence handling; on a single long
 // sequence there is no redundancy and it behaves like balanced Ulysses.
+// The share is read off the pairs Packing.Plan packs on a 16-rank cell.
 func TestPackingRedundancyShare(t *testing.T) {
+	c := cfg(2)
+	env, err := c.NewEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	share := func(batch []seq.Sequence) float64 {
+		pl, err := (Packing{}).Plan(env, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var useful float64
+		for _, s := range batch {
+			useful += model.CausalPairs(float64(s.Len))
+		}
+		return 1 - useful/pl.(*packingPlacement).packedPairs
+	}
 	short := make([]seq.Sequence, 64)
 	for i := range short {
 		short[i] = seq.Sequence{ID: i, Len: 1024}
 	}
-	if share := RedundantPairShare(short, 16); share < 0.5 {
-		t.Fatalf("64x1k packed into 16 chunks should be mostly redundant, got %.2f", share)
+	if s := share(short); s < 0.5 {
+		t.Fatalf("64x1k packed into 16 chunks should be mostly redundant, got %.2f", s)
 	}
 	single := []seq.Sequence{{ID: 0, Len: 65536}}
-	if share := RedundantPairShare(single, 16); share > 0.01 {
-		t.Fatalf("single sequence has no packing redundancy, got %.2f", share)
-	}
-	if RedundantPairShare(nil, 4) != 0 {
-		t.Fatal("empty batch share should be 0")
+	if s := share(single); s > 0.01 {
+		t.Fatalf("single sequence has no packing redundancy, got %.2f", s)
 	}
 }
 

@@ -119,7 +119,7 @@ func TestAutoscalerDeterministicAcrossWorkers(t *testing.T) {
 		}
 		var log strings.Builder
 		for _, tr := range traces {
-			if err := tr.WriteNDJSON(&log); err != nil {
+			if err := decision.WriteNDJSON(&log, "", tr.Records()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -143,10 +143,9 @@ type Flip struct {
 // Config.ReplanCost.
 const DefaultReplanCost = 20e-3
 
-// MaxIters bounds Config.Iters: ten times the longest horizon any
-// surface defaults to (serve's 10,000 ticks). Start sizes the report for
-// the whole horizon up front, so an unbounded value would fail there
-// instead of as a validation error.
+// MaxIters bounds Config.Iters, and so the work one request can ask
+// for: ten times the longest horizon any surface defaults to (serve's
+// 10,000 ticks).
 const MaxIters = 100_000
 
 // reuseOverhead is the bookkeeping charge of a reuse iteration in
@@ -309,7 +308,10 @@ func Start(ctx context.Context, cfg Config) (*Stream, error) {
 		stateBytes: 2 * float64(m.Hidden) * float64(m.BytesPerElem) * float64(m.Layers) / float64(cfg.Trainer.TP),
 		rng:        rand.New(rand.NewSource(cfg.Trainer.Seed)),
 		busySum:    make([]float64, baseWorld),
-		report:     &Report{Records: make([]IterRecord, 0, cfg.Iters)},
+		// Records grow with the ticks that run: a serve campaign drains
+		// long before its horizon. Non-nil so an empty report encodes
+		// "records" as [].
+		report: &Report{Records: []IterRecord{}},
 	}
 	if as := cfg.Autoscaler; as != nil {
 		// Start at the ceiling and shrink into the load: the first

@@ -212,8 +212,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(context.Background(), Config{Trainer: testCell(1), Method: zeppelin.Full(), Iters: 0}); err == nil {
 		t.Fatal("zero iterations must error")
 	}
-	// An unbounded horizon is a validation error, not a makeslice panic
-	// in Start.
+	// An unbounded horizon is a validation error, not an unbounded run.
 	if _, err := Run(context.Background(), Config{Trainer: testCell(1), Method: zeppelin.Full(), Iters: 1 << 50}); !IsValidation(err) {
 		t.Fatalf("iters 2^50: err = %v, want validation error", err)
 	}

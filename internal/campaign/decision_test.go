@@ -23,7 +23,7 @@ func tracedConfig(seed int64, iters int, tr *decision.Trace, flip *Flip) Config 
 func traceNDJSON(t *testing.T, tr *decision.Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.WriteNDJSON(&buf); err != nil {
+	if err := decision.WriteNDJSON(&buf, "", tr.Records()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -269,12 +269,17 @@ func TestValidationClassification(t *testing.T) {
 	}
 }
 
+// TestServeDrainsEarly: a serve campaign ends when its timeline drains,
+// and its report holds memory for the ticks that ran, not the horizon.
 func TestServeDrainsEarly(t *testing.T) {
 	cfg := serveConfig(1, "balance")
 	cfg.Iters = 100000
 	rep := runCampaign(t, cfg)
 	if len(rep.Records) >= cfg.Iters {
 		t.Fatal("serve campaign did not end when the timeline drained")
+	}
+	if c := cap(rep.Records); c >= cfg.Iters/10 {
+		t.Fatalf("report reserved %d records for %d ticks run", c, len(rep.Records))
 	}
 }
 

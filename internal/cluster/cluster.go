@@ -153,11 +153,6 @@ func (c *Cluster) RanksOfNode(node int) []int {
 // SameNode reports whether two ranks share a node.
 func (c *Cluster) SameNode(a, b int) bool { return c.NodeOf(a) == c.NodeOf(b) }
 
-// AggregateInterBandwidth is the total cross-node bandwidth of one node.
-func (c *Cluster) AggregateInterBandwidth() float64 {
-	return float64(c.NICsPerNode) * c.NICBandwidth
-}
-
 // Fabric instantiates the cluster's links and compute streams as simulator
 // resources and provides transfer primitives with correct contention:
 //

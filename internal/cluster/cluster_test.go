@@ -74,14 +74,6 @@ func TestClusterCOneToOneNIC(t *testing.T) {
 	}
 }
 
-func TestAggregateInterBandwidth(t *testing.T) {
-	c := MustNew(ClusterA, 1)
-	want := 4 * 200 * 0.125e9 // 4 × 200 Gb/s
-	if got := c.AggregateInterBandwidth(); got != want {
-		t.Fatalf("aggregate = %v, want %v", got, want)
-	}
-}
-
 func TestFabricIntraTransferTime(t *testing.T) {
 	e := sim.NewEngine()
 	c := MustNew(ClusterA, 1)

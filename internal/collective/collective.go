@@ -1,8 +1,9 @@
-// Package collective implements the communication collectives the paper's
-// systems rely on (the NCCL layer): multi-channel ring all-gather,
-// reduce-scatter, all-reduce, broadcast, and a dynamic-shape alltoallv —
-// all emitted as task graphs on a cluster fabric so they contend for the
-// same NVSwitch ports and NICs as everything else in the simulation.
+// Package collective implements the two communication collectives the
+// simulated systems call (the NCCL layer): the multi-channel ring
+// all-gather of the LLaMA CP baseline and the dynamic-shape alltoallv of
+// the §3.4 remapping layer — both emitted as task graphs on a cluster
+// fabric so they contend for the same NVSwitch ports and NICs as
+// everything else in the simulation.
 //
 // The multi-channel ring model mirrors how NCCL extracts a node's
 // aggregate NIC bandwidth: the payload splits across channels, and each
@@ -82,56 +83,6 @@ func AllGather(f *cluster.Fabric, cfg Config, label string, bytesPerRank float64
 		rx := f.E.Transfer(label, sim.KindIntraComm, rank, f.IntraRecv[rank], perRank)
 		rx.After(deps...)
 		done.After(rx)
-	}
-	return done
-}
-
-// ReduceScatter has the same traffic pattern as AllGather with the data
-// flowing toward the reduction owners; the bandwidth model is identical.
-func ReduceScatter(f *cluster.Fabric, cfg Config, label string, bytesPerRank float64, deps ...*sim.Task) *sim.Task {
-	return AllGather(f, cfg, label, bytesPerRank, deps...)
-}
-
-// AllReduce is reduce-scatter followed by all-gather (the classical ring
-// decomposition): 2× the volume of either phase.
-func AllReduce(f *cluster.Fabric, cfg Config, label string, bytesPerRank float64, deps ...*sim.Task) *sim.Task {
-	rs := ReduceScatter(f, cfg, label, bytesPerRank, deps...)
-	return AllGather(f, cfg, label, bytesPerRank, rs)
-}
-
-// Broadcast sends bytes from root to every other rank: cross-node once
-// per remote node over the root's channels, then intra-node fan-out.
-func Broadcast(f *cluster.Fabric, cfg Config, label string, root int, bytes float64, deps ...*sim.Task) *sim.Task {
-	c := f.C
-	done := f.E.Barrier(label, root)
-	done.After(deps...)
-	if bytes <= 0 || c.World() == 1 {
-		return done
-	}
-	rootNode := c.NodeOf(root)
-	// One copy to each remote node (pipelined over the root's NIC).
-	nodeHeads := map[int]*sim.Task{rootNode: f.E.Barrier(label, root)}
-	nodeHeads[rootNode].After(deps...)
-	for n := 0; n < c.Nodes; n++ {
-		if n == rootNode {
-			continue
-		}
-		dst := c.RanksOfNode(n)[0]
-		nodeHeads[n] = f.Send(label, root, dst, bytes, deps...)
-	}
-	// Intra-node fan-out from each node head.
-	for n := 0; n < c.Nodes; n++ {
-		head := c.RanksOfNode(n)[0]
-		if n == rootNode {
-			head = root
-		}
-		for _, r := range c.RanksOfNode(n) {
-			if r == head {
-				done.After(nodeHeads[n])
-				continue
-			}
-			done.After(f.Send(label, head, r, bytes, nodeHeads[n]))
-		}
 	}
 	return done
 }

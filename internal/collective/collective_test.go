@@ -91,52 +91,6 @@ func TestAllGatherEffSlowsDown(t *testing.T) {
 	}
 }
 
-func TestAllReduceIsTwoPhases(t *testing.T) {
-	e, f := fab(t, cluster.ClusterA, 2)
-	AllReduce(f, Config{}, "ar", 1e8)
-	mk, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, f2 := fab(t, cluster.ClusterA, 2)
-	AllGather(f2, Config{}, "ag", 1e8)
-	mk2, err := e2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mk < 1.8*mk2 || mk > 2.2*mk2 {
-		t.Fatalf("all-reduce %v should be ~2x all-gather %v", mk, mk2)
-	}
-}
-
-func TestBroadcastReachesAllNodes(t *testing.T) {
-	e, f := fab(t, cluster.ClusterA, 2)
-	Broadcast(f, Config{}, "bc", 0, 1e8)
-	mk, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mk <= 0 {
-		t.Fatal("broadcast should take time")
-	}
-	// Root's NIC must carry the cross-node copy.
-	if f.NICSend[f.C.NICOf(0)].BusyTime == 0 {
-		t.Fatal("broadcast did not cross nodes")
-	}
-}
-
-func TestBroadcastZeroFree(t *testing.T) {
-	e, f := fab(t, cluster.ClusterA, 2)
-	Broadcast(f, Config{}, "bc", 0, 0)
-	mk, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mk != 0 {
-		t.Fatal("zero-byte broadcast should be free")
-	}
-}
-
 func TestAllToAllVSkipsDegenerate(t *testing.T) {
 	e, f := fab(t, cluster.ClusterA, 1)
 	AllToAllV(f, "a2a", []Transfer{

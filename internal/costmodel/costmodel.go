@@ -181,29 +181,3 @@ func PackedPairs(lengths []int) (useful, redundant float64) {
 	redundant = model.CausalPairs(total) - useful
 	return useful, redundant
 }
-
-// RingCommBytes is the total KV volume a sequence of length s circulates
-// in a ring of size g (each of g ranks forwards its chunk g−1 times).
-func (m *Model) RingCommBytes(s float64, g int) float64 {
-	if g <= 1 {
-		return 0
-	}
-	return m.KVBytes(s) * float64(g-1)
-}
-
-// AllGatherBytesPerRank is the volume each rank receives when all-gathering
-// total KV across w ranks (LLaMA CP): (w−1)/w of the total volume.
-func (m *Model) AllGatherBytesPerRank(totalTokens float64, w int) float64 {
-	if w <= 1 {
-		return 0
-	}
-	return m.KVBytes(totalTokens) * float64(w-1) / float64(w)
-}
-
-// MicroBatchOverhead is the fixed per-micro-batch cost (kernel launches,
-// optimizer bookkeeping) that penalizes many small micro-batches — the
-// "low computation intensity with more micro-batches" effect of Fig. 2c.
-func (m *Model) MicroBatchOverhead() float64 {
-	// One launch per module group: attention + 4 linear kernels.
-	return 5 * m.Spec.LaunchLatency
-}

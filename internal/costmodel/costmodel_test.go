@@ -114,39 +114,9 @@ func TestPackedPairsRedundancy(t *testing.T) {
 	}
 }
 
-func TestRingCommBytes(t *testing.T) {
-	m := m7bA()
-	if m.RingCommBytes(1000, 1) != 0 {
-		t.Fatal("ring of 1 communicates nothing")
-	}
-	got := m.RingCommBytes(1000, 4)
-	want := m.KVBytes(1000) * 3
-	if got != want {
-		t.Fatalf("ring bytes = %v, want %v", got, want)
-	}
-}
-
-func TestAllGatherBytesPerRank(t *testing.T) {
-	m := m7bA()
-	if m.AllGatherBytesPerRank(1000, 1) != 0 {
-		t.Fatal("allgather across 1 rank is free")
-	}
-	got := m.AllGatherBytesPerRank(1600, 16)
-	want := m.KVBytes(1600) * 15 / 16
-	if got != want {
-		t.Fatalf("allgather bytes = %v, want %v", got, want)
-	}
-}
-
 func TestBackwardFactors(t *testing.T) {
 	if BwdComputeFactor != 2.0 || BwdCommFactor != 2.0 {
 		t.Fatal("backward factors should model the ~2x observed in Fig. 12")
-	}
-}
-
-func TestMicroBatchOverheadPositive(t *testing.T) {
-	if m7bA().MicroBatchOverhead() <= 0 {
-		t.Fatal("micro-batch overhead must be positive")
 	}
 }
 

@@ -159,28 +159,24 @@ func (t *Trace) Reset() {
 	t.mu.Unlock()
 }
 
-// WriteNDJSON serializes the trace one compact JSON record per line —
-// the structured decision-log format. Encoding is deterministic (fixed
-// field order, no map iteration), so equal traces produce byte-equal
-// logs at any worker count.
-func (t *Trace) WriteNDJSON(w io.Writer) error {
-	for _, r := range t.Records() {
-		if err := WriteRecordNDJSON(w, r); err != nil {
+// WriteNDJSON writes records in the structured decision-log format: one
+// compact JSON record per line, fields in the fixed wire order, with
+// session stamped on every line (empty leaves the field out). Encoding
+// is deterministic (fixed field order, no map iteration), so equal
+// traces write byte-equal logs at any worker count.
+func WriteNDJSON(w io.Writer, session string, recs []Record) error {
+	for _, r := range recs {
+		r.Session = session
+		raw, err := json.Marshal(r)
+		if err != nil {
+			return fmt.Errorf("decision: encode record: %w", err)
+		}
+		raw = append(raw, '\n')
+		if _, err := w.Write(raw); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// WriteRecordNDJSON writes one record as a compact JSON line.
-func WriteRecordNDJSON(w io.Writer, r Record) error {
-	raw, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("decision: encode record: %w", err)
-	}
-	raw = append(raw, '\n')
-	_, err = w.Write(raw)
-	return err
 }
 
 // CountKind counts records of one kind; with chosen non-empty, only

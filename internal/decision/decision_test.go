@@ -42,10 +42,10 @@ func TestNDJSONDeterministic(t *testing.T) {
 		tr.Add(r)
 	}
 	var a, b bytes.Buffer
-	if err := tr.WriteNDJSON(&a); err != nil {
+	if err := WriteNDJSON(&a, "", tr.Records()); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteNDJSON(&b); err != nil {
+	if err := WriteNDJSON(&b, "", tr.Records()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

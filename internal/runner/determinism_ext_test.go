@@ -48,10 +48,10 @@ func TestSerialParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range serial.Keys() {
-		if !reflect.DeepEqual(serial.Get(k), parallel.Get(k)) {
+	for _, j := range jobs {
+		if !reflect.DeepEqual(serial.Get(j.Key), parallel.Get(j.Key)) {
 			t.Fatalf("%s: serial and parallel results differ:\n%+v\nvs\n%+v",
-				k, serial.Get(k), parallel.Get(k))
+				j.Key, serial.Get(j.Key), parallel.Get(j.Key))
 		}
 	}
 }

@@ -5,17 +5,14 @@
 // and its own simulation environment, so results are bit-identical
 // whether the grid runs on one worker or on runtime.GOMAXPROCS workers.
 // The engine fans jobs across a bounded worker pool, collects results
-// into a keyed store in submission order, memoizes repeated
-// configurations by a stable config identity (an Engine may be shared across
-// many Run calls — `zeppelin all` reuses cells between figures), and can
-// emit the whole result set as a JSON artifact for downstream tooling.
+// into a store keyed by job, and memoizes repeated configurations by a
+// stable config identity (an Engine may be shared across many Run calls —
+// `zeppelin all` reuses cells between figures).
 package runner
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -89,30 +86,15 @@ func New(opts Options) *Engine {
 // Workers reports the resolved pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// JobResult pairs a job's identity with its simulation outcome.
-type JobResult struct {
-	Key     string          `json:"key"`
-	Method  string          `json:"method"`
-	Sampler string          `json:"sampler,omitempty"`
-	Seed    int64           `json:"seed"`
-	Cached  bool            `json:"cached"`
-	Result  *trainer.Result `json:"result"`
-}
-
-// ResultSet holds one Run call's results, in submission order.
+// ResultSet holds one Run call's results by job key.
 type ResultSet struct {
-	// Workers is the pool size the grid ran on; Executed and CacheHits
-	// split the jobs into freshly simulated vs memoized.
-	Workers   int
+	// Executed and CacheHits split the jobs into freshly simulated vs
+	// memoized.
 	Executed  int
 	CacheHits int
 
-	results []JobResult
-	byKey   map[string]*trainer.Result
+	byKey map[string]*trainer.Result
 }
-
-// Results returns all job results in submission order.
-func (rs *ResultSet) Results() []JobResult { return rs.results }
 
 // Get returns the result for a job key, or nil if the key is unknown.
 func (rs *ResultSet) Get(key string) *trainer.Result { return rs.byKey[key] }
@@ -136,19 +118,6 @@ func (rs *ResultSet) MeanTokensPerSec(keys ...string) float64 {
 		sum += rs.TokensPerSec(k)
 	}
 	return sum / float64(len(keys))
-}
-
-// WriteJSON emits the result set as an indented JSON artifact.
-func (rs *ResultSet) WriteJSON(w io.Writer) error {
-	artifact := struct {
-		Workers   int         `json:"workers"`
-		Executed  int         `json:"executed"`
-		CacheHits int         `json:"cache_hits"`
-		Jobs      []JobResult `json:"jobs"`
-	}{rs.Workers, rs.Executed, rs.CacheHits, rs.results}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(artifact)
 }
 
 // Run executes a grid of jobs and collects every result. All jobs run to
@@ -249,12 +218,8 @@ feed:
 	}
 
 	// Resolve followers from their leader's outcome and assemble the
-	// result set in submission order.
-	rs := &ResultSet{
-		Workers: e.workers,
-		results: make([]JobResult, 0, len(jobs)),
-		byKey:   make(map[string]*trainer.Result, len(jobs)),
-	}
+	// result set.
+	rs := &ResultSet{byKey: make(map[string]*trainer.Result, len(jobs))}
 	var firstErr error
 	for i := range jobs {
 		j := &jobs[i]
@@ -274,14 +239,6 @@ feed:
 		} else {
 			rs.Executed++
 		}
-		rs.results = append(rs.results, JobResult{
-			Key:     j.Key,
-			Method:  j.Method.Name(),
-			Sampler: j.SamplerName,
-			Seed:    j.Config.Seed,
-			Cached:  cached[i],
-			Result:  o.res,
-		})
 		rs.byKey[j.Key] = o.res
 	}
 	if firstErr != nil {
@@ -367,13 +324,4 @@ func (e *Engine) CacheSize() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.cache)
-}
-
-// Keys returns the result set's job keys in submission order.
-func (rs *ResultSet) Keys() []string {
-	out := make([]string, len(rs.results))
-	for i, r := range rs.results {
-		out[i] = r.Key
-	}
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -55,7 +54,7 @@ func TestPoolSizing(t *testing.T) {
 	}
 }
 
-func TestRunCollectsInSubmissionOrder(t *testing.T) {
+func TestRunCollectsEveryJob(t *testing.T) {
 	var jobs []Job
 	for s := 0; s < 6; s++ {
 		jobs = append(jobs, quickJob(fmt.Sprintf("s%d", s), int64(100+s), baselines.TECP{}))
@@ -64,12 +63,9 @@ func TestRunCollectsInSubmissionOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rs.Keys(); !reflect.DeepEqual(got, []string{"s0", "s1", "s2", "s3", "s4", "s5"}) {
-		t.Fatalf("keys out of submission order: %v", got)
-	}
-	for _, k := range rs.Keys() {
-		if rs.TokensPerSec(k) <= 0 {
-			t.Fatalf("%s: non-positive throughput", k)
+	for _, j := range jobs {
+		if rs.TokensPerSec(j.Key) <= 0 {
+			t.Fatalf("%s: missing or non-positive throughput", j.Key)
 		}
 	}
 	if rs.Executed != 6 || rs.CacheHits != 0 {
@@ -176,27 +172,6 @@ func TestAnonymousSamplersNeverMemoize(t *testing.T) {
 	if rs.Executed != 2 || rs.CacheHits != 0 || eng.CacheSize() != 0 {
 		t.Fatalf("anonymous samplers memoized: executed=%d hits=%d cache=%d",
 			rs.Executed, rs.CacheHits, eng.CacheSize())
-	}
-}
-
-func TestWriteJSONArtifact(t *testing.T) {
-	rs, err := New(Options{Workers: 2}).Run(context.Background(), []Job{
-		quickJob("a", 1, baselines.TECP{}),
-		quickJob("b", 1, baselines.TECP{}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := rs.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{`"workers": 2`, `"executed": 1`, `"cache_hits": 1`,
-		`"key": "a"`, `"tokens_per_sec"`, `"method": "TE CP"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("artifact missing %q:\n%s", want, out)
-		}
 	}
 }
 

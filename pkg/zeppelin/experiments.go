@@ -21,23 +21,82 @@ type Options struct {
 	Workers int
 }
 
+// experiment is one runnable experiment: its structured result and its
+// paper-style text rendering, both on resolved internal options.
+type experiment struct {
+	name   string
+	run    func(experiments.Options) (any, error)
+	render func(io.Writer, experiments.Options) error
+}
+
+// result adapts an experiment's typed result function to the table.
+func result[T any](f func(experiments.Options) (T, error)) func(experiments.Options) (any, error) {
+	return func(o experiments.Options) (any, error) { return f(o) }
+}
+
+// static adapts an experiment that needs no options and cannot fail.
+func static[T any](v func() T) func(experiments.Options) (any, error) {
+	return func(experiments.Options) (any, error) { return v(), nil }
+}
+
+// staticText adapts a rendering that needs no options and cannot fail.
+func staticText(f func(io.Writer)) func(io.Writer, experiments.Options) error {
+	return func(w io.Writer, _ experiments.Options) error {
+		f(w)
+		return nil
+	}
+}
+
+// experimentTable lists every experiment in paper order.
+var experimentTable = []experiment{
+	{"fig1", static(experiments.Fig1), staticText(experiments.WriteFig1)},
+	{"table2", static(func() []workload.Dataset { return workload.Eval }), staticText(experiments.WriteTable2)},
+	{"fig3", result(experiments.Fig3All), experiments.WriteFig3},
+	{"fig5", static(experiments.Fig5), staticText(experiments.WriteFig5)},
+	{"fig8", result(experiments.Fig8), experiments.WriteFig8},
+	{"fig9", result(experiments.Fig9), experiments.WriteFig9},
+	{"fig10", result(experiments.Fig10), experiments.WriteFig10},
+	{"fig11", result(experiments.Fig11), experiments.WriteFig11},
+	{"fig12", result(experiments.Fig12Traces), experiments.WriteFig12},
+	{"fig13", result(experiments.Fig13), experiments.WriteFig13},
+	{"fig14", result(experiments.Fig14), experiments.WriteFig14},
+	{"fig15", result(experiments.Fig15), experiments.WriteFig15},
+	{"fig16", result(experiments.Fig16), experiments.WriteFig16},
+	{"table3", result(experiments.Table3Opts), func(w io.Writer, opts experiments.Options) error {
+		cols, err := experiments.Table3Opts(opts)
+		if err != nil {
+			return err
+		}
+		return experiments.RenderTable3(w, cols)
+	}},
+}
+
 // Experiments lists every runnable experiment name in paper order —
 // the valid inputs to RunExperiment, RenderExperiment, and the
 // /v1/experiments/{name} endpoint ("all" is additionally accepted by
 // the CLI and expands to this sequence).
 func Experiments() []string {
-	return []string{"fig1", "table2", "fig3", "fig5", "fig8", "fig9",
-		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "table3"}
+	names := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		names[i] = e.name
+	}
+	return names
 }
 
 // IsExperiment reports whether name is a runnable experiment.
 func IsExperiment(name string) bool {
-	for _, k := range Experiments() {
-		if k == name {
-			return true
+	_, err := experimentByName(name)
+	return err == nil
+}
+
+// experimentByName looks one experiment up in the table.
+func experimentByName(name string) (experiment, error) {
+	for _, e := range experimentTable {
+		if e.name == name {
+			return e, nil
 		}
 	}
-	return false
+	return experiment{}, fmt.Errorf("zeppelin: unknown experiment %q", name)
 }
 
 // opts maps public options (plus a context and an optional shared
@@ -55,89 +114,20 @@ func (o Options) engine() *runner.Engine {
 // document the /v1/experiments/{name} endpoint serves. Cancelling ctx
 // stops the experiment's simulation grid and returns ctx.Err().
 func RunExperiment(ctx context.Context, name string, o Options) (any, error) {
-	return runExperiment(name, o.internal(ctx, o.engine()))
-}
-
-// runExperiment dispatches one experiment on resolved internal options.
-func runExperiment(name string, opts experiments.Options) (any, error) {
-	switch name {
-	case "fig1":
-		return experiments.Fig1(), nil
-	case "table2":
-		return workload.Eval, nil
-	case "fig3":
-		return experiments.Fig3All(opts)
-	case "fig5":
-		return experiments.Fig5(), nil
-	case "fig8":
-		return experiments.Fig8(opts)
-	case "fig9":
-		return experiments.Fig9(opts)
-	case "fig10":
-		return experiments.Fig10(opts)
-	case "fig11":
-		return experiments.Fig11(opts)
-	case "fig12":
-		return experiments.Fig12Traces(opts)
-	case "fig13":
-		return experiments.Fig13(opts)
-	case "fig14":
-		return experiments.Fig14(opts)
-	case "fig15":
-		return experiments.Fig15(opts)
-	case "fig16":
-		return experiments.Fig16(opts)
-	case "table3":
-		return experiments.Table3Opts(opts)
+	e, err := experimentByName(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("zeppelin: unknown experiment %q", name)
+	return e.run(o.internal(ctx, o.engine()))
 }
 
 // RenderExperiment writes one experiment's paper-style text rendering.
 func RenderExperiment(ctx context.Context, w io.Writer, name string, o Options) error {
-	return renderExperiment(w, name, o.internal(ctx, o.engine()))
-}
-
-// renderExperiment dispatches one rendering on resolved options.
-func renderExperiment(w io.Writer, name string, opts experiments.Options) error {
-	switch name {
-	case "fig1":
-		experiments.WriteFig1(w)
-		return nil
-	case "table2":
-		experiments.WriteTable2(w)
-		return nil
-	case "fig3":
-		return experiments.WriteFig3(w, opts)
-	case "fig5":
-		experiments.WriteFig5(w)
-		return nil
-	case "fig8":
-		return experiments.WriteFig8(w, opts)
-	case "fig9":
-		return experiments.WriteFig9(w, opts)
-	case "fig10":
-		return experiments.WriteFig10(w, opts)
-	case "fig11":
-		return experiments.WriteFig11(w, opts)
-	case "fig12":
-		return experiments.WriteFig12(w, opts)
-	case "fig13":
-		return experiments.WriteFig13(w, opts)
-	case "fig14":
-		return experiments.WriteFig14(w, opts)
-	case "fig15":
-		return experiments.WriteFig15(w, opts)
-	case "fig16":
-		return experiments.WriteFig16(w, opts)
-	case "table3":
-		cols, err := experiments.Table3Opts(opts)
-		if err != nil {
-			return err
-		}
-		return experiments.RenderTable3(w, cols)
+	e, err := experimentByName(name)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("zeppelin: unknown experiment %q", name)
+	return e.render(w, o.internal(ctx, o.engine()))
 }
 
 // NamedResult pairs an experiment name with its structured result — the
@@ -152,13 +142,13 @@ type NamedResult struct {
 // shared engine, so cells common to several figures simulate once.
 func RunAllExperiments(ctx context.Context, o Options) ([]NamedResult, error) {
 	opts := o.internal(ctx, o.engine())
-	out := make([]NamedResult, 0, len(Experiments()))
-	for _, name := range Experiments() {
-		r, err := runExperiment(name, opts)
+	out := make([]NamedResult, 0, len(experimentTable))
+	for _, e := range experimentTable {
+		r, err := e.run(opts)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, NamedResult{Name: name, Result: r})
+		out = append(out, NamedResult{Name: e.name, Result: r})
 	}
 	return out, nil
 }
@@ -167,9 +157,9 @@ func RunAllExperiments(ctx context.Context, o Options) ([]NamedResult, error) {
 // shared engine, under `================ name ================` banners.
 func RenderAllExperiments(ctx context.Context, w io.Writer, o Options) error {
 	opts := o.internal(ctx, o.engine())
-	for _, name := range Experiments() {
-		fmt.Fprintf(w, "\n================ %s ================\n", name)
-		if err := renderExperiment(w, name, opts); err != nil {
+	for _, e := range experimentTable {
+		fmt.Fprintf(w, "\n================ %s ================\n", e.name)
+		if err := e.render(w, opts); err != nil {
 			return err
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"zeppelin/internal/decision"
 )
 
 // RunReplay deterministically re-runs a campaign and compares the
@@ -136,18 +138,7 @@ func pctDelta(a, b float64) float64 {
 // fixed wire order, with an optional session id stamped on each line.
 // Encoding is deterministic, so equal traces write byte-equal logs.
 func WriteDecisionNDJSON(w io.Writer, session string, recs []DecisionRecord) error {
-	for _, r := range recs {
-		r.Session = session
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if _, err := w.Write(raw); err != nil {
-			return err
-		}
-	}
-	return nil
+	return decision.WriteNDJSON(w, session, recs)
 }
 
 // WriteText renders the replay report for terminals.

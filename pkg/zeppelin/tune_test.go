@@ -161,8 +161,8 @@ func TestCapacityFactorCeiling(t *testing.T) {
 }
 
 // TestItersCeiling: a horizon above campaign.MaxIters is a validation
-// error on every campaign path (training, serve, tune) instead of a
-// makeslice panic when the campaign starts; MaxIters itself is legal.
+// error on every campaign path (training, serve, tune) instead of an
+// unbounded run; MaxIters itself is legal.
 func TestItersCeiling(t *testing.T) {
 	const huge = 1 << 50
 	if err := (CampaignRequest{Iters: huge}).Validate(); !IsValidationError(err) {

@@ -156,39 +156,49 @@ type MethodInfo struct {
 	Display string `json:"display"`
 }
 
-// Methods lists the paper's four compared systems in Fig. 8 order.
-func Methods() []MethodInfo {
-	return []MethodInfo{
-		{ID: "tecp", Display: baselines.TECP{}.Name()},
-		{ID: "llamacp", Display: baselines.LLaMACP{}.Name()},
-		{ID: "hybriddp", Display: baselines.HybridDP{}.Name()},
-		{ID: "zeppelin", Display: zep.Full().Name()},
-	}
+// methodTable lists every scheduling method a request can name by wire
+// ID, in AllMethods order: packing first, then Methods.
+var methodTable = []struct {
+	id     string
+	method trainer.Method
+}{
+	{"packing", baselines.Packing{}},
+	{"tecp", baselines.TECP{}},
+	{"llamacp", baselines.LLaMACP{}},
+	{"hybriddp", baselines.HybridDP{}},
+	{"zeppelin", zep.Full()},
 }
+
+// Methods lists the paper's four compared systems in Fig. 8 order.
+func Methods() []MethodInfo { return AllMethods()[1:] }
 
 // AllMethods additionally includes the input-balanced packing strategy
 // the paper analyzes but does not carry into the end-to-end comparison.
 func AllMethods() []MethodInfo {
-	return append([]MethodInfo{{ID: "packing", Display: baselines.Packing{}.Name()}}, Methods()...)
+	out := make([]MethodInfo, len(methodTable))
+	for i, m := range methodTable {
+		out[i] = MethodInfo{ID: m.id, Display: m.method.Name()}
+	}
+	return out
 }
 
 // methodByID resolves a wire method identifier (case-insensitive,
 // separators ignored) to a trainer method. Empty selects Zeppelin.
 func methodByID(id string) (trainer.Method, error) {
 	norm := strings.ToLower(strings.NewReplacer(" ", "", "-", "", "_", "").Replace(id))
-	switch norm {
-	case "", "zeppelin":
-		return zep.Full(), nil
-	case "tecp":
-		return baselines.TECP{}, nil
-	case "llamacp":
-		return baselines.LLaMACP{}, nil
-	case "hybriddp":
-		return baselines.HybridDP{}, nil
-	case "packing":
-		return baselines.Packing{}, nil
+	if norm == "" {
+		norm = "zeppelin"
 	}
-	return nil, fmt.Errorf("zeppelin: unknown method %q (want zeppelin|tecp|llamacp|hybriddp|packing)", id)
+	for _, m := range methodTable {
+		if m.id == norm {
+			return m.method, nil
+		}
+	}
+	var ids []string
+	for _, m := range methodTable {
+		ids = append(ids, m.id)
+	}
+	return nil, fmt.Errorf("zeppelin: unknown method %q (want %s)", id, strings.Join(ids, "|"))
 }
 
 // PlanRequest asks for one batch to be sampled, partitioned, and

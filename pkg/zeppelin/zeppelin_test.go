@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -307,10 +308,20 @@ func TestVersionIdentifiesAPI(t *testing.T) {
 }
 
 // TestExperimentsSurface: the experiment list matches the dispatchers.
+// Under a cancelled context every listed name runs and renders to a
+// result or context.Canceled, never "unknown experiment".
 func TestExperimentsSurface(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, name := range Experiments() {
 		if !IsExperiment(name) {
 			t.Fatalf("listed experiment %q not recognized", name)
+		}
+		if _, err := RunExperiment(ctx, name, Options{Seeds: 1}); err != nil && !errors.Is(err, context.Canceled) {
+			t.Errorf("RunExperiment(%q) = %v, want a result or context.Canceled", name, err)
+		}
+		if err := RenderExperiment(ctx, io.Discard, name, Options{Seeds: 1}); err != nil && !errors.Is(err, context.Canceled) {
+			t.Errorf("RenderExperiment(%q) = %v, want a rendering or context.Canceled", name, err)
 		}
 	}
 	if IsExperiment("all") || IsExperiment("fig99") {
