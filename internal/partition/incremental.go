@@ -7,9 +7,9 @@
 // tolerance is configured, patches the previous plan in place of a full
 // solve — removing departed sequences and greedily re-placing only the
 // arrivals — whenever the batch delta is small and structurally local.
-// Any health change (effective-speed view), elastic resize, capacity
-// change, or structurally large delta invalidates the fast path and
-// falls back to the full hierarchical solve.
+// Any change in rank speeds (the effective-speed view), elastic resize,
+// capacity change, or structurally large delta invalidates the fast path
+// and falls back to the full hierarchical solve.
 //
 // The patch path is engineered for latency: the previous placement lives
 // in a roster sorted by sequence ID, so the batch delta is a two-pointer
@@ -119,7 +119,7 @@ type Incremental struct {
 	cfgWorld    int
 	cfgNodes    int
 	cfgCapacity int
-	speeds      []float64
+	speeds      []float64 // the base's speed view, never nil
 	res         *Result
 	loads       []int
 	roster      []placedSeq
@@ -140,6 +140,8 @@ type Incremental struct {
 	added    []addedSeq
 	removed  []placedSeq
 	loadsBuf []int
+	load     loadVec // arrival placement over loadsBuf
+	ones     []float64
 	share    []int
 	rmIDs    []int // removed-ID set, ascending (roster order)
 	arrHead  []int // per-rank arrival chain heads (index into added)
@@ -280,7 +282,8 @@ func (p *Incremental) rebuildBase(cfg Config, res *Result) {
 	p.cfgWorld = cfg.Cluster.World()
 	p.cfgNodes = cfg.Cluster.Nodes
 	p.cfgCapacity = cfg.CapacityTokens
-	p.speeds = copyF(cfg.Speeds)
+	speed := orOnes(cfg.Speeds, p.cfgWorld, &p.ones)
+	p.speeds = append(p.speeds[:0], speed...)
 	p.res = res
 	p.loads = res.Plan.TokensPerRankInto(p.loads, p.share)
 
@@ -309,7 +312,7 @@ func (p *Incremental) rebuildBase(cfg Config, res *Result) {
 			p.minS0 = s0
 		}
 	}
-	p.baseImb = effImbalance(p.loads, cfg.Speeds)
+	p.baseImb = effImbalance(p.loads, speed)
 	p.patchRun = 0
 }
 
@@ -320,10 +323,14 @@ func (p *Incremental) tryPatch(cfg Config, batch []seq.Sequence) (*Result, bool)
 		return nil, false
 	}
 	// Structural invalidation: elastic resize, capacity change, or any
-	// health (effective-speed) change forces the full solve — a patched
-	// plan would balance against a stale cluster view.
+	// change in rank speeds forces the full solve — a patched plan would
+	// balance against a stale cluster view.
 	if p.cfgWorld != cfg.Cluster.World() || p.cfgNodes != cfg.Cluster.Nodes ||
-		p.cfgCapacity != cfg.CapacityTokens || !sameSpeeds(p.speeds, cfg.Speeds) {
+		p.cfgCapacity != cfg.CapacityTokens {
+		return nil, false
+	}
+	speed := orOnes(cfg.Speeds, p.cfgWorld, &p.ones)
+	if !slices.Equal(p.speeds, speed) {
 		return nil, false
 	}
 
@@ -348,7 +355,7 @@ func (p *Incremental) tryPatch(cfg Config, batch []seq.Sequence) (*Result, bool)
 	// the load vector, and deferring construction means a failed patch
 	// costs no plan copy and a successful one is built in a single pass.
 	base := p.res.Plan
-	loads := growI(p.loadsBuf, len(p.loads))
+	loads := grow(p.loadsBuf, len(p.loads))
 	p.loadsBuf = loads
 	copy(loads, p.loads)
 	rmIDs := p.rmIDs[:0]
@@ -369,9 +376,9 @@ func (p *Incremental) tryPatch(cfg Config, batch []seq.Sequence) (*Result, bool)
 	p.rmIDs = rmIDs
 
 	// Greedy placement of arrivals, longest first — the same
-	// least-loaded criterion Alg. 2 uses for the local zone. The chosen
-	// rank is written back into the next roster through each arrival's
-	// remembered slot.
+	// least-time-loaded criterion Alg. 2 uses for the local zone. The
+	// chosen rank is written back into the next roster through each
+	// arrival's remembered slot.
 	L := cfg.CapacityTokens
 	slices.SortFunc(added, func(a, b addedSeq) int {
 		if a.s.Len != b.s.Len {
@@ -379,19 +386,20 @@ func (p *Incremental) tryPatch(cfg Config, batch []seq.Sequence) (*Result, bool)
 		}
 		return a.s.ID - b.s.ID
 	})
+	p.load.init(loads, speed)
 	for _, a := range added {
-		d := argminLoad(loads, cfg.Speeds)
+		d := p.load.argmin()
 		if loads[d]+a.s.Len > L {
 			return nil, false
 		}
-		loads[d] += a.s.Len
+		p.load.add(d, a.s.Len)
 		next[a.pos].rank = int32(d)
 	}
 
 	// Quality self-regulation: a patch whose balance drifts past the
 	// full-solve base would hide a restructuring the full algorithm wants
 	// (threshold shift, re-split); discard it and solve in full.
-	if effImbalance(loads, cfg.Speeds) > p.baseImb*(1+MaxImbalanceDrift) {
+	if effImbalance(loads, speed) > p.baseImb*(1+MaxImbalanceDrift) {
 		return nil, false
 	}
 
@@ -416,11 +424,11 @@ func (p *Incremental) buildPatched(base *seq.Plan, nLocal int, added []addedSeq,
 	world := base.World
 	// Per-rank arrival chains, linked in reverse so traversal from each
 	// head yields placement order.
-	p.arrHead = growI(p.arrHead, world)
+	p.arrHead = grow(p.arrHead, world)
 	for i := range p.arrHead {
 		p.arrHead[i] = -1
 	}
-	p.arrNext = growI(p.arrNext, len(added))
+	p.arrNext = grow(p.arrNext, len(added))
 	for i := len(added) - 1; i >= 0; i-- {
 		r := int(next[added[i].pos].rank)
 		p.arrNext[i] = p.arrHead[r]
@@ -557,10 +565,7 @@ func (p *Incremental) diff(batch []seq.Sequence) (removed []placedSeq, added []a
 func effImbalance(loads []int, speeds []float64) float64 {
 	var sum, max float64
 	for i, t := range loads {
-		eff := float64(t)
-		if speeds != nil {
-			eff /= speeds[i]
-		}
+		eff := float64(t) / speeds[i]
 		sum += eff
 		if eff > max {
 			max = eff
@@ -573,43 +578,10 @@ func effImbalance(loads []int, speeds []float64) float64 {
 }
 
 // LoadImbalance is the cost metric the fast path is judged by: the
-// maximum over ranks of effective token load (tokens/speed; raw tokens on
-// a healthy view) divided by the mean. Patched plans must stay within
+// maximum over ranks of effective token load (tokens/speed; nil speeds
+// are all ones) divided by the mean. Patched plans must stay within
 // tolerance of the full solve's value.
 func LoadImbalance(plan *seq.Plan, speeds []float64) float64 {
-	return effImbalance(plan.TokensPerRank(), speeds)
-}
-
-// sameSpeeds compares two speed vectors (nil == nil, not nil == uniform).
-func sameSpeeds(a, b []float64) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sameBatch compares batches element-wise (order-sensitive).
-func sameBatch(a, b []seq.Sequence) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// copyF copies a float slice, preserving nil.
-func copyF(s []float64) []float64 {
-	if s == nil {
-		return nil
-	}
-	return append([]float64(nil), s...)
+	var ones []float64
+	return effImbalance(plan.TokensPerRank(), orOnes(speeds, plan.World, &ones))
 }

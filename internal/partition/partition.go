@@ -30,14 +30,14 @@ type Config struct {
 	Cluster *cluster.Cluster
 	// CapacityTokens is L, the per-device token capacity.
 	CapacityTokens int
-	// Speeds, when set, is the per-rank relative speed vector (1 =
-	// nominal, 0.4 = a 2.5×-slow straggler) of the degraded effective-speed
-	// cluster view. The partitioner then balances *time* instead of
-	// tokens: greedy placement weighs each rank's load by 1/speed, and
-	// ring fragments claim the least-time-loaded devices instead of the
-	// round-robin cursor, steering work away from slow ranks. Capacity
-	// checks stay in raw tokens (memory does not speed up). Nil reproduces
-	// the paper's homogeneous-cluster behavior exactly.
+	// Speeds is the per-rank relative speed vector (1 = nominal, 0.4 = a
+	// 2.5×-slow straggler) of the effective-speed cluster view. The
+	// partitioner balances *time*, not tokens: greedy placement compares
+	// each node's or device's load divided by its speed, and token and
+	// query-chunk shares are proportional to speed, steering work away
+	// from slow ranks. Capacity checks stay in raw tokens (memory does
+	// not speed up). Uniform speeds give the paper's algorithm; nil
+	// stands for all ones.
 	Speeds []float64
 }
 
@@ -71,6 +71,7 @@ type Partitioner struct {
 	// Scratch reused across Plan calls. None of these are retained by
 	// returned plans.
 	sorted     []seq.Sequence
+	ones       []float64 // the uniform view nil Speeds stands for
 	nodeSpeed  []float64
 	interShare [][]int
 	share      []int // inter-ring emission scratch
@@ -116,35 +117,28 @@ type interPlacement struct {
 	nodes []int
 }
 
-// pickScratch holds the least-loaded selection buffers; each
-// algorithm's scratch owns one.
-type pickScratch struct {
-	pick []int
-	eff  []float64
-}
-
 // interScratch is the Alg. 1 evaluation context: evalInter is a pure
 // function of (sorted, threshold) writing only here.
 type interScratch struct {
-	pickScratch
+	load     loadVec
 	nodeLoad []int
 	nodeSeqs [][]seq.Sequence
 	inters   []interPlacement
 	z01, z2  []seq.Sequence
 	share    []int
+	weight   []float64 // chosen nodes' speeds
 }
 
 // intraScratch is the Alg. 2 working context. After intraNode returns,
 // local and rings hold that node's placement until the next node's
 // solve.
 type intraScratch struct {
-	pickScratch
-	devLoad  []int
-	devSpeed []float64
-	z0, z1   []seq.Sequence
-	share    []int
-	local    [][]seq.Sequence // per-device local sequences
-	rings    []seq.Ring
+	load    loadVec
+	devLoad []int
+	z0, z1  []seq.Sequence
+	share   []int
+	local   [][]seq.Sequence // per-device local sequences
+	rings   []seq.Ring
 }
 
 // Plan partitions a batch across the cluster. It errors if the batch
@@ -166,12 +160,19 @@ func (p *Partitioner) Plan(batch []seq.Sequence) (*Result, error) {
 	p.sorted = append(p.sorted[:0], batch...)
 	seq.SortByLenDesc(p.sorted)
 
-	// Under a degraded cluster view, a node's effective speed is the sum
-	// of its ranks' speeds — Alg. 1 then assigns fewer tokens to nodes
-	// hosting stragglers.
-	nodeSpeed := p.nodeSpeeds(N)
+	// A node's speed is the sum of its ranks' speeds, so Alg. 1 assigns
+	// fewer tokens to nodes hosting stragglers.
+	speed := orOnes(p.cfg.Speeds, c.World(), &p.ones)
+	p.nodeSpeed = grow(p.nodeSpeed, N)
+	for n := range p.nodeSpeed {
+		var sum float64
+		for _, s := range speed[n*P : (n+1)*P] {
+			sum += s
+		}
+		p.nodeSpeed[n] = sum
+	}
 
-	s1, err := p.interNode(p.sorted, N, P, L, nodeSpeed)
+	s1, err := p.interNode(p.sorted, N, P, L, p.nodeSpeed)
 	if err != nil {
 		return nil, err
 	}
@@ -193,17 +194,19 @@ func (p *Partitioner) Plan(batch []seq.Sequence) (*Result, error) {
 		if len(ip.nodes) == 1 {
 			zone = seq.ZoneIntra
 		}
-		ring := seq.Ring{Seq: ip.s, Zone: zone, Ranks: ranks, Weights: p.ringWeights(ranks)}
+		ring := seq.Ring{Seq: ip.s, Zone: zone, Ranks: ranks, Weights: ringWeights(speed, ranks)}
 		plan.Rings = append(plan.Rings, ring)
 		p.share = ring.TokensPerRankInto(p.share)
-		for i, r := range ranks {
-			interShare[c.NodeOf(r)][c.LocalRank(r)] += p.share[i]
+		for j, n := range ip.nodes {
+			for d, t := range p.share[j*P : (j+1)*P] {
+				interShare[n][d] += t
+			}
 		}
 	}
 
 	// Per-node Alg. 2 solves, merged into the plan in node order.
 	for n := 0; n < N; n++ {
-		s0, err := p.intraNode(n, nodeSeqs[n], interShare[n])
+		s0, err := p.intraNode(n, nodeSeqs[n], interShare[n], speed)
 		if err != nil {
 			return nil, fmt.Errorf("partition: node %d: %w", n, err)
 		}
@@ -216,23 +219,20 @@ func (p *Partitioner) Plan(batch []seq.Sequence) (*Result, error) {
 	return res, nil
 }
 
-// nodeSpeeds computes the per-node effective speed scratch (nil when the
-// cluster view is healthy).
-func (p *Partitioner) nodeSpeeds(n int) []float64 {
-	if p.cfg.Speeds == nil {
-		return nil
+// orOnes returns speeds, or n ones when speeds is nil: the one place a
+// nil speed vector becomes the uniform view it stands for. buf only ever
+// holds ones, so it is filled once per growth.
+func orOnes(speeds []float64, n int, buf *[]float64) []float64 {
+	if speeds != nil {
+		return speeds
 	}
-	c := p.cfg.Cluster
-	p.nodeSpeed = growF(p.nodeSpeed, n)
-	for nd := 0; nd < n; nd++ {
-		var sum float64
-		lo := nd * c.GPUsPerNode
-		for i := 0; i < c.GPUsPerNode; i++ {
-			sum += p.cfg.Speeds[lo+i]
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+		for i := range *buf {
+			(*buf)[i] = 1
 		}
-		p.nodeSpeed[nd] = sum
 	}
-	return p.nodeSpeed
+	return (*buf)[:n]
 }
 
 // interShareBuf returns the zeroed per-node × per-device inter-ring load
@@ -243,7 +243,7 @@ func (p *Partitioner) interShareBuf(n, dev int) [][]int {
 	}
 	p.interShare = p.interShare[:n]
 	for i := range p.interShare {
-		p.interShare[i] = growI(p.interShare[i], dev)
+		p.interShare[i] = grow(p.interShare[i], dev)
 		for j := range p.interShare[i] {
 			p.interShare[i][j] = 0
 		}
@@ -284,18 +284,17 @@ func (p *Partitioner) interNode(sorted []seq.Sequence, n, pp, l int, nodeSpeed [
 }
 
 // evalInter is one Algorithm 1 evaluation at a fixed threshold s1: it
-// splits the zones, chunks z2 sequences across least-loaded nodes, and
-// greedily places z01 sequences, reporting false as soon as a placement
-// would exceed node capacity. It reads nothing but its arguments and
-// writes nothing but scr. sorted must be in descending length order; on
-// success scr.nodeSeqs and scr.inters hold the assignment, valid until
-// the scratch is reused.
+// splits the zones, chunks z2 sequences across the least-time-loaded
+// nodes in speed-proportional shares, and greedily places z01 sequences,
+// reporting false as soon as a placement would exceed node capacity. It
+// reads nothing but its arguments and writes nothing but scr. sorted
+// must be in descending length order; on success scr.nodeSeqs and
+// scr.inters hold the assignment, valid until the scratch is reused.
 func evalInter(scr *interScratch, sorted []seq.Sequence, n, pp, l, s1 int, nodeSpeed []float64) bool {
-	scr.nodeLoad = growI(scr.nodeLoad, n)
-	nodeLoad := scr.nodeLoad
-	for i := range nodeLoad {
-		nodeLoad[i] = 0
-	}
+	scr.nodeLoad = grow(scr.nodeLoad, n)
+	clear(scr.nodeLoad)
+	load := &scr.load
+	load.init(scr.nodeLoad, nodeSpeed)
 	if cap(scr.nodeSeqs) < n {
 		scr.nodeSeqs = make([][]seq.Sequence, n)
 	}
@@ -325,50 +324,49 @@ func evalInter(scr *interScratch, sorted []seq.Sequence, n, pp, l, s1 int, nodeS
 			if k > n {
 				k = n
 			}
-			// leastLoaded returns scratch; copy because the placement
-			// outlives this call's next selection.
-			nodes := append([]int(nil), scr.leastLoaded(nodeLoad, k, nodeSpeed)...)
-			share := seq.SplitEvenInto(scr.share, s.Len, k)
-			if nodeSpeed != nil {
-				// The emitted ring carries speed-proportional rank
-				// weights, so each node's real token share is its speed
-				// share — account (and capacity-check) the same way.
-				w := make([]float64, k)
-				for i, nd := range nodes {
-					w[i] = nodeSpeed[nd]
-				}
-				share = seq.SplitWeightedInto(scr.share, s.Len, w)
+			// least returns scratch; copy because the placement outlives
+			// this call's next selection.
+			nodes := append([]int(nil), load.least(k)...)
+			// The emitted ring weights its ranks by speed, so each node's
+			// token share is its speed share: account (and capacity-check)
+			// the same way.
+			w := scr.weight[:0]
+			for _, nd := range nodes {
+				w = append(w, nodeSpeed[nd])
 			}
+			scr.weight = w
+			share := seq.SplitWeightedInto(scr.share, s.Len, w)
 			scr.share = share
 			for i, nd := range nodes {
-				nodeLoad[nd] += share[i]
+				load.add(nd, share[i])
 			}
 			inters = append(inters, interPlacement{s: s, nodes: nodes})
 		}
 	}
 	scr.inters = inters
 	for _, s := range z01 {
-		idx := argminLoad(nodeLoad, nodeSpeed)
-		if s.Len+nodeLoad[idx] > pp*l {
+		idx := load.argmin()
+		if s.Len+load.tok[idx] > pp*l {
 			// z01 is sorted descending, so its first element is the
 			// longest; the retry loop's next threshold is exactly the
 			// next chain candidate.
 			return false
 		}
 		nodeSeqs[idx] = append(nodeSeqs[idx], s)
-		nodeLoad[idx] += s.Len
+		load.add(idx, s.Len)
 	}
 	return true
 }
 
 // intraNode is Algorithm 2 for one node: it splits intra-node-zone
 // sequences into quadratic-cost-balanced fragments (forming intra-node
-// rings) and packs local-zone sequences onto the least-loaded devices,
-// iteratively lowering the zone threshold on capacity failure. interShare
-// carries the token loads already imposed by inter-node rings. It
-// returns the converged threshold; the node's placement is left in
-// p.intra.local and p.intra.rings.
-func (p *Partitioner) intraNode(node int, assigned []seq.Sequence, interShare []int) (int, error) {
+// rings on the round-robin device cursor, query chunks weighted by
+// speed) and packs local-zone sequences onto the least-time-loaded
+// devices, iteratively lowering the zone threshold on capacity failure.
+// interShare carries the token loads already imposed by inter-node
+// rings. It returns the converged threshold; the node's placement is
+// left in p.intra.local and p.intra.rings.
+func (p *Partitioner) intraNode(node int, assigned []seq.Sequence, interShare []int, speed []float64) (int, error) {
 	scr := &p.intra
 	c := p.cfg.Cluster
 	P, L := c.GPUsPerNode, p.cfg.CapacityTokens
@@ -377,22 +375,16 @@ func (p *Partitioner) intraNode(node int, assigned []seq.Sequence, interShare []
 		scr.local = make([][]seq.Sequence, P)
 	}
 	scr.local = scr.local[:P]
-	var devSpeed []float64
-	if p.cfg.Speeds != nil {
-		scr.devSpeed = growF(scr.devSpeed, P)
-		devSpeed = scr.devSpeed
-		for d, r := range ranks {
-			devSpeed[d] = p.cfg.Speeds[r]
-		}
-	}
-	scr.devLoad = growI(scr.devLoad, P)
+	devSpeed := speed[ranks[0] : ranks[0]+P]
+	scr.devLoad = grow(scr.devLoad, P)
+	load := &scr.load
 	s0 := L
 	for iter := 0; ; iter++ {
 		if iter > len(assigned)+2 {
 			return 0, fmt.Errorf("intra-node partitioning did not converge")
 		}
-		devLoad := scr.devLoad
-		copy(devLoad, interShare)
+		copy(scr.devLoad, interShare)
+		load.init(scr.devLoad, devSpeed)
 		local := scr.local
 		for i := range local {
 			local[i] = local[i][:0]
@@ -425,58 +417,41 @@ func (p *Partitioner) intraNode(node int, assigned []seq.Sequence, interShare []
 				}
 				if k == 1 {
 					// A single fragment needs no ring; place like a local
-					// sequence on the round-robin device (least-time-loaded
-					// under a degraded view).
+					// sequence on the round-robin device.
 					d := rr % P
-					if devSpeed != nil {
-						d = argminLoad(devLoad, devSpeed)
-					}
 					local[d] = append(local[d], s)
-					devLoad[d] += s.Len
+					load.add(d, s.Len)
 					rr++
 					continue
 				}
+				// A ring's lock-stepped rounds run at its slowest member's
+				// pace, so query-chunk shares are weighted by speed:
+				// stragglers hold smaller chunks and the rounds stay
+				// time-balanced.
 				devs := make([]int, k)
-				if devSpeed == nil {
-					share := seq.SplitEvenInto(scr.share, s.Len, k)
-					scr.share = share
-					for i := 0; i < k; i++ {
-						d := (rr + i) % P
-						devs[i] = ranks[d]
-						devLoad[d] += share[i]
-					}
-					rr += k
-					rings = append(rings, seq.Ring{Seq: s, Zone: seq.ZoneIntra, Ranks: devs})
-					continue
+				for i := range devs {
+					devs[i] = ranks[(rr+i)%P]
 				}
-				// Degraded view: a ring's lock-stepped rounds run at its
-				// slowest member's pace, so fragments claim the k
-				// least-time-loaded devices and weight their query-chunk
-				// shares by speed — stragglers hold smaller chunks and the
-				// rounds stay time-balanced.
-				chosen := scr.leastLoaded(devLoad, k, devSpeed)
-				for i, d := range chosen {
-					devs[i] = ranks[d]
-				}
-				ring := seq.Ring{Seq: s, Zone: seq.ZoneIntra, Ranks: devs, Weights: p.ringWeights(devs)}
+				ring := seq.Ring{Seq: s, Zone: seq.ZoneIntra, Ranks: devs, Weights: ringWeights(speed, devs)}
 				scr.share = ring.TokensPerRankInto(scr.share)
-				for i, d := range chosen {
-					devLoad[d] += scr.share[i]
+				for i, r := range devs {
+					load.add(r-ranks[0], scr.share[i])
 				}
+				rr += k
 				rings = append(rings, ring)
 			}
 		}
 		scr.rings = rings
 		retry := false
 		for _, s := range z0 {
-			idx := argminLoad(devLoad, devSpeed)
-			if s.Len+devLoad[idx] > L {
+			idx := load.argmin()
+			if s.Len+load.tok[idx] > L {
 				s0 = z0[0].Len
 				retry = true
 				break
 			}
 			local[idx] = append(local[idx], s)
-			devLoad[idx] += s.Len
+			load.add(idx, s.Len)
 		}
 		if !retry {
 			return s0, nil
@@ -484,65 +459,120 @@ func (p *Partitioner) intraNode(node int, assigned []seq.Sequence, interShare []
 	}
 }
 
-// ringWeights returns speed-proportional ring weights for a rank set
-// (nil on a healthy cluster, preserving the even 2G-chunk split).
-func (p *Partitioner) ringWeights(ranks []int) []float64 {
-	if p.cfg.Speeds == nil {
-		return nil
+// ringWeights returns a ring's query-chunk weights: its members' speeds,
+// or nil (the paper's even 2G-chunk split) when they share one speed.
+func ringWeights(speed []float64, ranks []int) []float64 {
+	for _, r := range ranks[1:] {
+		if speed[r] != speed[ranks[0]] {
+			out := make([]float64, len(ranks))
+			for i, r := range ranks {
+				out[i] = speed[r]
+			}
+			return out
+		}
 	}
-	out := make([]float64, len(ranks))
-	for i, r := range ranks {
-		out[i] = p.cfg.Speeds[r]
-	}
-	return out
+	return nil
 }
 
-// leastLoaded returns the indices of the k smallest loads, ties broken by
-// index, in increasing-load order. A non-nil speed vector compares
-// effective time loads (load/speed) instead of raw token loads. The
-// result is selection scratch, valid until the next call on the same
-// pickScratch.
-func (ps *pickScratch) leastLoaded(load []int, k int, speed []float64) []int {
-	n := len(load)
-	ps.pick = growI(ps.pick, n)
-	idx := ps.pick
-	if k == 1 {
-		// Early exit: the common single-fragment case needs only argmin,
-		// not a k-selection pass.
-		idx[0] = argminLoad(load, speed)
-		return idx[:1]
+// loadVec is the greedy rules' view of a set of nodes or devices: token
+// loads, which capacity is checked against, and time loads (tokens ÷
+// speed), which placement compares, refreshed as each placement lands.
+// At uniform speed the time loads equal the token loads, so the greedy
+// choices are the paper's. Past treeMin slots (Alg. 1 over many nodes,
+// the patch path over every rank) a tournament tree keeps the argmin
+// current in O(log n) per placement instead of a rescan per sequence; a
+// node's few devices are scanned.
+type loadVec struct {
+	tok   []int
+	time  []float64
+	speed []float64
+	win   []int // win[j] is the least-loaded slot under tree node j, slot i is leaf n+i; empty when scanning
+	pick  []int // least's selection scratch
+}
+
+// treeMin is the most slots a loadVec scans.
+const treeMin = 16
+
+// init points the vector at token loads tok (owned by the caller and
+// updated in place by add) under per-slot speeds.
+func (v *loadVec) init(tok []int, speed []float64) {
+	n := len(tok)
+	v.tok, v.speed = tok, speed
+	v.time = grow(v.time, n)
+	for i, t := range tok {
+		v.time[i] = float64(t) / speed[i]
 	}
+	v.win = v.win[:0]
+	if n <= treeMin {
+		return
+	}
+	v.win = grow(v.win, 2*n)
+	for i := range tok {
+		v.win[n+i] = i
+	}
+	for j := n - 1; j >= 1; j-- {
+		v.win[j] = v.less(v.win[2*j], v.win[2*j+1])
+	}
+}
+
+// less returns whichever of slots a and b has the smaller time load, ties
+// to the lower index.
+func (v *loadVec) less(a, b int) int {
+	if v.time[b] < v.time[a] || (v.time[b] == v.time[a] && b < a) {
+		return b
+	}
+	return a
+}
+
+// add places n tokens on slot i.
+func (v *loadVec) add(i, n int) {
+	v.tok[i] += n
+	v.time[i] = float64(v.tok[i]) / v.speed[i]
+	if len(v.win) == 0 {
+		return
+	}
+	for j := (len(v.tok) + i) / 2; j >= 1; j /= 2 {
+		v.win[j] = v.less(v.win[2*j], v.win[2*j+1])
+	}
+}
+
+// argmin is the greedy least-loaded choice: the smallest time load, ties
+// to the lowest index.
+func (v *loadVec) argmin() int {
+	if len(v.win) > 0 {
+		return v.win[1]
+	}
+	t := v.time
+	best := 0
+	for i := 1; i < len(t); i++ {
+		if t[i] < t[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// least returns the indices of the k smallest time loads in
+// increasing-load order. Equal loads go to whichever index the selection
+// swaps reach first. The result is scratch, valid until the next call.
+func (v *loadVec) least(k int) []int {
+	if k == 1 {
+		// Early exit: the common single-chunk case needs only argmin, not
+		// a k-selection pass.
+		v.pick = append(v.pick[:0], v.argmin())
+		return v.pick
+	}
+	n := len(v.time)
+	v.pick = grow(v.pick, n)
+	idx := v.pick
 	for i := range idx {
 		idx[i] = i
 	}
-	if speed == nil {
-		// Selection sort of the first k: loads are tiny (#nodes or #devices).
-		for i := 0; i < k; i++ {
-			best := i
-			for j := i + 1; j < n; j++ {
-				if load[idx[j]] < load[idx[best]] {
-					best = j
-				}
-			}
-			idx[i], idx[best] = idx[best], idx[i]
-		}
-		return idx[:k]
-	}
-	// Speed-aware: precompute effective time loads once instead of
-	// dividing inside the O(k·n) comparison loop. The explicit index
-	// tie-break matters here: selection swaps perturb idx order, so
-	// strict-smaller alone would resolve equal effective loads by
-	// position, not by rank index.
-	ps.eff = growF(ps.eff, n)
-	eff := ps.eff
-	for i := 0; i < n; i++ {
-		eff[i] = float64(load[i]) / speed[i]
-	}
+	// Selection sort of the first k: there are only #nodes slots.
 	for i := 0; i < k; i++ {
 		best := i
 		for j := i + 1; j < n; j++ {
-			ej, eb := eff[idx[j]], eff[idx[best]]
-			if ej < eb || (ej == eb && idx[j] < idx[best]) {
+			if v.time[idx[j]] < v.time[idx[best]] {
 				best = j
 			}
 		}
@@ -551,39 +581,10 @@ func (ps *pickScratch) leastLoaded(load []int, k int, speed []float64) []int {
 	return idx[:k]
 }
 
-// argminLoad is the greedy least-loaded choice: raw token loads when
-// speed is nil, effective time loads (load/speed) otherwise. Ties break
-// by index in both modes.
-func argminLoad(v []int, speed []float64) int {
-	best := 0
-	if speed == nil {
-		for i, x := range v {
-			if x < v[best] {
-				best = i
-			}
-		}
-		return best
-	}
-	for i := range v {
-		if float64(v[i])/speed[i] < float64(v[best])/speed[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// growI returns s resized to n, reusing capacity (contents unspecified).
-func growI(s []int, n int) []int {
+// grow returns s resized to n, reusing capacity (contents unspecified).
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]int, n)
-}
-
-// growF is growI for float64 scratch.
-func growF(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n)
+	return make([]T, n)
 }

@@ -272,31 +272,86 @@ func TestPropertyPlansValidateAcrossWorkloads(t *testing.T) {
 }
 
 func TestLeastLoaded(t *testing.T) {
-	var ps pickScratch
-	got := ps.leastLoaded([]int{5, 1, 3, 1}, 2, nil)
-	if got[0] != 1 || got[1] != 3 {
-		t.Fatalf("leastLoaded = %v, want [1 3]", got)
+	ones := []float64{1, 1, 1, 1}
+	var v loadVec
+	v.init([]int{5, 1, 3, 1}, ones)
+	if got := v.least(2); got[0] != 1 || got[1] != 3 {
+		t.Fatalf("least = %v, want [1 3]", got)
 	}
-	// Effective time loads: rank 0 is fast, rank 1 slow — 5/5 < 1/0.1.
-	got = ps.leastLoaded([]int{5, 1, 3, 1}, 2, []float64{5, 0.1, 1, 1})
-	if got[0] != 0 || got[1] != 3 {
-		t.Fatalf("speed-weighted leastLoaded = %v, want [0 3]", got)
+	// Time loads: rank 0 is fast, rank 1 slow — 5/5 < 1/0.1.
+	v.init([]int{5, 1, 3, 1}, []float64{5, 0.1, 1, 1})
+	if got := v.least(2); got[0] != 0 || got[1] != 3 {
+		t.Fatalf("speed-weighted least = %v, want [0 3]", got)
+	}
+	// Equal loads go to the position the selection swaps reach first:
+	// picking index 2 swaps index 0 behind index 1.
+	v.init([]int{1, 1, 0}, ones[:3])
+	if got := v.least(2); got[0] != 2 || got[1] != 1 {
+		t.Fatalf("least with ties = %v, want [2 1]", got)
 	}
 	// k == 1 takes the argmin early exit.
-	if one := ps.leastLoaded([]int{4, 2, 9}, 1, nil); len(one) != 1 || one[0] != 1 {
-		t.Fatalf("leastLoaded k=1 = %v, want [1]", one)
+	v.init([]int{4, 2, 9}, ones[:3])
+	if one := v.least(1); len(one) != 1 || one[0] != 1 {
+		t.Fatalf("least k=1 = %v, want [1]", one)
 	}
 }
 
 func TestArgminLoad(t *testing.T) {
-	if argminLoad([]int{3, 1, 2}, nil) != 1 {
+	var v loadVec
+	v.init([]int{3, 1, 2}, []float64{1, 1, 1})
+	if v.argmin() != 1 {
 		t.Fatal("argmin wrong")
 	}
-	if argminLoad([]int{7}, nil) != 0 {
+	v.init([]int{7}, []float64{1})
+	if v.argmin() != 0 {
 		t.Fatal("argmin singleton wrong")
 	}
-	// Under speeds, the fast rank's effective load wins: 3/10 < 1/1.
-	if argminLoad([]int{3, 1, 2}, []float64{10, 1, 1}) != 0 {
+	v.init([]int{2, 1, 1}, []float64{1, 1, 1})
+	if v.argmin() != 1 {
+		t.Fatal("argmin tie must go to the lowest index")
+	}
+	// The fast rank's time load wins: 3/10 < 1/1.
+	v.init([]int{3, 1, 2}, []float64{10, 1, 1})
+	if v.argmin() != 0 {
 		t.Fatal("speed-weighted argmin wrong")
+	}
+	// add refreshes the time load: 23/10 > 1/1.
+	v.add(0, 20)
+	if v.argmin() != 1 {
+		t.Fatal("argmin ignores a landed placement")
+	}
+}
+
+// Past treeMin slots argmin reads a tournament tree. It must pick what a
+// scan picks, ties to the lowest index, wherever placements land.
+func TestArgminTreeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{treeMin + 1, 40, 257} {
+		tok := make([]int, n)
+		speed := make([]float64, n)
+		for i := range speed {
+			speed[i] = []float64{0.5, 1, 2}[rng.Intn(3)]
+		}
+		var v loadVec
+		v.init(tok, speed)
+		for step := 0; step < 20*n; step++ {
+			want := 0
+			for i := range tok {
+				if float64(tok[i])/speed[i] < float64(tok[want])/speed[want] {
+					want = i
+				}
+			}
+			got := v.argmin()
+			if got != want {
+				t.Fatalf("n=%d step %d: argmin = %d, want %d", n, step, got, want)
+			}
+			// Small increments keep ties common; every third lands off
+			// the argmin.
+			slot := got
+			if step%3 == 0 {
+				slot = rng.Intn(n)
+			}
+			v.add(slot, 1+rng.Intn(3))
+		}
 	}
 }

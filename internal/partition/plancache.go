@@ -3,6 +3,7 @@ package partition
 import (
 	"hash/maphash"
 	"math"
+	"slices"
 
 	"zeppelin/internal/seq"
 )
@@ -85,7 +86,7 @@ func (c *planCache) get(key uint64, cfg Config, batch []seq.Sequence) *planEntry
 			e.capacity != cfg.CapacityTokens {
 			continue
 		}
-		if !sameSpeeds(e.speeds, cfg.Speeds) || !sameBatch(e.batch, batch) {
+		if !slices.Equal(e.speeds, cfg.Speeds) || !slices.Equal(e.batch, batch) {
 			continue
 		}
 		if i != 0 {
@@ -112,7 +113,7 @@ func (c *planCache) put(key uint64, cfg Config, batch []seq.Sequence, res *Resul
 		nodes:    cfg.Cluster.Nodes,
 		perNode:  cfg.Cluster.GPUsPerNode,
 		capacity: cfg.CapacityTokens,
-		speeds:   copyF(cfg.Speeds),
+		speeds:   slices.Clone(cfg.Speeds),
 		batch:    append([]seq.Sequence(nil), batch...),
 		res:      res,
 	}

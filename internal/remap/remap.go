@@ -68,19 +68,21 @@ func BalancedTarget(tokens []int) []int {
 // vector (seq.SplitWeighted's largest-remainder rounding — the same
 // arithmetic the partitioner's weighted ring shares use), conserving
 // the input total. With a cluster's relative-speed vector as weights it
-// is the speed-weighted layout the remapping layer steers to under a
-// degraded effective-speed view: slow ranks receive fewer tokens so the
-// token-wise linear modules finish together. Uniform (or absent)
-// weights reduce to BalancedTarget; weights shorter than the rank set
-// leave the tail ranks at weight zero.
+// is the speed-weighted layout the remapping layer steers to: slow ranks
+// receive fewer tokens so the token-wise linear modules finish together.
+// Uniform (or absent) weights reduce to BalancedTarget; weights shorter
+// than the rank set leave the tail ranks at weight zero.
 func WeightedTarget(tokens []int, weights []float64) []int {
 	var total int
 	for _, t := range tokens {
 		total += t
 	}
-	padded := make([]float64, len(tokens))
-	copy(padded, weights)
-	return seq.SplitWeighted(total, padded)
+	if len(weights) != len(tokens) {
+		padded := make([]float64, len(tokens))
+		copy(padded, weights)
+		weights = padded
+	}
+	return seq.SplitWeighted(total, weights)
 }
 
 // Solve computes the Eq. 2 remapping for a token distribution over the

@@ -279,28 +279,30 @@ func sized(dst []int, k int) []int {
 
 // SplitWeighted splits n into len(weights) non-negative parts
 // proportional to the weights (largest-remainder rounding, remainders
-// broken by index), summing exactly to n. Non-positive weights receive
-// nothing; if no weight is positive the split falls back to even.
-// Panics on an empty weight vector.
+// broken by index), summing exactly to n. Equal weights give SplitEven's
+// split. Non-positive weights receive nothing; if no weight is positive
+// the split falls back to even. Panics on an empty weight vector.
 func SplitWeighted(n int, weights []float64) []int {
 	return SplitWeightedInto(nil, n, weights)
 }
 
 // SplitWeightedInto is SplitWeighted writing into dst when it has
-// capacity len(weights). The rounding scratch still allocates; weighted
-// splits are off the healthy-cluster hot path.
+// capacity len(weights). Equal weights take SplitEvenInto without
+// allocating; unequal ones allocate the rounding scratch.
 func SplitWeightedInto(dst []int, n int, weights []float64) []int {
 	k := len(weights)
 	if k <= 0 {
 		panic("seq: SplitWeighted with no weights")
 	}
+	equal := true
 	var sum float64
 	for _, w := range weights {
+		equal = equal && w == weights[0]
 		if w > 0 {
 			sum += w
 		}
 	}
-	if sum <= 0 {
+	if equal || sum <= 0 {
 		return SplitEvenInto(dst, n, k)
 	}
 	out := sized(dst, k)

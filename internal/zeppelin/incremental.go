@@ -40,7 +40,8 @@ func NewIncremental(m Method, cfg partition.IncrementalConfig) *Incremental {
 // comparisons line up method by method.
 func (z *Incremental) Name() string { return z.m.Name() }
 
-// SpeedAware mirrors Method: the planner re-plans against degraded views.
+// SpeedAware mirrors Method: the planner plans against the effective-speed
+// view.
 func (z *Incremental) SpeedAware() bool { return true }
 
 // ResetPlanner drops all cached planning state; the campaign layer calls

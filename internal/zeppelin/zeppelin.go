@@ -42,18 +42,20 @@ func (m Method) Name() string {
 	}
 }
 
-// SpeedAware marks Zeppelin as a method that re-plans against the
-// degraded effective-speed cluster view: the partitioner weighs rank
-// loads by measured speed and the remapping layer steers tokens toward
-// fast ranks, so stragglers cost the harmonic-mean slowdown instead of
-// the maximum. The campaign layer uses this to decide whose stale-plan
-// projections should account for rank speeds (internal/campaign).
+// SpeedAware marks Zeppelin as a method that plans against the
+// effective-speed cluster view: the partitioner weighs rank loads by
+// measured speed and the remapping layer steers tokens toward fast
+// ranks, so stragglers cost the harmonic-mean slowdown instead of the
+// maximum. At uniform speed both are the paper's algorithms. The
+// campaign layer uses this to decide whose stale-plan projections
+// should account for rank speeds (internal/campaign).
 func (Method) SpeedAware() bool { return true }
 
 // Plan partitions the batch hierarchically and prepares the remapping
-// solution for the linear modules. Under a degraded cluster view
-// (env.Health) both stages plan speed-aware; on a healthy cluster the
-// behavior is bit-identical to the paper's homogeneous algorithms.
+// solution for the linear modules. Both stages plan against the rank
+// speeds of env.Health; when every rank runs at one speed, as on a
+// healthy cluster or one whose only fault is a derated NIC, that is
+// exactly the paper's homogeneous algorithms.
 func (m Method) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Placement, error) {
 	pcfg, err := partitionConfig(env, batch)
 	if err != nil {
@@ -71,22 +73,24 @@ func (m Method) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Placement,
 }
 
 // partitionConfig rejects an empty batch and returns the partitioner's
-// view of the iteration: the cluster, the per-rank capacity and, under a
-// degraded health view, the effective per-rank speeds (nil when healthy).
+// view of the iteration: the cluster, the per-rank capacity and the
+// effective per-rank speeds.
 func partitionConfig(env *trainer.Env, batch []seq.Sequence) (partition.Config, error) {
 	if len(batch) == 0 {
 		return partition.Config{}, fmt.Errorf("zeppelin: empty batch")
 	}
-	cfg := partition.Config{Cluster: env.C, CapacityTokens: env.CapacityTokens}
-	if env.Health.Degraded() {
-		cfg.Speeds = env.Health.Speeds(env.C.World())
-	}
-	return cfg, nil
+	return partition.Config{
+		Cluster:        env.C,
+		CapacityTokens: env.CapacityTokens,
+		Speeds:         env.Health.Speeds(env.C.World()),
+	}, nil
 }
 
 // place builds the placement for a solved partition plan: the attention
-// engine over the plan and, with the remap layer on, the Eq. 2 solve and
-// its inverse. validate runs the plan's token-conservation check first.
+// engine over the plan and, with the remap layer on, the Eq. 2 solve
+// toward the speed-weighted layout (the balanced one at uniform speed)
+// and its inverse. validate runs the plan's token-conservation check
+// first.
 func (m Method) place(env *trainer.Env, batch []seq.Sequence, plan *seq.Plan, speeds []float64, validate bool) (trainer.Placement, error) {
 	if validate {
 		if err := plan.Validate(batch); err != nil {
@@ -102,14 +106,10 @@ func (m Method) place(env *trainer.Env, batch []seq.Sequence, plan *seq.Plan, sp
 		bytesPerToken := env.CM.ActBytes(1)
 		bIntra := bytesPerToken / env.C.IntraBandwidth
 		bInter := bytesPerToken / env.C.NICBandwidth
-		// Speed-weighted layout under degradation: slow ranks receive
-		// proportionally fewer tokens so the linear modules finish
-		// together; healthy clusters keep the perfectly balanced target.
+		// Slow ranks receive proportionally fewer tokens so the linear
+		// modules finish together.
 		tokens := plan.TokensPerRank()
-		var target []int
-		if speeds != nil {
-			target = remap.WeightedTarget(tokens, speeds)
-		}
+		target := remap.WeightedTarget(tokens, speeds)
 		rp, err := remap.SolveTarget(tokens, target, env.C, bIntra, bInter)
 		if err != nil {
 			return nil, err

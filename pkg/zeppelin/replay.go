@@ -20,9 +20,9 @@ import (
 // the report then records Flipped=false, Identical=true.
 //
 // Both runs execute in-process under ctx; options (a shared plan cache,
-// decision recording) apply to both. Determinism makes this exact: the
-// factual run here is bit-identical to the recorded stream the request
-// originally produced.
+// decision recording) apply to both, and only their reports are read.
+// Determinism makes this exact: the factual run here is bit-identical to
+// the recorded stream the request originally produced.
 func RunReplay(ctx context.Context, req ReplayRequest, opts ...CampaignOption) (*ReplayReport, error) {
 	if req.Flip != nil {
 		if _, err := req.Flip.flip(); err != nil {
@@ -30,37 +30,38 @@ func RunReplay(ctx context.Context, req ReplayRequest, opts ...CampaignOption) (
 		}
 	}
 
-	factOpts := append(append([]CampaignOption(nil), opts...), WithCampaignDecisions())
-	factual, err := drainCampaign(ctx, req.Campaign, factOpts...)
+	fc, err := drainCampaign(ctx, req.Campaign, opts...)
 	if err != nil {
 		return nil, err
 	}
+	factual := fc.Report()
 
-	cfOpts := append(append([]CampaignOption(nil), opts...), WithCampaignDecisions())
+	cfOpts := opts
 	if req.Flip != nil {
-		cfOpts = append(cfOpts, WithCampaignFlip(*req.Flip))
+		cfOpts = append(append([]CampaignOption(nil), opts...), WithCampaignFlip(*req.Flip))
 	}
-	counter, err := drainCampaign(ctx, req.Campaign, cfOpts...)
+	cc, err := drainCampaign(ctx, req.Campaign, cfOpts...)
 	if err != nil {
 		return nil, err
 	}
+	counter := cc.Report()
 
 	rep := &ReplayReport{
 		Flip:    req.Flip,
-		Factual: factual.report.Summary,
+		Factual: factual.Summary,
 	}
-	for _, ev := range counter.report.Events {
+	for _, ev := range counter.Events {
 		if ev.Flipped {
 			rep.Flipped = true
 			break
 		}
 	}
 
-	factBytes, err := eventStreamBytes(factual.report.Events)
+	factBytes, err := eventStreamBytes(factual.Events)
 	if err != nil {
 		return nil, err
 	}
-	cfBytes, err := eventStreamBytes(counter.report.Events)
+	cfBytes, err := eventStreamBytes(counter.Events)
 	if err != nil {
 		return nil, err
 	}
@@ -73,26 +74,20 @@ func RunReplay(ctx context.Context, req ReplayRequest, opts ...CampaignOption) (
 		}
 		return rep, nil
 	}
-	cf := counter.report.Summary
+	cf := counter.Summary
 	rep.Counterfactual = &cf
 	rep.Delta = &ReplayDelta{
-		TokensPerSecPct: pctDelta(cf.TokensPerSec, factual.report.Summary.TokensPerSec),
-		P99IterTimePct:  pctDelta(cf.P99IterTime, factual.report.Summary.P99IterTime),
-		WallTimeSec:     cf.WallTime - factual.report.Summary.WallTime,
-		Replans:         cf.Replans - factual.report.Summary.Replans,
-		RecoverySec:     cf.RecoverySeconds - factual.report.Summary.RecoverySeconds,
+		TokensPerSecPct: pctDelta(cf.TokensPerSec, factual.Summary.TokensPerSec),
+		P99IterTimePct:  pctDelta(cf.P99IterTime, factual.Summary.P99IterTime),
+		WallTimeSec:     cf.WallTime - factual.Summary.WallTime,
+		Replans:         cf.Replans - factual.Summary.Replans,
+		RecoverySec:     cf.RecoverySeconds - factual.Summary.RecoverySeconds,
 	}
 	return rep, nil
 }
 
-// drainedCampaign pairs a drained campaign's report with its decisions.
-type drainedCampaign struct {
-	report    *CampaignReport
-	decisions []DecisionRecord
-}
-
-// drainCampaign runs one campaign to completion.
-func drainCampaign(ctx context.Context, req CampaignRequest, opts ...CampaignOption) (*drainedCampaign, error) {
+// drainCampaign runs one campaign to completion and returns it drained.
+func drainCampaign(ctx context.Context, req CampaignRequest, opts ...CampaignOption) (*Campaign, error) {
 	c, err := NewCampaign(req, opts...)
 	if err != nil {
 		return nil, err
@@ -108,7 +103,7 @@ func drainCampaign(ctx context.Context, req CampaignRequest, opts ...CampaignOpt
 	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	return &drainedCampaign{report: c.Report(), decisions: c.Decisions()}, nil
+	return c, nil
 }
 
 // eventStreamBytes serializes an event stream exactly the way the

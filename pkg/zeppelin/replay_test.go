@@ -48,7 +48,7 @@ func TestReplayFlipReportsDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	flipIter := -1
-	for _, d := range fact.decisions {
+	for _, d := range fact.Decisions() {
 		if d.Kind == "replan" && d.Chosen == "replan" && !d.Forced {
 			flipIter = d.Iter
 			break
@@ -123,16 +123,17 @@ func TestDecisionNDJSONSessionStamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fact.decisions) == 0 {
+	decs := fact.Decisions()
+	if len(decs) == 0 {
 		t.Fatal("no decisions recorded")
 	}
 	var buf bytes.Buffer
-	if err := WriteDecisionNDJSON(&buf, "c42", fact.decisions); err != nil {
+	if err := WriteDecisionNDJSON(&buf, "c42", decs); err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimRight(buf.Bytes(), "\n"), []byte("\n"))
-	if len(lines) != len(fact.decisions) {
-		t.Fatalf("%d NDJSON lines for %d records", len(lines), len(fact.decisions))
+	if len(lines) != len(decs) {
+		t.Fatalf("%d NDJSON lines for %d records", len(lines), len(decs))
 	}
 	for _, line := range lines {
 		if !bytes.HasPrefix(line, []byte(`{"session":"c42","iter":`)) {

@@ -182,10 +182,14 @@ func AllMethods() []MethodInfo {
 	return out
 }
 
+// methodIDSeparators strips the separators methodByID ignores. A
+// Replacer is safe for concurrent use.
+var methodIDSeparators = strings.NewReplacer(" ", "", "-", "", "_", "")
+
 // methodByID resolves a wire method identifier (case-insensitive,
 // separators ignored) to a trainer method. Empty selects Zeppelin.
 func methodByID(id string) (trainer.Method, error) {
-	norm := strings.ToLower(strings.NewReplacer(" ", "", "-", "", "_", "").Replace(id))
+	norm := strings.ToLower(methodIDSeparators.Replace(id))
 	if norm == "" {
 		norm = "zeppelin"
 	}

@@ -81,7 +81,7 @@ func TestCampaignCacheMatchesUncached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _ := json.Marshal(got.report)
+		b, _ := json.Marshal(got.Report())
 		if !bytes.Equal(b, want) {
 			t.Fatalf("campaign report over a %s plan cache differs from the uncached one", state)
 		}
