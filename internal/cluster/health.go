@@ -1,6 +1,9 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Health is the effective-speed view of a cluster at one instant: which
 // ranks are running slow (thermal throttling, noisy neighbors, ECC
@@ -26,21 +29,11 @@ type Health struct {
 // Zero entries are "unset" placeholders and count as nominal, matching
 // SlowOf and NICDerateOf.
 func (h *Health) Degraded() bool {
-	if h == nil {
-		return false
-	}
-	for _, s := range h.Slow {
-		if s != 1 && s != 0 {
-			return true
-		}
-	}
-	for _, d := range h.NICDerate {
-		if d != 1 && d != 0 {
-			return true
-		}
-	}
-	return false
+	return h != nil && (slices.ContainsFunc(h.Slow, offNominal) || slices.ContainsFunc(h.NICDerate, offNominal))
 }
+
+// offNominal reports whether a slowdown or derate entry is set and not 1.
+func offNominal(f float64) bool { return f != 1 && f != 0 }
 
 // SlowOf returns the slowdown factor of a rank (1 when nominal or out of
 // the view's range).
@@ -61,9 +54,12 @@ func (h *Health) NICDerateOf(nic int) float64 {
 }
 
 // Speeds returns the per-rank relative speed vector 1/Slow for a world
-// size — the quantity load balancers weight effective load by. All ones
-// when the view is nil.
+// size — the quantity load balancers weight effective load by. It is nil,
+// which consumers read as all ones, when no rank is slow.
 func (h *Health) Speeds(world int) []float64 {
+	if h == nil || !slices.ContainsFunc(h.Slow, offNominal) {
+		return nil
+	}
 	out := make([]float64, world)
 	for r := range out {
 		out[r] = 1 / h.SlowOf(r)

@@ -17,10 +17,8 @@ func TestHealthNilIsNominal(t *testing.T) {
 	if err := h.Validate(8, 4); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range h.Speeds(4) {
-		if s != 1 {
-			t.Fatal("nil health speeds must be 1")
-		}
+	if h.Speeds(4) != nil {
+		t.Fatal("nil health must have nil (all ones) speeds")
 	}
 }
 
@@ -51,6 +49,13 @@ func TestHealthValidate(t *testing.T) {
 }
 
 func TestHealthSpeeds(t *testing.T) {
+	// A view that slows no rank, such as a NIC-only derate, has nil
+	// speeds.
+	for _, h := range []*Health{{}, {Slow: []float64{1, 0, 1}}, {NICDerate: []float64{0.25}}} {
+		if got := h.Speeds(4); got != nil {
+			t.Fatalf("%+v: speeds = %v, want nil", *h, got)
+		}
+	}
 	h := &Health{Slow: []float64{1, 2, 4}}
 	got := h.Speeds(4)
 	want := []float64{1, 0.5, 0.25, 1}

@@ -565,7 +565,10 @@ func (p *Incremental) diff(batch []seq.Sequence) (removed []placedSeq, added []a
 func effImbalance(loads []int, speeds []float64) float64 {
 	var sum, max float64
 	for i, t := range loads {
-		eff := float64(t) / speeds[i]
+		eff := float64(t)
+		if speeds != nil {
+			eff /= speeds[i]
+		}
 		sum += eff
 		if eff > max {
 			max = eff
@@ -582,6 +585,5 @@ func effImbalance(loads []int, speeds []float64) float64 {
 // are all ones) divided by the mean. Patched plans must stay within
 // tolerance of the full solve's value.
 func LoadImbalance(plan *seq.Plan, speeds []float64) float64 {
-	var ones []float64
-	return effImbalance(plan.TokensPerRank(), orOnes(speeds, plan.World, &ones))
+	return effImbalance(plan.TokensPerRank(), speeds)
 }

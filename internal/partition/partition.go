@@ -219,9 +219,9 @@ func (p *Partitioner) Plan(batch []seq.Sequence) (*Result, error) {
 	return res, nil
 }
 
-// orOnes returns speeds, or n ones when speeds is nil: the one place a
-// nil speed vector becomes the uniform view it stands for. buf only ever
-// holds ones, so it is filled once per growth.
+// orOnes returns speeds, or n ones when speeds is nil: the one place the
+// planner turns a nil speed vector into the uniform view it stands for.
+// buf only ever holds ones, so it is filled once per growth.
 func orOnes(speeds []float64, n int, buf *[]float64) []float64 {
 	if speeds != nil {
 		return speeds
@@ -330,9 +330,9 @@ func evalInter(scr *interScratch, sorted []seq.Sequence, n, pp, l, s1 int, nodeS
 			// The emitted ring weights its ranks by speed, so each node's
 			// token share is its speed share: account (and capacity-check)
 			// the same way.
-			w := scr.weight[:0]
-			for _, nd := range nodes {
-				w = append(w, nodeSpeed[nd])
+			w := grow(scr.weight, len(nodes))
+			for i, nd := range nodes {
+				w[i] = nodeSpeed[nd]
 			}
 			scr.weight = w
 			share := seq.SplitWeightedInto(scr.share, s.Len, w)
@@ -478,10 +478,10 @@ func ringWeights(speed []float64, ranks []int) []float64 {
 // loads, which capacity is checked against, and time loads (tokens ÷
 // speed), which placement compares, refreshed as each placement lands.
 // At uniform speed the time loads equal the token loads, so the greedy
-// choices are the paper's. Past treeMin slots (Alg. 1 over many nodes,
-// the patch path over every rank) a tournament tree keeps the argmin
-// current in O(log n) per placement instead of a rescan per sequence; a
-// node's few devices are scanned.
+// choices are the paper's. From treeMin slots on (Alg. 1 over many
+// nodes, the patch path over every rank) a tournament tree keeps the
+// argmin current in O(log n) per placement instead of a rescan per
+// sequence; a node's few devices are scanned.
 type loadVec struct {
 	tok   []int
 	time  []float64
@@ -490,7 +490,10 @@ type loadVec struct {
 	pick  []int // least's selection scratch
 }
 
-// treeMin is the most slots a loadVec scans.
+// treeMin is the fewest slots given a tree. Timed per greedy placement
+// on a 2-vCPU x86-64 VM, a scan of the time loads beats the tree's
+// log-depth updates by 20–100% at 2–8 slots, the two break even at
+// 12–14, and the tree wins from 16.
 const treeMin = 16
 
 // init points the vector at token loads tok (owned by the caller and
@@ -503,7 +506,7 @@ func (v *loadVec) init(tok []int, speed []float64) {
 		v.time[i] = float64(t) / speed[i]
 	}
 	v.win = v.win[:0]
-	if n <= treeMin {
+	if n < treeMin {
 		return
 	}
 	v.win = grow(v.win, 2*n)

@@ -322,11 +322,11 @@ func TestArgminLoad(t *testing.T) {
 	}
 }
 
-// Past treeMin slots argmin reads a tournament tree. It must pick what a
-// scan picks, ties to the lowest index, wherever placements land.
+// From treeMin slots on argmin reads a tournament tree. It must pick what
+// a scan picks, ties to the lowest index, wherever placements land.
 func TestArgminTreeMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{treeMin + 1, 40, 257} {
+	for _, n := range []int{1, 2, 8, treeMin - 1, treeMin, treeMin + 1, 40, 257} {
 		tok := make([]int, n)
 		speed := make([]float64, n)
 		for i := range speed {

@@ -70,17 +70,15 @@ func BalancedTarget(tokens []int) []int {
 // the input total. With a cluster's relative-speed vector as weights it
 // is the speed-weighted layout the remapping layer steers to: slow ranks
 // receive fewer tokens so the token-wise linear modules finish together.
-// Uniform (or absent) weights reduce to BalancedTarget; weights shorter
-// than the rank set leave the tail ranks at weight zero.
+// weights holds one entry per rank; uniform weights, and nil, which
+// stands for them, give BalancedTarget.
 func WeightedTarget(tokens []int, weights []float64) []int {
+	if weights == nil {
+		return BalancedTarget(tokens)
+	}
 	var total int
 	for _, t := range tokens {
 		total += t
-	}
-	if len(weights) != len(tokens) {
-		padded := make([]float64, len(tokens))
-		copy(padded, weights)
-		weights = padded
 	}
 	return seq.SplitWeighted(total, weights)
 }

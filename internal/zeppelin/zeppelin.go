@@ -74,7 +74,8 @@ func (m Method) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Placement,
 
 // partitionConfig rejects an empty batch and returns the partitioner's
 // view of the iteration: the cluster, the per-rank capacity and the
-// effective per-rank speeds.
+// effective per-rank speeds (nil, meaning all ones, when no rank is
+// slow).
 func partitionConfig(env *trainer.Env, batch []seq.Sequence) (partition.Config, error) {
 	if len(batch) == 0 {
 		return partition.Config{}, fmt.Errorf("zeppelin: empty batch")
