@@ -315,7 +315,9 @@ func BenchmarkPartitionerPlan(b *testing.B) {
 // iteration of full Zeppelin: emitting the layer's task graph (attention,
 // remap and linear stages, forward and backward) and running it through
 // sim.Engine.Run. The environment and the plan are rebuilt with the
-// timer stopped, since an engine runs once.
+// timer stopped, since an engine runs once. RunPlanned releases each
+// iteration's graph storage, so after the first iteration the graph is
+// built in recycled blocks, as in every campaign and planner request.
 func BenchmarkSimulateIteration(b *testing.B) {
 	cfg, batch := iterationBenchCell()
 	m := zep.Full()

@@ -84,6 +84,10 @@ type serveState struct {
 	prio     map[string]int // class → priority, for priority formation
 	stats    map[string]*classAgg
 	unserved int
+	// order and taken are batch formation's buffers over the queue,
+	// reused every tick: under a burst the queue holds thousands.
+	order []int
+	taken []bool
 }
 
 // validateServe checks the serve configuration and its interaction with
@@ -177,7 +181,8 @@ func (s *Stream) stepServe() (IterRecord, error) {
 		home bool
 	}
 	var batchReqs []placed
-	taken := make(map[int]bool, len(order))
+	taken := append(sv.taken[:0], make([]bool, len(sv.pending))...) // all false, no new array once grown
+	sv.taken = taken
 	total := 0
 	for _, idx := range order {
 		req := sv.pending[idx]
@@ -341,15 +346,17 @@ func (sv *serveState) recordRoute(tr *decision.Trace, it int, req serve.Request,
 	})
 }
 
-// formationOrder returns queue indices in serving order: fcfs keeps
-// arrival order, priority sorts by class priority (stable, so FCFS within
-// a class), sjf shortest-job-first by full request length.
+// formationOrder returns queue indices in serving order, in a buffer
+// reused every tick: fcfs keeps arrival order, priority sorts by class
+// priority (stable, so FCFS within a class), sjf shortest-job-first by
+// full request length.
 func (sv *serveState) formationOrder() []int {
 	pending := sv.pending
-	order := make([]int, len(pending))
-	for i := range order {
-		order[i] = i
+	order := sv.order[:0]
+	for i := range pending {
+		order = append(order, i)
 	}
+	sv.order = order
 	switch sv.spec.Formation {
 	case "priority":
 		sort.SliceStable(order, func(a, b int) bool {

@@ -141,15 +141,6 @@ func (c *Cluster) NICOf(rank int) int {
 	return c.NodeOf(rank)*c.NICsPerNode + c.LocalRank(rank)/c.GPUsPerNIC()
 }
 
-// RanksOfNode returns the global ranks located on a node.
-func (c *Cluster) RanksOfNode(node int) []int {
-	out := make([]int, c.GPUsPerNode)
-	for i := range out {
-		out[i] = node*c.GPUsPerNode + i
-	}
-	return out
-}
-
 // SameNode reports whether two ranks share a node.
 func (c *Cluster) SameNode(a, b int) bool { return c.NodeOf(a) == c.NodeOf(b) }
 

@@ -66,7 +66,7 @@ func AllGather(f *cluster.Fabric, cfg Config, label string, bytesPerRank float64
 		nodeShare := total * float64(c.Nodes-1) / float64(c.Nodes) / eff
 		perNIC := nodeShare / float64(ch)
 		for n := 0; n < c.Nodes; n++ {
-			anchor := c.RanksOfNode(n)[0]
+			anchor := n * c.GPUsPerNode // the node's first rank
 			for k := 0; k < ch; k++ {
 				nic := n*c.NICsPerNode + k%c.NICsPerNode
 				rx := f.E.Transfer(label, sim.KindInterComm, anchor, f.NICRecv[nic], perNIC)

@@ -184,11 +184,14 @@ func (p *Partitioner) Plan(batch []seq.Sequence) (*Result, error) {
 	// Inter-node rings: a sequence chunked over k nodes rings over all
 	// k·P ranks (Alg. 2 lines 4–6 split each node's chunk across all P
 	// devices). A chunk count of 1 degenerates to an intra-node ring.
+	// Node n's ranks are n·P … n·P+P−1.
 	interShare := p.interShareBuf(N, P)
 	for _, ip := range inters {
 		ranks := make([]int, 0, len(ip.nodes)*P)
 		for _, n := range ip.nodes {
-			ranks = append(ranks, c.RanksOfNode(n)...)
+			for d := 0; d < P; d++ {
+				ranks = append(ranks, n*P+d)
+			}
 		}
 		zone := seq.ZoneInter
 		if len(ip.nodes) == 1 {
@@ -210,8 +213,8 @@ func (p *Partitioner) Plan(batch []seq.Sequence) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("partition: node %d: %w", n, err)
 		}
-		for d, r := range c.RanksOfNode(n) {
-			plan.Local[r] = append(plan.Local[r], p.intra.local[d]...)
+		for d, local := range p.intra.local {
+			plan.Local[n*P+d] = append(plan.Local[n*P+d], local...)
 		}
 		plan.Rings = append(plan.Rings, p.intra.rings...)
 		res.S0[n] = s0
@@ -370,12 +373,12 @@ func (p *Partitioner) intraNode(node int, assigned []seq.Sequence, interShare []
 	scr := &p.intra
 	c := p.cfg.Cluster
 	P, L := c.GPUsPerNode, p.cfg.CapacityTokens
-	ranks := c.RanksOfNode(node)
+	first := node * P // the node's ranks are first … first+P−1
 	if cap(scr.local) < P {
 		scr.local = make([][]seq.Sequence, P)
 	}
 	scr.local = scr.local[:P]
-	devSpeed := speed[ranks[0] : ranks[0]+P]
+	devSpeed := speed[first : first+P]
 	scr.devLoad = grow(scr.devLoad, P)
 	load := &scr.load
 	s0 := L
@@ -430,12 +433,12 @@ func (p *Partitioner) intraNode(node int, assigned []seq.Sequence, interShare []
 				// time-balanced.
 				devs := make([]int, k)
 				for i := range devs {
-					devs[i] = ranks[(rr+i)%P]
+					devs[i] = first + (rr+i)%P
 				}
 				ring := seq.Ring{Seq: s, Zone: seq.ZoneIntra, Ranks: devs, Weights: ringWeights(speed, devs)}
 				scr.share = ring.TokensPerRankInto(scr.share)
 				for i, r := range devs {
-					load.add(r-ranks[0], scr.share[i])
+					load.add(r-first, scr.share[i])
 				}
 				rr += k
 				rings = append(rings, ring)

@@ -148,8 +148,7 @@ func SolveTarget(tokens, target []int, c *cluster.Cluster, bIntra, bInter float6
 	// surplus ranks to deficit ranks; every intra token saves its sender
 	// (bInter − bIntra) relative to shipping it out, so maximal intra
 	// matching is optimal for any bottleneck objective. Ranks of node n
-	// are the contiguous block [n·P, (n+1)·P), addressed directly to keep
-	// RanksOfNode's allocation off the per-iteration path.
+	// are the contiguous block [n·P, (n+1)·P).
 	P := c.GPUsPerNode
 	for n := 0; n < c.Nodes; n++ {
 		lo, hi := n*P, (n+1)*P

@@ -27,14 +27,36 @@
 // names follow the same rule ("gpu/compute", "nic/tx"); a resource is
 // identified by its creation order.
 //
-// Building and running a graph allocates per chunk, not per task: tasks
-// and successor edges come from engine-owned chunks, the event queue is
-// a typed heap, and a resource's FIFO reuses its backing array.
+// Building and running a graph allocates per block, not per task: tasks
+// and successor edges come from pooled blocks, the event queue is a
+// typed heap, and a resource's FIFO reuses its backing array.
+//
+// Graph storage is recycled. Tasks and edges live in blocks, and an
+// engine's growable slices (block list, task list, event heap and
+// zero-delay FIFO) in a lists value; an engine takes both from
+// process-wide sync.Pools with its first task, and Release zeroes them
+// and hands them back. No task of a released engine may be read: Tasks
+// is empty, Run fails, and a *Task kept from before points into
+// whatever graph its block holds next. Blocks are pooled singly rather
+// than as one storage per engine because a sync.Pool keeps one object
+// per processor out of the others' reach: whole storages stranded there
+// each grew to the largest graph seen, while single blocks circulate,
+// and those a burst of large graphs left behind are dropped two
+// collections after their last use. Zeroed, a pooled block keeps no
+// earlier graph reachable.
+//
+// Events due at the current time (zero-duration barriers, zero-time
+// tasks) skip the heap and go into a FIFO. This keeps the (time,
+// creation) order exactly: a heap event due now was pushed before time
+// reached now, so it precedes everything in the FIFO, which in turn
+// precedes every later heap event. Run pops in that order. The argument
+// needs non-negative task times, which every cost in this repository is.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Time is simulated time in seconds.
@@ -190,32 +212,98 @@ func (t *Task) After(deps ...*Task) *Task {
 	return t
 }
 
-// taskChunk and edgeChunk are how many tasks and successor edges the
-// engine allocates at a time.
+// blockTasks and blockEdges size a block, the unit in which graph
+// storage is pooled: 256 tasks and 640 edges fill five 8 KB pages
+// exactly. Emitted graphs use 1.9–2.2 edges per task, so a block's
+// tasks run out first.
 const (
-	taskChunk = 256
-	edgeChunk = 512
+	blockTasks = 256
+	blockEdges = 640
+)
+
+// block holds tasks and edges. A pooled block is all zero, so it keeps
+// no earlier graph, engine or resource reachable.
+type block struct {
+	tasks [blockTasks]Task
+	edges [blockEdges]edge
+}
+
+// lists are an engine's growable slices, pooled with capacity kept: the
+// blocks it took, the task list, the event heap and the zero-delay FIFO.
+// Entries past a slice's length are nil.
+type lists struct {
+	blocks []*block
+	tasks  []*Task
+	events eventHeap
+	due    []*Task // due[Engine.dueHead:] complete at the current time
+}
+
+var (
+	blockPool = sync.Pool{New: func() any { return new(block) }}
+	listsPool = sync.Pool{New: func() any { return new(lists) }}
 )
 
 // Engine owns resources and tasks and advances simulated time.
 type Engine struct {
+	*lists // nil before the first task and after Release
+
 	now       Time
-	tasks     []*Task
-	spare     []Task // unused tail of the current task chunk
-	edges     []edge // unused tail of the current edge chunk
+	spare     []Task // unused tail of the current task block
+	edges     []edge // unused tail of the current edge block
+	taskBlock int    // blocks[:taskBlock] have handed out their tasks
+	edgeBlock int    // blocks[:edgeBlock] have handed out their edges
+	dueHead   int
 	resources []*Resource
-	events    eventHeap
 	eventSeq  int
-	ran       bool
+	ran       bool // set by Run and by Release
 
 	// OnTaskDone, if set, is invoked after each task finishes, in
 	// completion order. Used by the trace package.
 	OnTaskDone func(t *Task)
 }
 
-// NewEngine returns an empty engine.
+// NewEngine returns an empty engine. It takes pooled storage with its
+// first task; call Release once nothing reads its tasks any more.
 func NewEngine() *Engine {
 	return &Engine{}
+}
+
+// nextBlock returns the engine's block *used, taking one from the pool
+// when the engine holds no further block, and advances *used. Tasks and
+// edges draw on the blocks each at their own pace.
+func (e *Engine) nextBlock(used *int) *block {
+	if *used == len(e.blocks) {
+		e.blocks = append(e.blocks, blockPool.Get().(*block))
+	}
+	b := e.blocks[*used]
+	*used++
+	return b
+}
+
+// Release zeroes the engine's graph storage and returns it to the pool.
+// Afterwards the engine has no tasks, cannot run or take new tasks, and
+// no task it created may be read. Releasing twice is a no-op.
+func (e *Engine) Release() {
+	e.ran = true
+	l := e.lists
+	if l == nil {
+		return
+	}
+	for i, b := range l.blocks {
+		if i < e.taskBlock {
+			clear(b.tasks[:])
+		}
+		if i < e.edgeBlock {
+			clear(b.edges[:])
+		}
+		blockPool.Put(b)
+	}
+	clear(l.blocks)
+	clear(l.tasks)
+	// Run leaves the heap and the FIFO empty, their vacated slots zeroed.
+	l.blocks, l.tasks, l.events, l.due = l.blocks[:0], l.tasks[:0], l.events[:0], l.due[:0]
+	e.lists, e.spare, e.edges = nil, nil, nil
+	listsPool.Put(l)
 }
 
 // NewResource registers a serial FIFO resource.
@@ -226,14 +314,22 @@ func (e *Engine) NewResource(name string, rate float64) *Resource {
 }
 
 // Tasks returns all registered tasks in creation order.
-func (e *Engine) Tasks() []*Task { return e.tasks }
+func (e *Engine) Tasks() []*Task {
+	if e.lists == nil {
+		return nil
+	}
+	return e.tasks
+}
 
 // NewTask registers a task. A nil resource makes the task a zero-cost
 // barrier unless Duration is set, in which case it models unresourced
 // latency (e.g. host-side bookkeeping).
 func (e *Engine) NewTask(label string, kind Kind, rank int, res *Resource) *Task {
 	if len(e.spare) == 0 {
-		e.spare = make([]Task, taskChunk)
+		if e.lists == nil {
+			e.lists = listsPool.Get().(*lists)
+		}
+		e.spare = e.nextBlock(&e.taskBlock).tasks[:]
 	}
 	t := &e.spare[0]
 	e.spare = e.spare[1:]
@@ -244,11 +340,11 @@ func (e *Engine) NewTask(label string, kind Kind, rank int, res *Resource) *Task
 
 func (e *Engine) newEdge(to *Task) *edge {
 	if len(e.edges) == 0 {
-		e.edges = make([]edge, edgeChunk)
+		e.edges = e.nextBlock(&e.edgeBlock).edges[:]
 	}
 	ed := &e.edges[0]
 	e.edges = e.edges[1:]
-	ed.to = to
+	*ed = edge{to: to}
 	return ed
 }
 
@@ -319,13 +415,42 @@ func (h *eventHeap) pop() event {
 		q[i], q[j] = q[j], q[i]
 		i = j
 	}
+	ev := q[n]
+	q[n] = event{}
 	*h = q[:n]
-	return q[n]
+	return ev
 }
 
+// push schedules t to complete at at: into the zero-delay FIFO when at
+// is the current time, onto the heap otherwise.
 func (e *Engine) push(at Time, t *Task) {
+	if at == e.now {
+		e.due = append(e.due, t)
+		return
+	}
 	e.events.push(event{at: at, seq: e.eventSeq, task: t})
 	e.eventSeq++
+}
+
+// pop returns the next task to complete in (time, creation) order,
+// advancing the clock, or nil when no event is left: heap events due
+// now, then the FIFO, then the heap's later events.
+func (e *Engine) pop() *Task {
+	if len(e.events) > 0 && (e.events[0].at == e.now || e.dueHead == len(e.due)) {
+		ev := e.events.pop()
+		e.now = ev.at
+		return ev.task
+	}
+	if e.dueHead == len(e.due) {
+		return nil
+	}
+	t := e.due[e.dueHead]
+	e.due[e.dueHead] = nil
+	e.dueHead++
+	if e.dueHead == len(e.due) {
+		e.due, e.dueHead = e.due[:0], 0
+	}
+	return t
 }
 
 func (t *Task) execTime() Time {
@@ -368,22 +493,23 @@ func (e *Engine) start(t *Task) {
 
 // Run executes the task graph to completion and returns the makespan.
 // It returns an error if the dependency graph has a cycle (some tasks can
-// never run). Run may be called only once per engine.
+// never run). Run may be called only once per engine, and not after
+// Release.
 func (e *Engine) Run() (Time, error) {
 	if e.ran {
-		return 0, fmt.Errorf("sim: engine already ran")
+		return 0, fmt.Errorf("sim: engine already ran or was released")
 	}
 	e.ran = true
+	if e.lists == nil {
+		return 0, nil // no tasks
+	}
 	for _, t := range e.tasks {
 		if t.deps == 0 {
 			e.ready(t)
 		}
 	}
 	done := 0
-	for len(e.events) > 0 {
-		ev := e.events.pop()
-		e.now = ev.at
-		t := ev.task
+	for t := e.pop(); t != nil; t = e.pop() {
 		t.state = stateDone
 		t.End = e.now
 		done++
@@ -427,7 +553,7 @@ func (e *Engine) Makespan() Time { return e.now }
 // makespan; this mirrors per-stream accounting in profiler timelines.
 func (e *Engine) KindTotals() map[Kind]Time {
 	out := make(map[Kind]Time)
-	for _, t := range e.tasks {
+	for _, t := range e.Tasks() {
 		if t.state == stateDone {
 			out[t.Kind] += t.End - t.Start
 		}
@@ -442,7 +568,8 @@ func (e *Engine) CriticalPath() Time {
 	// Tasks were created in topological-compatible order only if callers
 	// added dependencies to already-created tasks; handle the general case
 	// with a memoized DFS over successors instead.
-	memo := make([]Time, len(e.tasks))
+	tasks := e.Tasks()
+	memo := make([]Time, len(tasks))
 	for i := range memo {
 		memo[i] = -1
 	}
@@ -462,7 +589,7 @@ func (e *Engine) CriticalPath() Time {
 		return memo[t.id]
 	}
 	best := Time(0)
-	for _, t := range e.tasks {
+	for _, t := range tasks {
 		if v := longest(t); v > best {
 			best = v
 		}

@@ -149,6 +149,29 @@ func TestRunTwiceFails(t *testing.T) {
 	}
 }
 
+// TestReleaseEmptiesEngine: a released engine has no tasks and cannot
+// run, whether it ran before Release or not.
+func TestReleaseEmptiesEngine(t *testing.T) {
+	for _, ran := range []bool{false, true} {
+		e := NewEngine()
+		r := e.NewResource("gpu", 0)
+		e.Compute("b", 0, r, 1).After(e.Barrier("a", 0))
+		if ran {
+			if _, err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Release()
+		e.Release() // a second Release is a no-op
+		if n := len(e.Tasks()); n != 0 {
+			t.Fatalf("ran=%v: %d tasks after Release, want 0", ran, n)
+		}
+		if _, err := e.Run(); err == nil {
+			t.Fatalf("ran=%v: Run after Release succeeded", ran)
+		}
+	}
+}
+
 func TestKindTotals(t *testing.T) {
 	e := NewEngine()
 	gpu := e.NewResource("gpu", 0)

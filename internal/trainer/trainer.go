@@ -280,7 +280,12 @@ func Run(cfg Config, m Method, batch []seq.Sequence) (*Result, error) {
 // placement's plan facts and the simulated readout (the public API's
 // one-shot plan endpoint) use it to avoid solving the partition twice;
 // env must come from cfg.NewEnv() and carry no previously emitted tasks.
+// env is spent after the call: RunPlanned releases its engine's task
+// graph for the next simulation to reuse, once the Result is built and
+// pl.HostOverhead has run; neither the caller nor pl may read the graph
+// afterwards.
 func RunPlanned(cfg Config, name string, env *Env, pl Placement, batch []seq.Sequence) (*Result, error) {
+	defer env.E.Release()
 	start := env.E.Barrier("start", 0)
 
 	attnF := pl.EmitAttention(env, false, start)
