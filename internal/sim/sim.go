@@ -281,8 +281,8 @@ func (e *Engine) nextBlock(used *int) *block {
 }
 
 // Release zeroes the engine's graph storage and returns it to the pool.
-// Afterwards the engine has no tasks, cannot run or take new tasks, and
-// no task it created may be read. Releasing twice is a no-op.
+// Afterwards the engine has no tasks and cannot run, and no task it
+// created may be read. Releasing twice is a no-op.
 func (e *Engine) Release() {
 	e.ran = true
 	l := e.lists
