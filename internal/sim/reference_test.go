@@ -9,9 +9,10 @@ import (
 )
 
 // refEngine is the scheduler as it stood before the event queue became a
-// typed heap and tasks and edges were chunk-allocated: container/heap
-// over boxed events, one heap object per task, successor slices, and a
-// FIFO that re-slices queue[1:]. Its scheduling code is kept as it was
+// typed heap with a zero-delay FIFO beside it and tasks and edges moved
+// into pooled blocks: one container/heap over boxed events, one heap
+// object per task, successor slices, and a FIFO that re-slices
+// queue[1:]. Its scheduling code is kept as it was
 // (types renamed, deadlock message shortened) as the written
 // specification of "the same schedule": for any task graph, Engine must
 // produce bit-identical Start/End times and the same completion order.
