@@ -450,18 +450,14 @@ func (p *hybridPlacement) EmitAttention(env *trainer.Env, backward bool, deps ..
 }
 
 func (p *hybridPlacement) LinearEffectiveTokens(env *trainer.Env) []float64 {
-	world := env.C.World()
-	portions := make([]map[int]int, world)
-	for r := range portions {
-		portions[r] = make(map[int]int)
-	}
+	out := make([]float64, env.C.World())
 	for _, a := range p.assigns {
-		share := seq.SplitEven(a.s.Len, len(a.ranks))
-		for i, r := range a.ranks {
-			portions[r][a.s.ID] += share[i]
+		w := trainer.LinearWeight(p.mc, a.s.ID)
+		for i, tok := range seq.SplitEven(a.s.Len, len(a.ranks)) {
+			out[a.ranks[i]] += w * float64(tok)
 		}
 	}
-	return trainer.EffectiveTokens(p.mc, world, portions)
+	return out
 }
 
 func (p *hybridPlacement) MicroBatches() int { return p.mb }

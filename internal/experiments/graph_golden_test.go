@@ -174,9 +174,6 @@ func TestTaskGraphGolden(t *testing.T) {
 	}
 	var moved []string
 	for key, g := range got {
-		if graphVaries[key] {
-			continue
-		}
 		w, ok := graphGolden[key]
 		if !ok {
 			moved = append(moved, fmt.Sprintf("%q: %q, // not pinned", key, g))
@@ -197,84 +194,79 @@ func TestTaskGraphGolden(t *testing.T) {
 	}
 }
 
-// graphVaries lists the graphs this revision emits differently from
-// call to call: their MoE linear loads are summed over a map.
-var graphVaries = map[string]bool{
-	"8x550M-tp8-1node/arxiv/Hybrid DP":                      true,
-	"8x550M-tp8-1node/arxiv/Zeppelin w/ Attn Eng":           true,
-	"8x550M-tp8-1node/arxiv/Zeppelin w/ Routing & Attn Eng": true,
-}
-
 // graphGolden holds each graph's hash; the test prints a replacement
 // line for every graph that moved.
 var graphGolden = map[string]string{
-	"7B-16gpu/arxiv/Hybrid DP":                            "7ca3193c949fbdd5",
-	"7B-16gpu/arxiv/LLaMA CP":                             "41ff06f156d32eaf",
-	"7B-16gpu/arxiv/Packing+Ulysses":                      "48da6c5d711646d1",
-	"7B-16gpu/arxiv/TE CP + Routing":                      "97bc55a318a1087c",
-	"7B-16gpu/arxiv/TE CP":                                "939caf3a9247802a",
-	"7B-16gpu/arxiv/Zeppelin w/ Attn Eng & Remap":         "0eb2853a53f4e5a9",
-	"7B-16gpu/arxiv/Zeppelin w/ Attn Eng":                 "a0581191b559f00b",
-	"7B-16gpu/arxiv/Zeppelin w/ Routing & Attn Eng":       "a0581191b559f00b",
-	"7B-16gpu/arxiv/Zeppelin":                             "0eb2853a53f4e5a9",
-	"7B-16gpu/github/Hybrid DP":                           "3ae3d897ab15dfba",
-	"7B-16gpu/github/LLaMA CP":                            "8955517e714b0a9d",
-	"7B-16gpu/github/Packing+Ulysses":                     "7f779cd9f2d6d755",
-	"7B-16gpu/github/TE CP + Routing":                     "f3dc03bd2d9ce182",
-	"7B-16gpu/github/TE CP":                               "27bcfb5e9c3103e1",
-	"7B-16gpu/github/Zeppelin w/ Attn Eng & Remap":        "19eaee3efb5ed7f9",
-	"7B-16gpu/github/Zeppelin w/ Attn Eng":                "a91076285b7136e2",
-	"7B-16gpu/github/Zeppelin w/ Routing & Attn Eng":      "a91076285b7136e2",
-	"7B-16gpu/github/Zeppelin":                            "19eaee3efb5ed7f9",
-	"7B-16gpu/prolong64k/Hybrid DP":                       "f4913821a0e78c73",
-	"7B-16gpu/prolong64k/LLaMA CP":                        "dd6158161f50aa6f",
-	"7B-16gpu/prolong64k/Packing+Ulysses":                 "156540703c8a3bc8",
-	"7B-16gpu/prolong64k/TE CP + Routing":                 "629baa535ee54c7d",
-	"7B-16gpu/prolong64k/TE CP":                           "caab09f8d8bcf741",
-	"7B-16gpu/prolong64k/Zeppelin w/ Attn Eng & Remap":    "757460fcd877829f",
-	"7B-16gpu/prolong64k/Zeppelin w/ Attn Eng":            "8c7d9d952d1a93aa",
-	"7B-16gpu/prolong64k/Zeppelin w/ Routing & Attn Eng":  "8c7d9d952d1a93aa",
-	"7B-16gpu/prolong64k/Zeppelin":                        "757460fcd877829f",
-	"7B-24gpu/github/Hybrid DP":                           "d1c64cd4ca3a80d1",
-	"7B-24gpu/github/LLaMA CP":                            "019217ab10d11262",
-	"7B-24gpu/github/Packing+Ulysses":                     "6de7a3bb72f22097",
-	"7B-24gpu/github/TE CP + Routing":                     "a1307bd66c7990a6",
-	"7B-24gpu/github/TE CP":                               "764853cbb2bc2f59",
-	"7B-24gpu/github/Zeppelin w/ Attn Eng & Remap":        "ce3026db61c2040b",
-	"7B-24gpu/github/Zeppelin w/ Attn Eng":                "f6e59ac34b4bf061",
-	"7B-24gpu/github/Zeppelin w/ Routing & Attn Eng":      "f6e59ac34b4bf061",
-	"7B-24gpu/github/Zeppelin":                            "ce3026db61c2040b",
-	"7B-32gpu/github/Hybrid DP":                           "5128aab6bc6837a2",
-	"7B-32gpu/github/LLaMA CP":                            "9d78634c31bc78f8",
-	"7B-32gpu/github/Packing+Ulysses":                     "575cb4a79e630643",
-	"7B-32gpu/github/TE CP + Routing":                     "48c46f5f01bfbc86",
-	"7B-32gpu/github/TE CP":                               "67dc1b79d077a087",
-	"7B-32gpu/github/Zeppelin w/ Attn Eng & Remap":        "83d3374ea55df666",
-	"7B-32gpu/github/Zeppelin w/ Attn Eng":                "906e94e7e6c75597",
-	"7B-32gpu/github/Zeppelin w/ Routing & Attn Eng":      "715a565dd413a5cf",
-	"7B-32gpu/github/Zeppelin":                            "96faa94896780b2b",
-	"7B-tp8-1node/github/Hybrid DP":                       "538c9be58544d697",
-	"7B-tp8-1node/github/LLaMA CP":                        "802e43696aff2731",
-	"7B-tp8-1node/github/Packing+Ulysses":                 "73bb11536c787634",
-	"7B-tp8-1node/github/TE CP + Routing":                 "c4ca8730ec8e7ddd",
-	"7B-tp8-1node/github/TE CP":                           "c4ca8730ec8e7ddd",
-	"7B-tp8-1node/github/Zeppelin w/ Attn Eng & Remap":    "1891556927e5314e",
-	"7B-tp8-1node/github/Zeppelin w/ Attn Eng":            "f2155c504df28048",
-	"7B-tp8-1node/github/Zeppelin w/ Routing & Attn Eng":  "f2155c504df28048",
-	"7B-tp8-1node/github/Zeppelin":                        "1891556927e5314e",
-	"8x550M-16gpu/github/Hybrid DP":                       "20e31b391abe9a2a",
-	"8x550M-16gpu/github/LLaMA CP":                        "a1dd95b4f488207f",
-	"8x550M-16gpu/github/Packing+Ulysses":                 "f938d2ee4e9939fa",
-	"8x550M-16gpu/github/TE CP + Routing":                 "90452cc68748176e",
-	"8x550M-16gpu/github/TE CP":                           "a771edbafb6a0825",
-	"8x550M-16gpu/github/Zeppelin w/ Attn Eng & Remap":    "c4ad577abf1f88c3",
-	"8x550M-16gpu/github/Zeppelin w/ Attn Eng":            "e3082815b98d3f1a",
-	"8x550M-16gpu/github/Zeppelin w/ Routing & Attn Eng":  "e3082815b98d3f1a",
-	"8x550M-16gpu/github/Zeppelin":                        "c4ad577abf1f88c3",
-	"8x550M-tp8-1node/arxiv/LLaMA CP":                     "153ba2cc92507624",
-	"8x550M-tp8-1node/arxiv/Packing+Ulysses":              "175c88b2569fa6b1",
-	"8x550M-tp8-1node/arxiv/TE CP + Routing":              "ecb65d13b897fb2c",
-	"8x550M-tp8-1node/arxiv/TE CP":                        "ecb65d13b897fb2c",
-	"8x550M-tp8-1node/arxiv/Zeppelin w/ Attn Eng & Remap": "bc2ba792a0e1d9a3",
-	"8x550M-tp8-1node/arxiv/Zeppelin":                     "bc2ba792a0e1d9a3",
+	"7B-16gpu/arxiv/Hybrid DP":                              "7ca3193c949fbdd5",
+	"7B-16gpu/arxiv/LLaMA CP":                               "41ff06f156d32eaf",
+	"7B-16gpu/arxiv/Packing+Ulysses":                        "48da6c5d711646d1",
+	"7B-16gpu/arxiv/TE CP + Routing":                        "97bc55a318a1087c",
+	"7B-16gpu/arxiv/TE CP":                                  "939caf3a9247802a",
+	"7B-16gpu/arxiv/Zeppelin w/ Attn Eng & Remap":           "0eb2853a53f4e5a9",
+	"7B-16gpu/arxiv/Zeppelin w/ Attn Eng":                   "a0581191b559f00b",
+	"7B-16gpu/arxiv/Zeppelin w/ Routing & Attn Eng":         "a0581191b559f00b",
+	"7B-16gpu/arxiv/Zeppelin":                               "0eb2853a53f4e5a9",
+	"7B-16gpu/github/Hybrid DP":                             "3ae3d897ab15dfba",
+	"7B-16gpu/github/LLaMA CP":                              "8955517e714b0a9d",
+	"7B-16gpu/github/Packing+Ulysses":                       "7f779cd9f2d6d755",
+	"7B-16gpu/github/TE CP + Routing":                       "f3dc03bd2d9ce182",
+	"7B-16gpu/github/TE CP":                                 "27bcfb5e9c3103e1",
+	"7B-16gpu/github/Zeppelin w/ Attn Eng & Remap":          "19eaee3efb5ed7f9",
+	"7B-16gpu/github/Zeppelin w/ Attn Eng":                  "a91076285b7136e2",
+	"7B-16gpu/github/Zeppelin w/ Routing & Attn Eng":        "a91076285b7136e2",
+	"7B-16gpu/github/Zeppelin":                              "19eaee3efb5ed7f9",
+	"7B-16gpu/prolong64k/Hybrid DP":                         "f4913821a0e78c73",
+	"7B-16gpu/prolong64k/LLaMA CP":                          "dd6158161f50aa6f",
+	"7B-16gpu/prolong64k/Packing+Ulysses":                   "156540703c8a3bc8",
+	"7B-16gpu/prolong64k/TE CP + Routing":                   "629baa535ee54c7d",
+	"7B-16gpu/prolong64k/TE CP":                             "caab09f8d8bcf741",
+	"7B-16gpu/prolong64k/Zeppelin w/ Attn Eng & Remap":      "757460fcd877829f",
+	"7B-16gpu/prolong64k/Zeppelin w/ Attn Eng":              "8c7d9d952d1a93aa",
+	"7B-16gpu/prolong64k/Zeppelin w/ Routing & Attn Eng":    "8c7d9d952d1a93aa",
+	"7B-16gpu/prolong64k/Zeppelin":                          "757460fcd877829f",
+	"7B-24gpu/github/Hybrid DP":                             "d1c64cd4ca3a80d1",
+	"7B-24gpu/github/LLaMA CP":                              "019217ab10d11262",
+	"7B-24gpu/github/Packing+Ulysses":                       "6de7a3bb72f22097",
+	"7B-24gpu/github/TE CP + Routing":                       "a1307bd66c7990a6",
+	"7B-24gpu/github/TE CP":                                 "764853cbb2bc2f59",
+	"7B-24gpu/github/Zeppelin w/ Attn Eng & Remap":          "ce3026db61c2040b",
+	"7B-24gpu/github/Zeppelin w/ Attn Eng":                  "f6e59ac34b4bf061",
+	"7B-24gpu/github/Zeppelin w/ Routing & Attn Eng":        "f6e59ac34b4bf061",
+	"7B-24gpu/github/Zeppelin":                              "ce3026db61c2040b",
+	"7B-32gpu/github/Hybrid DP":                             "5128aab6bc6837a2",
+	"7B-32gpu/github/LLaMA CP":                              "9d78634c31bc78f8",
+	"7B-32gpu/github/Packing+Ulysses":                       "575cb4a79e630643",
+	"7B-32gpu/github/TE CP + Routing":                       "48c46f5f01bfbc86",
+	"7B-32gpu/github/TE CP":                                 "67dc1b79d077a087",
+	"7B-32gpu/github/Zeppelin w/ Attn Eng & Remap":          "83d3374ea55df666",
+	"7B-32gpu/github/Zeppelin w/ Attn Eng":                  "906e94e7e6c75597",
+	"7B-32gpu/github/Zeppelin w/ Routing & Attn Eng":        "715a565dd413a5cf",
+	"7B-32gpu/github/Zeppelin":                              "96faa94896780b2b",
+	"7B-tp8-1node/github/Hybrid DP":                         "538c9be58544d697",
+	"7B-tp8-1node/github/LLaMA CP":                          "802e43696aff2731",
+	"7B-tp8-1node/github/Packing+Ulysses":                   "73bb11536c787634",
+	"7B-tp8-1node/github/TE CP + Routing":                   "c4ca8730ec8e7ddd",
+	"7B-tp8-1node/github/TE CP":                             "c4ca8730ec8e7ddd",
+	"7B-tp8-1node/github/Zeppelin w/ Attn Eng & Remap":      "1891556927e5314e",
+	"7B-tp8-1node/github/Zeppelin w/ Attn Eng":              "f2155c504df28048",
+	"7B-tp8-1node/github/Zeppelin w/ Routing & Attn Eng":    "f2155c504df28048",
+	"7B-tp8-1node/github/Zeppelin":                          "1891556927e5314e",
+	"8x550M-16gpu/github/Hybrid DP":                         "20e31b391abe9a2a",
+	"8x550M-16gpu/github/LLaMA CP":                          "a1dd95b4f488207f",
+	"8x550M-16gpu/github/Packing+Ulysses":                   "f938d2ee4e9939fa",
+	"8x550M-16gpu/github/TE CP + Routing":                   "90452cc68748176e",
+	"8x550M-16gpu/github/TE CP":                             "a771edbafb6a0825",
+	"8x550M-16gpu/github/Zeppelin w/ Attn Eng & Remap":      "c4ad577abf1f88c3",
+	"8x550M-16gpu/github/Zeppelin w/ Attn Eng":              "e3082815b98d3f1a",
+	"8x550M-16gpu/github/Zeppelin w/ Routing & Attn Eng":    "e3082815b98d3f1a",
+	"8x550M-16gpu/github/Zeppelin":                          "c4ad577abf1f88c3",
+	"8x550M-tp8-1node/arxiv/Hybrid DP":                      "ad0c87318adafcee",
+	"8x550M-tp8-1node/arxiv/LLaMA CP":                       "153ba2cc92507624",
+	"8x550M-tp8-1node/arxiv/Packing+Ulysses":                "175c88b2569fa6b1",
+	"8x550M-tp8-1node/arxiv/TE CP + Routing":                "ecb65d13b897fb2c",
+	"8x550M-tp8-1node/arxiv/TE CP":                          "ecb65d13b897fb2c",
+	"8x550M-tp8-1node/arxiv/Zeppelin w/ Attn Eng":           "2a50f4526faf466b",
+	"8x550M-tp8-1node/arxiv/Zeppelin w/ Attn Eng & Remap":   "bc2ba792a0e1d9a3",
+	"8x550M-tp8-1node/arxiv/Zeppelin w/ Routing & Attn Eng": "2a50f4526faf466b",
+	"8x550M-tp8-1node/arxiv/Zeppelin":                       "bc2ba792a0e1d9a3",
 }

@@ -463,21 +463,15 @@ func MoEWeight(seqID int) float64 {
 	return 0.75 + 0.6*u
 }
 
-// EffectiveTokens converts a per-rank map of sequence portions into
-// effective linear-module token counts: weighted by MoEWeight for MoE
-// models, raw counts otherwise.
-func EffectiveTokens(mc model.Config, world int, portions []map[int]int) []float64 {
-	out := make([]float64, world)
-	for rank, m := range portions {
-		for id, tok := range m {
-			w := 1.0
-			if mc.MoE {
-				w = MoEWeight(id)
-			}
-			out[rank] += w * float64(tok)
-		}
+// LinearWeight is the linear-module cost of one token of sequence id:
+// MoEWeight(id) for MoE models, 1 otherwise. Placements add each portion
+// they place as LinearWeight × tokens, in plan order, so the sum is the
+// same on every call.
+func LinearWeight(mc model.Config, id int) float64 {
+	if mc.MoE {
+		return MoEWeight(id)
 	}
-	return out
+	return 1
 }
 
 // NoRemap is a reusable no-op remap stage for single-layout methods.

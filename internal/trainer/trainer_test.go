@@ -257,17 +257,13 @@ func TestMoEWeightDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-func TestEffectiveTokens(t *testing.T) {
-	portions := []map[int]int{
-		{1: 100, 2: 200},
-		{3: 300},
-	}
-	dense := EffectiveTokens(model.LLaMA7B, 2, portions)
-	if dense[0] != 300 || dense[1] != 300 {
-		t.Fatalf("dense effective tokens = %v", dense)
-	}
-	moe := EffectiveTokens(model.MoE8x550M, 2, portions)
-	if moe[0] == dense[0] && moe[1] == dense[1] {
-		t.Fatal("MoE weighting should perturb token counts")
+func TestLinearWeight(t *testing.T) {
+	for id := 0; id < 100; id++ {
+		if w := LinearWeight(model.LLaMA7B, id); w != 1 {
+			t.Fatalf("dense weight of sequence %d = %v, want 1", id, w)
+		}
+		if w := LinearWeight(model.MoE8x550M, id); w != MoEWeight(id) {
+			t.Fatalf("MoE weight of sequence %d = %v, want MoEWeight %v", id, w, MoEWeight(id))
+		}
 	}
 }

@@ -170,9 +170,8 @@ func (p *placement) EmitRemapToAttention(env *trainer.Env, deps ...*sim.Task) *s
 // per-rank portions feed the linear modules directly, inheriting both the
 // imbalance and each sequence's routing weight.
 func (p *placement) LinearEffectiveTokens(env *trainer.Env) []float64 {
-	world := env.C.World()
+	out := make([]float64, env.C.World())
 	if p.remapPlan != nil {
-		out := make([]float64, world)
 		w := 1.0
 		if env.CM.MC.MoE {
 			var tok, wTok float64
@@ -189,22 +188,18 @@ func (p *placement) LinearEffectiveTokens(env *trainer.Env) []float64 {
 		}
 		return out
 	}
-	portions := make([]map[int]int, world)
-	for r := range portions {
-		portions[r] = make(map[int]int)
-	}
 	for r, ls := range p.plan.Local {
 		for _, s := range ls {
-			portions[r][s.ID] += s.Len
+			out[r] += trainer.LinearWeight(env.CM.MC, s.ID) * float64(s.Len)
 		}
 	}
 	for _, ring := range p.plan.Rings {
-		share := ring.TokensPerRank()
-		for i, r := range ring.Ranks {
-			portions[r][ring.Seq.ID] += share[i]
+		w := trainer.LinearWeight(env.CM.MC, ring.Seq.ID)
+		for i, tok := range ring.TokensPerRank() {
+			out[ring.Ranks[i]] += w * float64(tok)
 		}
 	}
-	return trainer.EffectiveTokens(env.CM.MC, world, portions)
+	return out
 }
 
 func (p *placement) MicroBatches() int { return 1 }

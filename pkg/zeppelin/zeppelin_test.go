@@ -184,6 +184,35 @@ func TestPlannerCacheMatchesUncached(t *testing.T) {
 	}
 }
 
+// TestIdenticalPlansAreByteIdentical: one request planned many times
+// gets one response. On one DP rank of an MoE model, Hybrid DP's linear
+// load sums the weights of every sequence in the batch; summed in an
+// order that changes from call to call, the iteration time moved in its
+// last bits.
+func TestIdenticalPlansAreByteIdentical(t *testing.T) {
+	var req PlanRequest
+	if err := json.Unmarshal([]byte(`{"model":"8x550M","method":"hybriddp","dataset":"github","seed":1037,
+		"cluster":{"preset":"A","nodes":1,"tp":8,"tokens_per_gpu":4096}}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]int)
+	for i := 0; i < 100; i++ {
+		resp, err := Plan(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(resp)
+		seen[string(b)]++
+	}
+	if len(seen) != 1 {
+		var counts []int
+		for _, n := range seen {
+			counts = append(counts, n)
+		}
+		t.Fatalf("100 identical requests got %d distinct responses (counts %v)", len(seen), counts)
+	}
+}
+
 // TestBadRequestsAreRejected: unknown identifiers fail resolution with
 // descriptive errors.
 func TestBadRequestsAreRejected(t *testing.T) {
