@@ -109,19 +109,15 @@ func (en *Engine) emit(plan *seq.Plan, p pass, deps []*sim.Task) *sim.Task {
 	return done
 }
 
-// emitRing schedules G rounds of ring attention for one sequence group.
-// Round t on rank i computes that rank's query chunks against the KV
-// block received in round t−1, while forwarding the block it already
-// holds to the next rank — the overlap structure of Fig. 6.
+// emitRing schedules one sequence group's ring. 2G-chunk causal
+// balancing gives every rank an equal share of the triangle each round —
+// or its weighted share when the ring carries speed-aware weights (each
+// rank owns PairShares[i] pairs total, spread over the G rounds; KV
+// circulation stays even). Each round also pays the fixed
+// chunked-execution overhead (sync + softmax rescale + launch).
 func (en *Engine) emitRing(ring seq.Ring, p pass, deps []*sim.Task, lastComp []*sim.Task) {
 	g := ring.G()
 	s := float64(ring.Seq.Len)
-	// 2G-chunk causal balancing: every rank computes an equal share of
-	// the triangle each round — or its weighted share when the ring
-	// carries speed-aware weights (each rank owns PairShares[i] pairs
-	// total, spread over the G rounds; KV circulation stays even). Each
-	// round also pays the fixed chunked-execution overhead (sync +
-	// softmax rescale + launch).
 	perRound := make([]float64, g)
 	if ring.Weights == nil {
 		even := en.CM.AttnTimePairs(model.CausalPairs(s)/float64(g*g))*p.computeMul +
@@ -136,7 +132,20 @@ func (en *Engine) emitRing(ring seq.Ring, p pass, deps []*sim.Task, lastComp []*
 		}
 	}
 	blockBytes := en.CM.KVBytes(s/float64(g)) * p.commMul
+	Ring(en.R, p.kv, p.comp, ring.Ranks, perRound, blockBytes, deps, lastComp)
+}
 
+// Ring emits G = len(ranks) rounds of ring attention: round t on rank
+// ranks[i] computes for perRound[i] seconds on the KV block received in
+// round t−1, while forwarding the block it already holds, blockBytes
+// long, to the next rank through r — the overlap structure of Fig. 6.
+// Transfers carry kvLabel and compute kernels compLabel. Every task
+// waits for deps, and lastComp, indexed by global rank, chains each
+// rank's compute stream across calls. Zeppelin's rings and every
+// baseline's rings run this one schedule.
+func Ring(r *routing.Router, kvLabel, compLabel string, ranks []int, perRound []float64, blockBytes float64,
+	deps, lastComp []*sim.Task) {
+	g := len(ranks)
 	// have[i] is the task whose completion delivers the KV block rank i
 	// consumes in the current round; next collects the blocks forwarded
 	// for the round after (every round but the last fills all of it), and
@@ -145,17 +154,17 @@ func (en *Engine) emitRing(ring seq.Ring, p pass, deps []*sim.Task, lastComp []*
 	have, next := make([]*sim.Task, g), make([]*sim.Task, g)
 	xDeps := append(make([]*sim.Task, 0, len(deps)+1), deps...)
 	for t := 0; t < g; t++ {
-		for i, rank := range ring.Ranks {
+		for i, rank := range ranks {
 			if t < g-1 {
 				// Forward the currently held block while computing on it.
-				dst := ring.Ranks[(i+1)%g]
+				dst := ranks[(i+1)%g]
 				xDeps = xDeps[:len(deps)]
 				if have[i] != nil {
 					xDeps = append(xDeps, have[i])
 				}
-				next[(i+1)%g] = en.R.Transfer(p.kv, rank, dst, blockBytes, xDeps...)
+				next[(i+1)%g] = r.Transfer(kvLabel, rank, dst, blockBytes, xDeps...)
 			}
-			comp := en.F.ComputeTask(p.comp, rank, perRound[i])
+			comp := r.F.ComputeTask(compLabel, rank, perRound[i])
 			comp.After(deps...)
 			comp.After(have[i])        // wait for this round's KV block
 			comp.After(lastComp[rank]) // keep the compute stream ordered

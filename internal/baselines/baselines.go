@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"zeppelin/internal/attention"
 	"zeppelin/internal/collective"
 	"zeppelin/internal/costmodel"
 	"zeppelin/internal/model"
@@ -49,44 +50,14 @@ var (
 		cpKV: "attn-bwd/hybrid/cp/kv", wave: "attn-bwd/hybrid/wave"}
 )
 
-// ringAllRanks emits one pass of balanced ring attention over all ranks
-// for a concatenated batch: G = world rounds, each overlapping the
-// compute on the current KV block with the transfer of the next. Per-rank
-// compute order is chained through lastComp.
-func ringAllRanks(env *trainer.Env, r *routing.Router, st stage,
-	pairsTotal, tokensTotal float64, computeMul, commMul float64,
-	lastComp []*sim.Task, deps []*sim.Task) {
-	g := env.C.World()
-	if g == 1 {
-		t := env.F.ComputeTask(st.comp, 0, env.CM.AttnTimePairs(pairsTotal)*computeMul)
-		t.After(deps...)
-		t.After(lastComp[0])
-		lastComp[0] = t
-		return
+// repeated returns n copies of v: a per-rank input of a ring or an
+// all-to-all in which every rank does the same.
+func repeated(n int, v float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
 	}
-	perRound := env.CM.AttnTimePairs(pairsTotal/float64(g*g))*computeMul +
-		costmodel.RingRoundOverhead
-	blockBytes := env.CM.KVBytes(tokensTotal/float64(g)) * commMul
-	have, next := make([]*sim.Task, g), make([]*sim.Task, g)
-	xDeps := append(make([]*sim.Task, 0, len(deps)+1), deps...)
-	for t := 0; t < g; t++ {
-		for i := 0; i < g; i++ {
-			if t < g-1 {
-				dst := (i + 1) % g
-				xDeps = xDeps[:len(deps)]
-				if have[i] != nil {
-					xDeps = append(xDeps, have[i])
-				}
-				next[dst] = r.Transfer(st.kv, i, dst, blockBytes, xDeps...)
-			}
-			comp := env.F.ComputeTask(st.comp, i, perRound)
-			comp.After(deps...)
-			comp.After(have[i])
-			comp.After(lastComp[i])
-			lastComp[i] = comp
-		}
-		have, next = next, have
-	}
+	return out
 }
 
 // batchStats sums tokens, causal pairs, and MoE-weighted tokens.
@@ -167,8 +138,23 @@ func (p *tecpPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*
 	if backward {
 		computeMul, commMul, st = 2.0, 2.0, tecpBwd
 	}
-	lastComp := make([]*sim.Task, env.C.World())
-	ringAllRanks(env, p.router, st, p.pairs, float64(p.tokens), computeMul, commMul, lastComp, deps)
+	// One balanced ring over all ranks for the concatenated batch: G =
+	// world rounds, each rank computing 1/G² of the triangle per round. A
+	// one-rank ring computes the whole triangle in its one round and pays
+	// no round overhead.
+	g := env.C.World()
+	overhead := costmodel.RingRoundOverhead
+	if g == 1 {
+		overhead = 0
+	}
+	ranks := make([]int, g)
+	perRound := repeated(g, env.CM.AttnTimePairs(p.pairs/float64(g*g))*computeMul+overhead)
+	for i := range ranks {
+		ranks[i] = i
+	}
+	blockBytes := env.CM.KVBytes(float64(p.tokens)/float64(g)) * commMul
+	lastComp := make([]*sim.Task, g)
+	attention.Ring(p.router, st.kv, st.comp, ranks, perRound, blockBytes, deps, lastComp)
 	done := env.E.Barrier(st.done, 0)
 	done.After(deps...)
 	for _, t := range lastComp {
@@ -217,12 +203,6 @@ type llamaPlacement struct {
 	pairs, wTokens float64
 }
 
-// allGatherEff is the fraction of aggregate link bandwidth an optimized
-// NCCL all-gather achieves in practice on RoCE fabrics (bus-bandwidth
-// measurements typically land between 0.45 and 0.65). Calibrated so that
-// LLaMA CP's speedup over TE CP matches the paper's 1.45–1.65× band.
-const allGatherEff = 0.55
-
 // emitAllGather models an optimized NCCL all-gather of the full KV set
 // via the collective substrate. The returned barrier gates attention
 // compute (no overlap — this is the critical-path cost the paper's
@@ -230,7 +210,7 @@ const allGatherEff = 0.55
 func (p *llamaPlacement) emitAllGather(env *trainer.Env, label string, volMul float64, deps []*sim.Task) *sim.Task {
 	world := env.C.World()
 	perRank := env.CM.KVBytes(float64(p.tokens)) * volMul / float64(world)
-	return collective.AllGather(env.F, collective.Config{Eff: allGatherEff}, label, perRank, deps...)
+	return collective.AllGather(env.F, label, perRank, deps...)
 }
 
 func (p *llamaPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*sim.Task) *sim.Task {
@@ -365,7 +345,8 @@ type hybridPlacement struct {
 
 // emitGroupRing runs balanced ring attention for one sequence over its
 // assigned block (direct sends — hybrid methods keep the static GPU–NIC
-// affinity the routing layer would break).
+// affinity the routing layer would break). A group of one rank runs the
+// sequence as plain data-parallel attention.
 func (p *hybridPlacement) emitGroupRing(env *trainer.Env, st hybridStage, a assignment,
 	computeMul, commMul float64, lastComp []*sim.Task, deps []*sim.Task) {
 	g := len(a.ranks)
@@ -378,29 +359,10 @@ func (p *hybridPlacement) emitGroupRing(env *trainer.Env, st hybridStage, a assi
 		return
 	}
 	pairs := model.CausalPairs(float64(a.s.Len))
-	perRound := env.CM.AttnTimePairs(pairs/float64(g*g))*computeMul +
-		costmodel.RingRoundOverhead
+	perRound := repeated(g, env.CM.AttnTimePairs(pairs/float64(g*g))*computeMul+
+		costmodel.RingRoundOverhead)
 	blockBytes := env.CM.KVBytes(float64(a.s.Len)/float64(g)) * commMul
-	have, next := make([]*sim.Task, g), make([]*sim.Task, g)
-	xDeps := append(make([]*sim.Task, 0, len(deps)+1), deps...)
-	for t := 0; t < g; t++ {
-		for i, rank := range a.ranks {
-			if t < g-1 {
-				dst := a.ranks[(i+1)%g]
-				xDeps = xDeps[:len(deps)]
-				if have[i] != nil {
-					xDeps = append(xDeps, have[i])
-				}
-				next[(i+1)%g] = p.router.Transfer(st.cpKV, rank, dst, blockBytes, xDeps...)
-			}
-			comp := env.F.ComputeTask(st.cpComp, rank, perRound)
-			comp.After(deps...)
-			comp.After(have[i])
-			comp.After(lastComp[rank])
-			lastComp[rank] = comp
-		}
-		have, next = next, have
-	}
+	attention.Ring(p.router, st.cpKV, st.cpComp, a.ranks, perRound, blockBytes, deps, lastComp)
 }
 
 func (p *hybridPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*sim.Task) *sim.Task {

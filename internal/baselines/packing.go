@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 
+	"zeppelin/internal/collective"
 	"zeppelin/internal/model"
 	"zeppelin/internal/seq"
 	"zeppelin/internal/sim"
@@ -82,38 +83,15 @@ type packingPlacement struct {
 	mb          int
 }
 
-// emitUlyssesAllToAll exchanges each rank's activation shard with the
+// ulyssesAllToAll exchanges each rank's activation shard with the
 // group (sequence-partition ↔ head-partition switch). Volume per rank is
-// width × tokens/world × (world−1)/world; the cross-node fraction rides
-// the rank's NIC. Every task it creates carries label.
-func (p *packingPlacement) emitUlyssesAllToAll(env *trainer.Env, label string, widths float64, mul float64, deps []*sim.Task) *sim.Task {
-	c := env.C
-	world := c.World()
-	done := env.E.Barrier(label, 0)
-	done.After(deps...)
-	if world == 1 {
-		return done
-	}
+// width × tokens/world × (world−1)/world, so a one-rank group sends
+// nothing.
+func (p *packingPlacement) ulyssesAllToAll(env *trainer.Env, label string, widths float64, mul float64, deps ...*sim.Task) *sim.Task {
+	world := env.C.World()
 	perRank := widths * env.CM.ActBytes(float64(p.tokens)/float64(world)) *
 		float64(world-1) / float64(world) * mul
-	crossFrac := 0.0
-	if c.Nodes > 1 {
-		crossFrac = float64(c.Nodes-1) / float64(c.Nodes)
-	}
-	for rank := 0; rank < world; rank++ {
-		if crossFrac > 0 {
-			nic := c.NICOf(rank)
-			tx := env.E.Transfer(label, sim.KindInterComm, rank, env.F.NICSend[nic], perRank*crossFrac)
-			tx.After(deps...)
-			rx := env.E.Transfer(label, sim.KindInterComm, rank, env.F.NICRecv[nic], perRank*crossFrac)
-			rx.After(deps...)
-			done.After(tx, rx)
-		}
-		intra := env.E.Transfer(label, sim.KindIntraComm, rank, env.F.IntraSend[rank], perRank*(1-crossFrac))
-		intra.After(deps...)
-		done.After(intra)
-	}
-	return done
+	return collective.AllToAll(env.F, label, repeated(world, perRank), deps...)
 }
 
 // packingStage labels a packed attention pass: the Ulysses all-to-alls
@@ -132,7 +110,7 @@ func (p *packingPlacement) EmitAttention(env *trainer.Env, backward bool, deps .
 	}
 	world := env.C.World()
 	// All-to-all in: QKV widths (≈3 hidden-sized tensors).
-	in := p.emitUlyssesAllToAll(env, st.a2aIn, 3, computeMul, deps)
+	in := p.ulyssesAllToAll(env, st.a2aIn, 3, computeMul, deps...)
 	perRank := env.CM.AttnTimePairs(p.packedPairs/float64(world)) * computeMul
 	compDone := env.E.Barrier(st.comp, 0)
 	compDone.After(in)
@@ -142,7 +120,7 @@ func (p *packingPlacement) EmitAttention(env *trainer.Env, backward bool, deps .
 		compDone.After(t)
 	}
 	// All-to-all out: the attention output (1 hidden-sized tensor).
-	return p.emitUlyssesAllToAll(env, st.a2aOut, 1, computeMul, []*sim.Task{compDone})
+	return p.ulyssesAllToAll(env, st.a2aOut, 1, computeMul, compDone)
 }
 
 func (p *packingPlacement) LinearEffectiveTokens(env *trainer.Env) []float64 {

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"zeppelin/internal/cluster"
 	"zeppelin/internal/decision"
@@ -745,18 +744,11 @@ func admit(batch []seq.Sequence, maxTokens int) ([]seq.Sequence, int) {
 }
 
 // perRankBusy sums each rank's busy seconds across all simulated phases
-// of the iteration's layer. Phases are folded in sorted label order so
-// the floating-point accumulation — and therefore the whole report — is
-// bit-identical across runs (map iteration order is not).
+// of the iteration's layer, folding the phases in trainer.Phase order.
 func perRankBusy(res *trainer.Result, world int) []float64 {
-	labels := make([]string, 0, len(res.PerRankPhase))
-	for label := range res.PerRankPhase {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
 	busy := make([]float64, world)
-	for _, label := range labels {
-		for r, d := range res.PerRankPhase[label] {
+	for _, phase := range res.PerRankPhase {
+		for r, d := range phase {
 			if r < world {
 				busy[r] += d
 			}

@@ -204,24 +204,19 @@ func (f *Fabric) Send(label string, src, dst int, bytes float64, deps ...*sim.Ta
 	if src == dst || bytes <= 0 {
 		return f.E.Barrier(label, dst).After(deps...)
 	}
-	var tx, rx *sim.Resource
-	kind := sim.KindIntraComm
-	if f.C.SameNode(src, dst) {
-		tx, rx = f.IntraSend[src], f.IntraRecv[dst]
-	} else {
-		kind = sim.KindInterComm
-		tx, rx = f.NICSend[f.C.NICOf(src)], f.NICRecv[f.C.NICOf(dst)]
+	if !f.C.SameNode(src, dst) {
+		return f.SendVia(label, src, dst, f.C.NICOf(src), f.C.NICOf(dst), bytes, deps...)
 	}
-	send := f.E.Transfer(label, kind, src, tx, bytes)
+	send := f.E.Transfer(label, sim.KindIntraComm, src, f.IntraSend[src], bytes)
 	send.After(deps...)
-	recv := f.E.Transfer(label, kind, dst, rx, bytes)
+	recv := f.E.Transfer(label, sim.KindIntraComm, dst, f.IntraRecv[dst], bytes)
 	recv.After(deps...)
 	return f.E.Barrier(label, dst).After(send, recv)
 }
 
-// SendVia is Send but forces the transfer through a specific NIC index on
-// each side, regardless of GPU affinity. The routing layer uses this to
-// spread one logical flow over all NICs of a node. Panics if src and dst
+// SendVia is a cross-node Send through a specific NIC index on each
+// side, regardless of GPU affinity: Send passes the ranks' own NICs, and
+// the routing layer spreads one logical flow over all NICs of a node. Panics if src and dst
 // share a node (routing never re-routes intra-node traffic).
 func (f *Fabric) SendVia(label string, src, dst, srcNIC, dstNIC int, bytes float64, deps ...*sim.Task) *sim.Task {
 	if f.C.SameNode(src, dst) {

@@ -65,10 +65,10 @@ func Table3Opts(opts Options) ([]Table3Column, error) {
 		res := rs.Get("table3/" + sp.name)
 		layers := float64(cfg.Model.Layers)
 		col := Table3Column{Distribution: sp.name}
-		col.ForwardAttn = rankRange(res.PerRankPhase["attn-fwd"], layers)
-		col.ForwardLin = rankRange(res.PerRankPhase["linear-fwd"], layers)
+		col.ForwardAttn = rankRange(res.PerRankPhase[trainer.PhaseAttnFwd], layers)
+		col.ForwardLin = rankRange(res.PerRankPhase[trainer.PhaseLinearFwd], layers)
 		// Remapping runs twice per direction; attribute half to forward.
-		col.ForwardRemap = rankRange(res.PerRankPhase["remap"], layers/2)
+		col.ForwardRemap = rankRange(res.PerRankPhase[trainer.PhaseRemap], layers/2)
 		col.SeqPartition = Table3Range{
 			Min: res.HostOverhead * 1e3, Max: res.HostOverhead * 1e3,
 		}
@@ -76,8 +76,8 @@ func Table3Opts(opts Options) ([]Table3Column, error) {
 			Min: col.ForwardAttn.Min + col.ForwardLin.Min + col.ForwardRemap.Min,
 			Max: col.ForwardAttn.Max + col.ForwardLin.Max + col.ForwardRemap.Max,
 		}
-		bwdAttn := rankRange(res.PerRankPhase["attn-bwd"], layers)
-		bwdLin := rankRange(res.PerRankPhase["linear-bwd"], layers)
+		bwdAttn := rankRange(res.PerRankPhase[trainer.PhaseAttnBwd], layers)
+		bwdLin := rankRange(res.PerRankPhase[trainer.PhaseLinearBwd], layers)
 		col.Backward = Table3Range{Min: bwdAttn.Min + bwdLin.Min, Max: bwdAttn.Max + bwdLin.Max}
 		out = append(out, col)
 	}

@@ -27,24 +27,11 @@ type Router struct {
 	F *cluster.Fabric
 	// Enabled selects three-step routing for cross-node transfers.
 	Enabled bool
-	// Proxies caps the number of proxy ranks per node; 0 means all GPUs
-	// of the node serve as proxies (the paper pairs senders and receivers
-	// one-to-one, x1 = x2).
-	Proxies int
 }
 
 // New builds a router over a fabric.
 func New(f *cluster.Fabric, enabled bool) *Router {
 	return &Router{F: f, Enabled: enabled}
-}
-
-// proxyCount resolves the effective number of proxies per node.
-func (r *Router) proxyCount() int {
-	p := r.F.C.GPUsPerNode
-	if r.Proxies > 0 && r.Proxies < p {
-		return r.Proxies
-	}
-	return p
 }
 
 // Transfer moves bytes from src to dst rank, returning the task that
@@ -56,9 +43,9 @@ func (r *Router) Transfer(label string, src, dst int, bytes float64, deps ...*si
 	if !r.Enabled || src == dst || c.SameNode(src, dst) || bytes <= 0 {
 		return r.F.Send(label, src, dst, bytes, deps...)
 	}
-	x := r.proxyCount()
-	// Proxy i of a node is its i-th GPU (x never exceeds the node's GPU
-	// count), and send proxy i pairs with receive proxy i.
+	// Every GPU of a node is a proxy: proxy i is the node's i-th GPU, and
+	// send proxy i pairs with receive proxy i (the paper's x1 = x2).
+	x := c.GPUsPerNode
 	srcBase := c.NodeOf(src) * c.GPUsPerNode
 	dstBase := c.NodeOf(dst) * c.GPUsPerNode
 

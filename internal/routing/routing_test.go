@@ -103,20 +103,6 @@ func TestSelfAndZeroTransfersFree(t *testing.T) {
 	}
 }
 
-func TestProxyCapRespected(t *testing.T) {
-	e, f := fabric(t, cluster.ClusterA, 2)
-	r := New(f, true)
-	r.Proxies = 2
-	r.Transfer("kv", 0, 8, f.C.NICBandwidth)
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Proxies 2 means local ranks 0,1 send — both on NIC 0; NIC 1 idle.
-	if f.NICSend[1].BusyTime != 0 {
-		t.Fatal("with 2 proxies only NIC 0 should be used on Cluster A")
-	}
-}
-
 func TestClusterCRoutingScalesWithNICs(t *testing.T) {
 	// On Cluster C (8 NICs, 1:1), routing should approach 8x on the inter
 	// phase for large transfers.

@@ -185,35 +185,13 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) (*ResultSet, error) {
 		leaders = append(leaders, i)
 	}
 
-	// Fan the leaders across the pool. Workers re-check the context
-	// between jobs so a cancellation mid-grid drains the queue without
-	// starting new simulations.
-	var wg sync.WaitGroup
-	work := make(chan int)
-	workers := min(e.workers, len(leaders))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if ctx.Err() != nil {
-					continue // drain without executing
-				}
-				outcomes[i] = e.execute(&jobs[i])
-			}
-		}()
-	}
-feed:
-	for _, i := range leaders {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	// Fan the leaders across the pool; a cancellation mid-grid stops it
+	// between jobs.
+	if err := ForEach(ctx, e.workers, len(leaders), func(k int) error {
+		i := leaders[k]
+		outcomes[i] = e.execute(&jobs[i])
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 

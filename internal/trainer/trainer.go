@@ -21,9 +21,9 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"strings"
 
 	"zeppelin/internal/cluster"
+	"zeppelin/internal/collective"
 	"zeppelin/internal/costmodel"
 	"zeppelin/internal/model"
 	"zeppelin/internal/seq"
@@ -219,28 +219,43 @@ func (c *Config) Batch(sample func(total int, rng *rand.Rand) []seq.Sequence) []
 	return sample(c.TotalTokens(), rng)
 }
 
-// Result reports one simulated iteration. The JSON field names are part
-// of the runner's artifact format and must stay stable.
+// Phase is one of the five accounting phases of a simulated layer. A
+// task counts toward the phase of the RunPlanned stage that emitted it.
+// The constants run in the order every consumer folds the per-rank
+// vectors, which fixes the last bits of each sum.
+type Phase uint8
+
+const (
+	PhaseAttnBwd Phase = iota
+	PhaseAttnFwd
+	PhaseLinearBwd
+	PhaseLinearFwd
+	PhaseRemap
+	NumPhases
+)
+
+// Result reports one simulated iteration. It is an in-process readout:
+// nothing encodes it.
 type Result struct {
-	Method    string  `json:"method"`
-	IterTime  float64 `json:"iter_time"`  // seconds per iteration (all layers + host overhead)
-	LayerTime float64 `json:"layer_time"` // seconds for the simulated layer (fwd+bwd)
-	Tokens    int     `json:"tokens"`
+	Method    string
+	IterTime  float64 // seconds per iteration (all layers + host overhead)
+	LayerTime float64 // seconds for the simulated layer (fwd+bwd)
+	Tokens    int
 	// TokensPerSec is the paper's headline metric.
-	TokensPerSec float64 `json:"tokens_per_sec"`
+	TokensPerSec float64
 	// Phase spans of the simulated layer in seconds.
-	AttnFwd   float64 `json:"attn_fwd"`
-	AttnBwd   float64 `json:"attn_bwd"`
-	LinearFwd float64 `json:"linear_fwd"`
-	LinearBwd float64 `json:"linear_bwd"`
-	RemapTime float64 `json:"remap_time"`
-	// PerRankPhase maps phase label prefix -> per-rank busy seconds, for
-	// the Table 3 min–max ranges.
-	PerRankPhase map[string][]float64 `json:"per_rank_phase,omitempty"`
-	HostOverhead float64              `json:"host_overhead"`
+	AttnFwd   float64
+	AttnBwd   float64
+	LinearFwd float64
+	LinearBwd float64
+	RemapTime float64
+	// PerRankPhase holds each phase's per-rank busy seconds, for the
+	// Table 3 min–max ranges and campaign utilization.
+	PerRankPhase [NumPhases][]float64
+	HostOverhead float64
 	// GradSync is the method-independent per-iteration gradient
 	// synchronization cost not hidden by backward overlap.
-	GradSync float64 `json:"grad_sync"`
+	GradSync float64
 }
 
 // gradSyncTime estimates the unhidden portion of the per-iteration
@@ -286,17 +301,26 @@ func Run(cfg Config, m Method, batch []seq.Sequence) (*Result, error) {
 // afterwards.
 func RunPlanned(cfg Config, name string, env *Env, pl Placement, batch []seq.Sequence) (*Result, error) {
 	defer env.E.Release()
+	// ends[i] is the task count once stage i, of phase stagePhases[i], is
+	// emitted.
+	var ends [len(stagePhases)]int
+	stages := 0
+	staged := func(t *sim.Task) *sim.Task {
+		ends[stages] = len(env.E.Tasks())
+		stages++
+		return t
+	}
 	start := env.E.Barrier("start", 0)
 
-	attnF := pl.EmitAttention(env, false, start)
-	toLin := pl.EmitRemapToLinear(env, attnF)
-	linF := emitLinear(env, pl, linearFwd, 1.0, toLin)
-	toAttn := pl.EmitRemapToAttention(env, linF)
+	attnF := staged(pl.EmitAttention(env, false, start))
+	toLin := staged(pl.EmitRemapToLinear(env, attnF))
+	linF := staged(emitLinear(env, pl, linearFwd, 1.0, toLin))
+	toAttn := staged(pl.EmitRemapToAttention(env, linF))
 
-	toLinB := pl.EmitRemapToLinear(env, toAttn)
-	linB := emitLinear(env, pl, linearBwd, costmodel.BwdComputeFactor, toLinB)
-	toAttnB := pl.EmitRemapToAttention(env, linB)
-	attnB := pl.EmitAttention(env, true, toAttnB)
+	toLinB := staged(pl.EmitRemapToLinear(env, toAttn))
+	linB := staged(emitLinear(env, pl, linearBwd, costmodel.BwdComputeFactor, toLinB))
+	toAttnB := staged(pl.EmitRemapToAttention(env, linB))
+	attnB := staged(pl.EmitAttention(env, true, toAttnB))
 
 	if _, err := env.E.Run(); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
@@ -306,7 +330,7 @@ func RunPlanned(cfg Config, name string, env *Env, pl Placement, batch []seq.Seq
 		Method:       name,
 		Tokens:       seq.TotalLen(batch),
 		HostOverhead: pl.HostOverhead(),
-		PerRankPhase: perRankPhases(env),
+		PerRankPhase: perRankPhases(env, &ends),
 	}
 	res.AttnFwd = attnF.End - start.End
 	res.LinearFwd = linF.End - toLin.End
@@ -324,8 +348,7 @@ func RunPlanned(cfg Config, name string, env *Env, pl Placement, batch []seq.Seq
 }
 
 // linearStage labels one pass of the linear modules: its kernels and
-// barriers, and the MoE all-to-alls around the expert computation. Each
-// label starts with the pass's phase, the prefix perRankPhases keys on.
+// barriers, and the MoE all-to-alls around the expert computation.
 type linearStage struct{ phase, dispatch, combine string }
 
 var (
@@ -348,8 +371,15 @@ func emitLinear(env *Env, pl Placement, st linearStage, mul float64, deps ...*si
 	start := env.E.Barrier(st.phase, 0)
 	start.After(deps...)
 	gate := start
-	if env.CM.MC.MoE {
-		gate = emitMoEAllToAll(env, st.dispatch, eff, mul, start)
+	// Each rank exchanges TopK routed copies of its tokens' activations
+	// with the rest of the world.
+	var a2a []float64
+	if mc := env.CM.MC; mc.MoE {
+		a2a = make([]float64, env.C.World())
+		for rank := range a2a {
+			a2a[rank] = eff[rank] * float64(mc.TopK) * env.CM.ActBytes(1) * mul
+		}
+		gate = collective.AllToAll(env.F, st.dispatch, a2a, start)
 	}
 	done := env.E.Barrier(st.phase, 0)
 	done.After(gate)
@@ -367,80 +397,35 @@ func emitLinear(env *Env, pl Placement, st linearStage, mul float64, deps ...*si
 		}
 		done.After(prev)
 	}
-	if env.CM.MC.MoE {
-		return emitMoEAllToAll(env, st.combine, eff, mul, done)
+	if a2a != nil {
+		return collective.AllToAll(env.F, st.combine, a2a, done)
 	}
 	return done
 }
 
-// emitMoEAllToAll models one expert-parallel all-to-all: each rank
-// exchanges TopK routed copies of its tokens' activations with the rest
-// of the world; the cross-node fraction rides the rank's NIC and the rest
-// crosses NVSwitch. Every task it creates carries label.
-func emitMoEAllToAll(env *Env, label string, eff []float64, mul float64, dep *sim.Task) *sim.Task {
-	mc := env.CM.MC
-	c := env.C
-	done := env.E.Barrier(label, 0)
-	done.After(dep)
-	for rank := 0; rank < c.World(); rank++ {
-		if eff[rank] <= 0 {
-			continue
-		}
-		vol := eff[rank] * float64(mc.TopK) * env.CM.ActBytes(1) * mul
-		crossFrac := 0.0
-		if c.Nodes > 1 {
-			crossFrac = float64(c.Nodes-1) / float64(c.Nodes)
-		}
-		if crossFrac > 0 {
-			nic := c.NICOf(rank)
-			tx := env.E.Transfer(label, sim.KindInterComm, rank, env.F.NICSend[nic], vol*crossFrac)
-			tx.After(dep)
-			rx := env.E.Transfer(label, sim.KindInterComm, rank, env.F.NICRecv[nic], vol*crossFrac)
-			rx.After(dep)
-			done.After(tx, rx)
-		}
-		intra := env.E.Transfer(label, sim.KindIntraComm, rank, env.F.IntraSend[rank], vol*(1-crossFrac))
-		intra.After(dep)
-		done.After(intra)
-	}
-	return done
-}
+// stagePhases is the phase of each stage RunPlanned emits, in order.
+var stagePhases = [...]Phase{PhaseAttnFwd, PhaseRemap, PhaseLinearFwd, PhaseRemap,
+	PhaseRemap, PhaseLinearBwd, PhaseRemap, PhaseAttnBwd}
 
-// perRankPhases aggregates per-rank busy time by phase label prefix.
-func perRankPhases(env *Env) map[string][]float64 {
-	out := make(map[string][]float64)
+// perRankPhases sums each rank's busy time per phase: stage i emitted
+// the tasks up to ends[i], and they count toward stagePhases[i].
+func perRankPhases(env *Env, ends *[len(stagePhases)]int) [NumPhases][]float64 {
 	world := env.C.World()
-	add := func(key string, rank int, d float64) {
-		v, ok := out[key]
-		if !ok {
-			v = make([]float64, world)
-			out[key] = v
-		}
-		if rank >= 0 && rank < world {
-			v[rank] += d
-		}
+	var out [NumPhases][]float64
+	buf := make([]float64, len(out)*world)
+	for p := range out {
+		out[p] = buf[p*world : (p+1)*world : (p+1)*world]
 	}
-	for _, t := range env.E.Tasks() {
-		if t.Kind == sim.KindBarrier {
-			continue
+	tasks := env.E.Tasks()
+	from := 0
+	for i, end := range ends {
+		busy := out[stagePhases[i]]
+		for _, t := range tasks[from:end] {
+			if t.Kind != sim.KindBarrier && t.Rank >= 0 && t.Rank < world {
+				busy[t.Rank] += t.End - t.Start
+			}
 		}
-		label := t.Label
-		var key string
-		switch {
-		case strings.HasPrefix(label, "attn-fwd"):
-			key = "attn-fwd"
-		case strings.HasPrefix(label, "attn-bwd"):
-			key = "attn-bwd"
-		case strings.HasPrefix(label, "linear-fwd"):
-			key = "linear-fwd"
-		case strings.HasPrefix(label, "linear-bwd"):
-			key = "linear-bwd"
-		case strings.HasPrefix(label, "remap"):
-			key = "remap"
-		default:
-			key = "other"
-		}
-		add(key, t.Rank, t.End-t.Start)
+		from = end
 	}
 	return out
 }

@@ -175,7 +175,7 @@ func TestRunProducesThroughput(t *testing.T) {
 	if res.LinearFwd <= 0 || res.LinearBwd <= res.LinearFwd {
 		t.Fatalf("linear phases wrong: fwd=%v bwd=%v", res.LinearFwd, res.LinearBwd)
 	}
-	if len(res.PerRankPhase["attn-fwd"]) != 16 {
+	if len(res.PerRankPhase[PhaseAttnFwd]) != 16 {
 		t.Fatal("per-rank phase accounting missing")
 	}
 }
@@ -214,7 +214,7 @@ func TestMoEAllToAllAddsCommunication(t *testing.T) {
 	if rm.LinearFwd <= rd.LinearFwd*0.5 && rm.LinearFwd <= 0 {
 		t.Fatal("MoE linear phase should include all-to-all time")
 	}
-	moePhase := rm.PerRankPhase["linear-fwd"]
+	moePhase := rm.PerRankPhase[PhaseLinearFwd]
 	if len(moePhase) == 0 {
 		t.Fatal("missing MoE linear phase accounting")
 	}
