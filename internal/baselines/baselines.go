@@ -4,8 +4,9 @@
 // attention, as in LLaMA 3 / WLB-LLM training), and Hybrid DP (ByteScale-
 // style FLOP-balanced assignment of short sequences to DP ranks with
 // ring CP for long sequences). All three implement trainer.Method over
-// the same cost model and fabric as Zeppelin, so comparisons isolate the
-// scheduling policies.
+// the same cost model and fabric as Zeppelin, and their rings and
+// all-to-alls are the same emitters (attention.Ring,
+// collective.AllToAll), so comparisons isolate the scheduling policies.
 package baselines
 
 import (
@@ -28,8 +29,7 @@ const hostOverheadBase = 0.5e-3
 
 // stage labels the tasks of one attention pass of a baseline: compute
 // kernels, KV traffic (ring transfers or the all-gather), and the pass's
-// barriers. Every label starts with the pass's phase ("attn-fwd" or
-// "attn-bwd"), the prefix trainer's per-rank phase accounting keys on.
+// barriers.
 type stage struct{ comp, kv, done string }
 
 var (
@@ -143,15 +143,15 @@ func (p *tecpPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*
 	// one-rank ring computes the whole triangle in its one round and pays
 	// no round overhead.
 	g := env.C.World()
+	ranks := make([]int, g)
+	for i := range ranks {
+		ranks[i] = i
+	}
 	overhead := costmodel.RingRoundOverhead
 	if g == 1 {
 		overhead = 0
 	}
-	ranks := make([]int, g)
 	perRound := repeated(g, env.CM.AttnTimePairs(p.pairs/float64(g*g))*computeMul+overhead)
-	for i := range ranks {
-		ranks[i] = i
-	}
 	blockBytes := env.CM.KVBytes(float64(p.tokens)/float64(g)) * commMul
 	lastComp := make([]*sim.Task, g)
 	attention.Ring(p.router, st.kv, st.comp, ranks, perRound, blockBytes, deps, lastComp)

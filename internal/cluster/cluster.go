@@ -216,8 +216,9 @@ func (f *Fabric) Send(label string, src, dst int, bytes float64, deps ...*sim.Ta
 
 // SendVia is a cross-node Send through a specific NIC index on each
 // side, regardless of GPU affinity: Send passes the ranks' own NICs, and
-// the routing layer spreads one logical flow over all NICs of a node. Panics if src and dst
-// share a node (routing never re-routes intra-node traffic).
+// the routing layer spreads one logical flow over all NICs of a node.
+// Panics if src and dst share a node (routing never re-routes intra-node
+// traffic).
 func (f *Fabric) SendVia(label string, src, dst, srcNIC, dstNIC int, bytes float64, deps ...*sim.Task) *sim.Task {
 	if f.C.SameNode(src, dst) {
 		panic("cluster: SendVia requires cross-node endpoints")

@@ -41,11 +41,11 @@ func graphCells() []graphCell {
 	}
 	moe := fig8
 	moe.Model = model.MoE8x550M
+	threeNodes := fig8
+	threeNodes.Nodes = 3
 	// The 128k panel's github batch is the smallest cell here with
 	// Zeppelin rings that cross nodes, where routing changes the graph.
 	fig8Inter := fig8Cells()[1] // 7B, 128k, 32 GPUs
-	threeNodes := fig8
-	threeNodes.Nodes = 3
 	// At TP 8 one node is one DP rank: TE CP's ring has a single rank,
 	// and on 8x550M the rank's linear load sums many sequences' MoE
 	// weights.

@@ -2,10 +2,12 @@
 // (§3.3): it disaggregates logical inter-node transfers from fixed GPU–NIC
 // affinity by decomposing each cross-node send into three steps —
 // intra-node dispatch to send-proxy ranks, multi-NIC inter-node transfer,
-// and intra-node combine at the destination. With a ~10× bandwidth gap
-// between NVSwitch and a single NIC, spreading one flow across all of a
-// node's NICs converts the per-round ring-attention bottleneck from one
-// NIC's bandwidth to the node's aggregate bandwidth (Eq. 1).
+// and intra-node combine at the destination. Every GPU of a node is a
+// proxy, and send proxy i pairs with receive proxy i (the paper's x1 =
+// x2). With a ~10× bandwidth gap between NVSwitch and a single NIC,
+// spreading one flow across all of a node's NICs converts the per-round
+// ring-attention bottleneck from one NIC's bandwidth to the node's
+// aggregate bandwidth (Eq. 1).
 package routing
 
 import (
@@ -43,8 +45,8 @@ func (r *Router) Transfer(label string, src, dst int, bytes float64, deps ...*si
 	if !r.Enabled || src == dst || c.SameNode(src, dst) || bytes <= 0 {
 		return r.F.Send(label, src, dst, bytes, deps...)
 	}
-	// Every GPU of a node is a proxy: proxy i is the node's i-th GPU, and
-	// send proxy i pairs with receive proxy i (the paper's x1 = x2).
+	// Proxy i is the node's i-th GPU; send proxy i pairs with receive
+	// proxy i.
 	x := c.GPUsPerNode
 	srcBase := c.NodeOf(src) * c.GPUsPerNode
 	dstBase := c.NodeOf(dst) * c.GPUsPerNode

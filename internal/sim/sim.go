@@ -19,13 +19,13 @@
 // schedules. Ties in event time are broken by creation order.
 //
 // A task's identity is its Rank, its Kind and its creation order; its
-// Label only names the stage that emitted it. Labels are constants such
-// as "attn-fwd/ring/kv", "linear-bwd" or "remap-to-linear", shared by
-// every task that stage creates, and a stage inside a phase ("attn-fwd",
-// "attn-bwd", "linear-fwd", "linear-bwd", "remap") starts its labels
-// with that phase: per-phase accounting matches on the prefix. Resource
-// names follow the same rule ("gpu/compute", "nic/tx"); a resource is
-// identified by its creation order.
+// Label only names the stage that emitted it, for traces. Labels are
+// constants such as "attn-fwd/ring/kv", "linear-bwd" or
+// "remap-to-linear", shared by every task that stage creates. Nothing
+// parses them: per-phase accounting (internal/trainer) attributes a task
+// to the phase of the stage that emitted it. Resource names follow the
+// same rule ("gpu/compute", "nic/tx"); a resource is identified by its
+// creation order.
 //
 // Building and running a graph allocates per block, not per task: tasks
 // and successor edges come from pooled blocks, the event queue is a

@@ -221,8 +221,10 @@ func (c *Config) Batch(sample func(total int, rng *rand.Rand) []seq.Sequence) []
 
 // Phase is one of the five accounting phases of a simulated layer. A
 // task counts toward the phase of the RunPlanned stage that emitted it.
-// The constants run in the order every consumer folds the per-rank
-// vectors, which fixes the last bits of each sum.
+// The constants run in the sorted order of the phases' names (attn-bwd,
+// attn-fwd, linear-bwd, linear-fwd, remap): campaign utilization folds
+// the per-rank vectors in this order, and the last bits of its reports
+// depend on it.
 type Phase uint8
 
 const (

@@ -186,9 +186,9 @@ func TestPlannerCacheMatchesUncached(t *testing.T) {
 
 // TestIdenticalPlansAreByteIdentical: one request planned many times
 // gets one response. On one DP rank of an MoE model, Hybrid DP's linear
-// load sums the weights of every sequence in the batch; summed in an
-// order that changes from call to call, the iteration time moved in its
-// last bits.
+// load sums the MoE weights of every sequence in the batch, so the
+// iteration time's last bits depend on a summation order that must not
+// change between calls.
 func TestIdenticalPlansAreByteIdentical(t *testing.T) {
 	var req PlanRequest
 	if err := json.Unmarshal([]byte(`{"model":"8x550M","method":"hybriddp","dataset":"github","seed":1037,
