@@ -50,8 +50,7 @@ var (
 		cpKV: "attn-bwd/hybrid/cp/kv", wave: "attn-bwd/hybrid/wave"}
 )
 
-// repeated returns n copies of v: a per-rank input of a ring or an
-// all-to-all in which every rank does the same.
+// repeated returns n copies of v: a per-rank value every rank shares.
 func repeated(n int, v float64) []float64 {
 	out := make([]float64, n)
 	for i := range out {
@@ -75,15 +74,11 @@ func batchStats(batch []seq.Sequence) (tokens int, pairs, wTokens float64) {
 // the MoE routing skew away.
 func evenEffectiveTokens(env *trainer.Env, mc model.Config, tokens int, wTokens float64) []float64 {
 	w := env.C.World()
-	out := make([]float64, w)
 	per := float64(tokens) / float64(w)
 	if mc.MoE {
 		per = wTokens / float64(w)
 	}
-	for i := range out {
-		out[i] = per
-	}
-	return out
+	return repeated(w, per)
 }
 
 // ---------------------------------------------------------------------

@@ -101,7 +101,7 @@ func (p graphPlacement) HostOverhead() float64 {
 	v := p.Placement.HostOverhead()
 	for _, t := range p.env.E.Tasks() {
 		p.h.Write([]byte(t.Label))
-		writeInts(p.h, 0, uint64(t.Kind), uint64(t.Rank))
+		writeInts(p.h, 0, uint64(t.Kind), uint64(t.Rank)) // 0 ends the label
 		writeFloats(p.h, t.Duration, t.Size, t.Start, t.End)
 	}
 	return v
