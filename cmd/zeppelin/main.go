@@ -406,11 +406,13 @@ func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) e
 	}
 	jsonOut = jsonOut || *subJSON
 
+	var req zeppelin.CampaignRequest
 	if *serveSpec != "" || hasFlag(fs, "serve") {
-		// Serve mode: the serve spec owns the arrival process and there is
-		// no replanning controller — reject any training-cell flag the
-		// user explicitly set alongside it.
-		for _, conflict := range []string{"arrival", "dataset", "drift", "policy", "threshold", "every", "faults", "autoscale"} {
+		// Serve mode: the serve spec owns the request stream and there is
+		// no replanning controller. Flag defaults hide what the user
+		// typed, so only here can a training-cell flag set alongside
+		// -serve be told apart from its default and rejected.
+		for _, conflict := range []string{"arrival", "dataset", "drift", "policy", "threshold", "every", "replan-cost", "faults", "autoscale"} {
 			if hasFlag(fs, conflict) {
 				return usageErrorf("campaign: -%s conflicts with -serve (the serve spec owns the request stream)", conflict)
 			}
@@ -419,34 +421,18 @@ func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) e
 		if err != nil {
 			return usageError{err}
 		}
-		req := zeppelin.CampaignRequest{
-			Cluster:       zeppelin.ClusterSpec{Capacity: *capacity},
-			Iters:         *iters,
-			ReplanCostSec: *cell.replanCost,
-			Serve:         spec,
+		req = zeppelin.CampaignRequest{Iters: *iters, Serve: spec}
+	} else {
+		req = cell.request(*iters)
+		if *autoscaleSpec != "" {
+			as, err := zeppelin.ParseAutoscaleSpec(*autoscaleSpec)
+			if err != nil {
+				return usageError{err}
+			}
+			req.Autoscale = as
 		}
-		if err := req.Validate(); err != nil {
-			return usageError{err}
-		}
-		cmp, err := zeppelin.CompareCampaigns(context.Background(), req, seeds, workers)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return cmp.WriteJSON(w)
-		}
-		return cmp.WriteText(w)
 	}
-
-	req := cell.request(*iters)
 	req.Cluster = zeppelin.ClusterSpec{Capacity: *capacity}
-	if *autoscaleSpec != "" {
-		as, err := zeppelin.ParseAutoscaleSpec(*autoscaleSpec)
-		if err != nil {
-			return usageError{err}
-		}
-		req.Autoscale = as
-	}
 	// Resolution failures — unknown datasets, arrivals, policies, fault
 	// scenarios, out-of-range parameters — are flag mistakes: usage.
 	if err := req.Validate(); err != nil {

@@ -40,6 +40,19 @@ func TestCampaignCmdRejectsInvalidFlags(t *testing.T) {
 	wantUsage(t, []string{"extra-positional"}, "unexpected arguments")
 }
 
+// TestCampaignServeFlagConflicts: a training-cell flag set alongside
+// -serve is a usage error (exit 2), even at its default value, since the
+// serve spec owns the request stream and nothing replans.
+func TestCampaignServeFlagConflicts(t *testing.T) {
+	for _, fv := range [][2]string{
+		{"arrival", "steady"}, {"dataset", "arxiv"}, {"drift", "arxiv,github"},
+		{"policy", "always"}, {"threshold", "1.3"}, {"every", "10"},
+		{"replan-cost", "5"}, {"faults", "none"}, {"autoscale", "on"},
+	} {
+		wantUsage(t, []string{"-serve", "clients=2,rate=20@0-2s", "-" + fv[0], fv[1]}, "-"+fv[0]+" conflicts with -serve")
+	}
+}
+
 // TestCampaignCmdRejectsNonFinite: NaN and ±Inf in any float flag or
 // spec value is a usage error (exit 2) — not NaN columns, a JSON
 // encoding failure, or an internal partitioner error.
@@ -143,14 +156,16 @@ func TestServeCeilingIsUsageError(t *testing.T) {
 
 // TestItersCeilingIsUsageError: an -iters above the campaign ceiling is
 // a usage error (exit 2) on every campaign-running subcommand, not a Go
-// panic when the campaign pre-sizes its report.
+// panic when the campaign pre-sizes its report; so is a tune -budget
+// whose search would simulate more iterations than that ceiling.
 func TestItersCeilingIsUsageError(t *testing.T) {
 	const huge = "1125899906842624"
 	runs := map[string]func() error{
-		"campaign": func() error { return campaignCmd(io.Discard, []string{"-iters", huge}, 1, 1, false) },
-		"serve":    func() error { return serveCmd(io.Discard, []string{"-iters", huge}, 1, 1, false) },
-		"tune":     func() error { return tuneCmd(io.Discard, []string{"-budget", "1", "-iters", huge}, 1, 1, false) },
-		"replay":   func() error { return replayCmd(io.Discard, []string{"-iters", huge}, false) },
+		"campaign":    func() error { return campaignCmd(io.Discard, []string{"-iters", huge}, 1, 1, false) },
+		"serve":       func() error { return serveCmd(io.Discard, []string{"-iters", huge}, 1, 1, false) },
+		"tune":        func() error { return tuneCmd(io.Discard, []string{"-budget", "1", "-iters", huge}, 1, 1, false) },
+		"replay":      func() error { return replayCmd(io.Discard, []string{"-iters", huge}, false) },
+		"tune-budget": func() error { return tuneCmd(io.Discard, []string{"-budget", "1000000000"}, 1, 1, false) },
 	}
 	for name, run := range runs {
 		err := run()

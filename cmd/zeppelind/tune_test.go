@@ -161,8 +161,10 @@ func TestCampaignAutoscaleOverHTTP(t *testing.T) {
 }
 
 // TestNonFiniteAndOversizedInputsAre400: NaN/±Inf inside a fault spec or
-// a tune space, a capacity factor above the ceiling, and iters above
-// campaign.MaxIters are rejected up front with the structured 400 — not
+// a tune space, a capacity factor above the ceiling, iters above
+// campaign.MaxIters, nodes or tokens_per_gpu above the trainer's
+// ceilings, a tune search past zeppelin.MaxTuneIters and negative tune
+// seeds are rejected up front with the structured 400 — not
 // a 201 session whose event stream dies on a NaN or never ends, a 200
 // with an empty body, a dropped connection, or a 500 from an
 // overflowed partitioner capacity.
@@ -186,6 +188,11 @@ func TestNonFiniteAndOversizedInputsAre400(t *testing.T) {
 	cases = append(cases,
 		badCase{"/v1/campaigns", `{"iters":1125899906842624}`, "100000"},
 		badCase{"/v1/tune", `{"budget":1,"iters":1125899906842624}`, "100000"},
+		badCase{"/v1/plan", `{"cluster":{"nodes":1073741824}}`, "nodes must be <= 128"},
+		badCase{"/v1/plan", `{"cluster":{"tokens_per_gpu":1099511627776}}`, "tokens per GPU must be <= 1048576"},
+		badCase{"/v1/campaigns", `{"iters":1,"cluster":{"nodes":1073741824}}`, "nodes must be <= 128"},
+		badCase{"/v1/tune", `{"budget":1000000000}`, "100000"},
+		badCase{"/v1/tune", `{"seeds":-1}`, "seeds"},
 	)
 	for _, c := range cases {
 		want400(t, ts, c.route, c.body, c.substr)

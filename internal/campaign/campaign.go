@@ -11,6 +11,12 @@
 // per-rank utilization histories) into a JSON-exportable Report that
 // internal/trace can render as an iteration timeline.
 //
+// A serving campaign (Config.Serve) runs through the same step: a tick's
+// batch source is a request queue that forms and routes one batch, in
+// place of the arrival and admission control, and the replanning
+// controller is off, as it is for shape-independent methods. Config's
+// Validate is the one place that decides which campaign modes combine.
+//
 // Campaigns are deterministic per (Config, seed): all randomness flows
 // from one sequential RNG, so fanning campaigns across seeds or methods
 // with internal/runner.ForEach is bit-identical to running them serially.
@@ -93,9 +99,10 @@ type Config struct {
 	Policy Policy
 	// ReplanCost is the per-replan coordination charge in seconds — the
 	// cost of re-running the solver, broadcasting the new placement, and
-	// draining in-flight micro-batches. Zero selects DefaultReplanCost;
-	// a negative value is a validation error (use a small positive value
-	// to approximate free replanning).
+	// draining in-flight micro-batches. Zero selects DefaultReplanCost on
+	// a training campaign and stays zero on a serving one; a negative
+	// value is a validation error (use a small positive value to
+	// approximate free replanning).
 	ReplanCost float64
 	// Faults is the fault-and-elasticity schedule the campaign runs
 	// under; nil means a healthy fixed-size cluster (bit-identical to
@@ -122,11 +129,13 @@ type Config struct {
 	Flip *Flip
 	// Serve, when non-nil, switches the campaign to an inference-style
 	// request stream: SLO-classed requests arrive on a multi-client
-	// timeline, each iteration forms and routes one batch, and the report
-	// gains per-class latency/goodput/violation metrics. Iters caps the
+	// timeline, and the report gains per-class latency/goodput/violation
+	// metrics. A serving tick is the same step as a training iteration,
+	// with the request queue as its batch source (each tick forms and
+	// routes one batch) and the replanning controller off. Iters caps the
 	// number of serving ticks; the stream ends early once the timeline
-	// drains. Mutually exclusive with Arrival, Faults, Autoscaler, and
-	// Flip.
+	// drains. Validate lists what Serve excludes: Arrival, Policy,
+	// ReplanCost, Faults, Autoscaler and Flip.
 	Serve *ServeConfig
 }
 
@@ -151,9 +160,12 @@ const MaxIters = 100_000
 // seconds (routing the batch through the frozen skeleton).
 const reuseOverhead = 0.2e-3
 
-// Validate fills defaults and checks the configuration. Errors are
+// Validate fills defaults and checks the configuration. It is the one
+// place that decides which campaign modes combine: Serve excludes
+// Arrival, Policy, ReplanCost, Faults, Autoscaler and Flip (see
+// validateServe), and Faults excludes Autoscaler. Errors are
 // validation-classified (IsValidation) so the HTTP layer can answer bad
-// inputs with a structured 400.
+// inputs with a structured 400. Validating twice gives the same result.
 func (c *Config) Validate() error {
 	if c.Method == nil {
 		return validationf("campaign: no method")
@@ -168,21 +180,18 @@ func (c *Config) Validate() error {
 		return asValidation(err)
 	}
 	if c.Serve != nil {
-		if err := c.validateServe(); err != nil {
-			return err
+		return c.validateServe()
+	}
+	if c.Arrival == nil {
+		c.Arrival = Steady{D: workload.ArXiv}
+	}
+	if v, ok := c.Arrival.(interface{ Validate() error }); ok {
+		if err := v.Validate(); err != nil {
+			return asValidation(err)
 		}
-	} else {
-		if c.Arrival == nil {
-			c.Arrival = Steady{D: workload.ArXiv}
-		}
-		if v, ok := c.Arrival.(interface{ Validate() error }); ok {
-			if err := v.Validate(); err != nil {
-				return asValidation(err)
-			}
-		}
-		if c.Policy == nil {
-			c.Policy = Threshold{}
-		}
+	}
+	if c.Policy == nil {
+		c.Policy = Threshold{}
 	}
 	if !(c.ReplanCost >= 0) || math.IsInf(c.ReplanCost, 1) {
 		return validationf("campaign: replan cost must be finite and >= 0 seconds, got %g", c.ReplanCost)
@@ -240,7 +249,9 @@ type Stream struct {
 	baseWorld  int
 	capacity   int
 	baseTokens int
-	shapeIndep bool
+	// controller reports that the replanning controller runs: a
+	// shape-dependent method on a training campaign.
+	controller bool
 	speedAware bool
 	layers     float64
 	// stateBytes is the resident sequence state per token that elastic
@@ -301,7 +312,7 @@ func Start(ctx context.Context, cfg Config) (*Stream, error) {
 		baseWorld:  baseWorld,
 		capacity:   cfg.Trainer.CapacityTokens(),
 		baseTokens: cfg.Trainer.TotalTokens(),
-		shapeIndep: cfg.shapeIndependent(),
+		controller: cfg.Serve == nil && !cfg.shapeIndependent(),
 		speedAware: cfg.speedAware(),
 		layers:     float64(cfg.Trainer.Model.Layers),
 		stateBytes: 2 * float64(m.Hidden) * float64(m.BytesPerElem) * float64(m.Layers) / float64(cfg.Trainer.TP),
@@ -343,13 +354,7 @@ func (s *Stream) Next() (IterRecord, bool) {
 		s.finish()
 		return IterRecord{}, false
 	}
-	var rec IterRecord
-	var err error
-	if s.serve != nil {
-		rec, err = s.stepServe()
-	} else {
-		rec, err = s.step()
-	}
+	rec, err := s.step()
 	if err != nil {
 		s.err = err
 		s.finish()
@@ -395,7 +400,12 @@ func (s *Stream) finish() {
 	s.report.summarize(s.cfg.Method.Name(), s.cfg.Arrival.Name(), policyLabel(&s.cfg))
 }
 
-// step simulates one iteration — the body of the campaign loop.
+// step simulates one iteration — the body of the campaign loop, for
+// training and serving alike. A training iteration's batch is the
+// arrival trimmed by admission control; a serving tick's is the batch
+// its queue forms. The replanning controller runs only for a
+// shape-dependent method on a training campaign; every other iteration
+// simulates its batch as planned fresh.
 func (s *Stream) step() (IterRecord, error) {
 	cfg := &s.cfg
 	it := s.it
@@ -421,6 +431,11 @@ func (s *Stream) step() (IterRecord, error) {
 		s.curNodes = s.nextNodes
 	}
 	world := view.Nodes * s.rpn
+	// Records carry the world size only when it can change.
+	recWorld := 0
+	if cfg.Faults != nil || cfg.Autoscaler != nil {
+		recWorld = world
+	}
 	var recovery float64
 	if view.Resized {
 		// Elastic transition: the stale skeleton addresses a rank set
@@ -439,54 +454,36 @@ func (s *Stream) step() (IterRecord, error) {
 			recovery += mig
 		}
 	}
-	// Speed-aware methods project plans against the degraded view;
-	// oblivious ones keep homogeneous projections (replanning would
-	// not help them around a straggler).
-	var slow []float64
-	if s.speedAware && view.Health.Degraded() {
-		slow = make([]float64, world)
-		for r := range slow {
-			slow[r] = view.Health.SlowOf(r)
-		}
-	}
 
-	batch := cfg.Arrival.Batch(it, s.baseTokens, s.rng)
-	if len(batch) == 0 {
-		// A bad trace or degenerate process is an input problem, not a
-		// simulation failure: classify it so the HTTP layer answers 400.
-		return IterRecord{}, validationf("campaign: arrival %s produced an empty batch at iteration %d", cfg.Arrival.Name(), it)
-	}
-	// Admission control: no iteration can place more tokens than the
-	// partitioners' total capacity, so overload arrivals (bursts,
-	// Poisson spikes) — and nominal arrivals landing on an elastically
-	// shrunk cluster — are trimmed to fit and the excess is deferred;
-	// in a real system those samples re-enter the stream later.
-	batch, deferred := admit(batch, world*s.capacity)
-	if cfg.Decisions != nil && deferred > 0 {
-		admitted := seq.TotalLen(batch)
-		drec := decision.Record{
-			Iter: it, Kind: decision.KindAdmission, Chosen: "trim",
-			Alternatives: []decision.Alternative{
-				{Choice: "admit-all", Score: float64(admitted + deferred)},
-				{Choice: "trim", Score: float64(admitted), Chosen: true},
-			},
+	var batch []seq.Sequence
+	var rec IterRecord
+	if s.serve != nil {
+		batch, rec = s.serve.form(cfg.Decisions, it, world, world*s.capacity)
+	} else {
+		var err error
+		if batch, rec, err = s.arrive(it, world, recWorld, view.Events); err != nil {
+			return IterRecord{}, err
 		}
-		if cfg.Faults != nil || cfg.Autoscaler != nil {
-			drec.World = world
-			drec.Events = view.Events
-		}
-		cfg.Decisions.Add(drec)
 	}
+	rec.Iter, rec.Seqs, rec.Penalty = it, len(batch), 1
+	rec.Recovery, rec.Events, rec.World = recovery, view.Events, recWorld
 
 	// Project both placements for the incoming batch: what a fresh
 	// plan would achieve and what reusing the stale skeleton costs.
-	// Shape-independent methods skip the projection entirely — they
-	// have no plan skeleton to manage.
 	var fresh *slotPlan
 	var staleImb float64
 	replan := false
-	flipped := false
-	if !s.shapeIndep {
+	if s.controller {
+		// Speed-aware methods project plans against the degraded view;
+		// oblivious ones keep homogeneous projections (replanning would
+		// not help them around a straggler).
+		var slow []float64
+		if s.speedAware && view.Health.Degraded() {
+			slow = make([]float64, world)
+			for r := range slow {
+				slow[r] = view.Health.SlowOf(r)
+			}
+		}
 		fresh = buildSlotPlan(batch, world, s.capacity, slow)
 		staleImb = fresh.imbalance
 		if s.stale != nil {
@@ -504,16 +501,18 @@ func (s *Stream) step() (IterRecord, error) {
 		// so a replay with that flip stays bit-identical.
 		if cfg.Flip != nil && cfg.Flip.Iter == it && !forced && replan != cfg.Flip.Replan {
 			replan = cfg.Flip.Replan
-			flipped = true
+			rec.Flipped = true
 		}
 		if cfg.Decisions != nil {
 			drec := decision.Record{
 				Iter: it, Kind: decision.KindReplan,
-				Chosen: "reuse", Forced: forced, Flipped: flipped,
+				Chosen: "reuse", Forced: forced, Flipped: rec.Flipped,
 				Policy:         cfg.Policy.Name(),
 				StaleImbalance: staleImb,
 				FreshImbalance: fresh.imbalance,
 				SinceReplan:    s.sinceReplan,
+				World:          recWorld,
+				Events:         view.Events,
 				Alternatives: []decision.Alternative{
 					{Choice: "replan", Score: fresh.imbalance, Chosen: replan},
 					{Choice: "reuse", Score: staleImb, Chosen: !replan},
@@ -524,10 +523,6 @@ func (s *Stream) step() (IterRecord, error) {
 			}
 			if th, ok := cfg.Policy.(Threshold); ok {
 				drec.Threshold = th.ratio()
-			}
-			if cfg.Faults != nil || cfg.Autoscaler != nil {
-				drec.World = world
-				drec.Events = view.Events
 			}
 			cfg.Decisions.Add(drec)
 		}
@@ -541,6 +536,10 @@ func (s *Stream) step() (IterRecord, error) {
 	tcfg.Health = view.Health
 	res, err := trainer.Run(tcfg, cfg.Method, batch)
 	if err != nil {
+		if s.serve != nil {
+			// A serving tick only fails on what its spec asked for.
+			return IterRecord{}, asValidation(err)
+		}
 		return IterRecord{}, fmt.Errorf("campaign: iteration %d: %w", it, err)
 	}
 	busy := perRankBusy(res, world)
@@ -550,7 +549,7 @@ func (s *Stream) step() (IterRecord, error) {
 	// this iteration's plan (trainer.Run just executed it). Cumulative
 	// fast-path counters score the alternatives — the planner's lifetime
 	// tendency at the moment of the decision.
-	if cfg.Decisions != nil && !s.shapeIndep {
+	if cfg.Decisions != nil && s.controller {
 		if pm, ok := cfg.Method.(PlanModeReporter); ok {
 			mode := pm.LastPlanMode()
 			drec := decision.Record{
@@ -569,24 +568,12 @@ func (s *Stream) step() (IterRecord, error) {
 		}
 	}
 
-	rec := IterRecord{
-		Iter:     it,
-		Tokens:   seq.TotalLen(batch),
-		Seqs:     len(batch),
-		Deferred: deferred,
-		Penalty:  1,
-		Recovery: recovery,
-		Events:   view.Events,
-		Flipped:  flipped,
-	}
-	if cfg.Faults != nil || cfg.Autoscaler != nil {
-		rec.World = world
-	}
 	span := res.LayerTime
 	switch {
-	case s.shapeIndep:
+	case !s.controller:
 		// Even-splitting methods re-chunk every iteration as part of
-		// their normal (cheap) host path; there is no plan to reuse.
+		// their normal (cheap) host path, and a serving tick plans the
+		// batch it formed: there is no plan to reuse.
 		rec.Time = res.IterTime
 		rec.Imbalance = realizedImb
 	case replan:
@@ -630,12 +617,15 @@ func (s *Stream) step() (IterRecord, error) {
 		s.spanSum += span
 	}
 	rec.Utilization = util
+	if s.serve != nil {
+		rec.Violations = s.serve.complete(res.IterTime)
+	}
 
 	// Close the loop: with an autoscaler configured, the iteration's
 	// observed queue depth and utilization pick the next world. Verdicts
 	// inside the cooldown window are forced back to hold.
 	if as := cfg.Autoscaler; as != nil {
-		next, verdict := as.decide(view.Nodes, util, deferred)
+		next, verdict := as.decide(view.Nodes, util, rec.Deferred)
 		forced := false
 		if next != view.Nodes && s.sinceScale < as.Cooldown {
 			next, verdict = view.Nodes, "hold"
@@ -653,7 +643,7 @@ func (s *Stream) step() (IterRecord, error) {
 				World:  world,
 				Events: view.Events,
 				Alternatives: []decision.Alternative{
-					{Choice: "grow", Score: float64(deferred), Chosen: verdict == "grow"},
+					{Choice: "grow", Score: float64(rec.Deferred), Chosen: verdict == "grow"},
 					{Choice: "hold", Score: util, Chosen: verdict == "hold"},
 					{Choice: "shrink", Score: util, Chosen: verdict == "shrink"},
 				},
@@ -661,6 +651,37 @@ func (s *Stream) step() (IterRecord, error) {
 		}
 	}
 	return rec, nil
+}
+
+// arrive is a training iteration's batch source: the arrival process's
+// batch, trimmed by admission control. No iteration can place more
+// tokens than the partitioners' total capacity, so overload arrivals
+// (bursts, Poisson spikes) — and nominal arrivals landing on an
+// elastically shrunk cluster — are trimmed to fit and the excess is
+// deferred; in a real system those samples re-enter the stream later.
+// The record it returns holds the admitted and deferred tokens; an
+// admission record carries recWorld and the iteration's events.
+func (s *Stream) arrive(it, world, recWorld int, events []string) ([]seq.Sequence, IterRecord, error) {
+	cfg := &s.cfg
+	batch := cfg.Arrival.Batch(it, s.baseTokens, s.rng)
+	if len(batch) == 0 {
+		// A bad trace or degenerate process is an input problem, not a
+		// simulation failure: classify it so the HTTP layer answers 400.
+		return nil, IterRecord{}, validationf("campaign: arrival %s produced an empty batch at iteration %d", cfg.Arrival.Name(), it)
+	}
+	batch, deferred := admit(batch, world*s.capacity)
+	admitted := seq.TotalLen(batch)
+	if cfg.Decisions != nil && deferred > 0 {
+		cfg.Decisions.Add(decision.Record{
+			Iter: it, Kind: decision.KindAdmission, Chosen: "trim",
+			World: recWorld, Events: events,
+			Alternatives: []decision.Alternative{
+				{Choice: "admit-all", Score: float64(admitted + deferred)},
+				{Choice: "trim", Score: float64(admitted), Chosen: true},
+			},
+		})
+	}
+	return batch, IterRecord{Tokens: admitted, Deferred: deferred}, nil
 }
 
 // Run executes the campaign to completion and returns its report: Start

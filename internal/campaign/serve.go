@@ -7,7 +7,6 @@ import (
 
 	"zeppelin/internal/decision"
 	"zeppelin/internal/seq"
-	"zeppelin/internal/trainer"
 	"zeppelin/internal/workload/serve"
 )
 
@@ -84,26 +83,34 @@ type serveState struct {
 	prio     map[string]int // class → priority, for priority formation
 	stats    map[string]*classAgg
 	unserved int
-	// order and taken are batch formation's buffers over the queue,
-	// reused every tick: under a burst the queue holds thousands.
-	order []int
-	taken []bool
+	// order and taken are batch formation's buffers over the queue, and
+	// served the requests the current tick took; all are reused every
+	// tick: under a burst the queue holds thousands.
+	order  []int
+	taken  []bool
+	served []serve.Request
 }
 
-// validateServe checks the serve configuration and its interaction with
-// the rest of the campaign config. All errors are validation-classified.
+// validateServe checks the serve configuration, and is the one place
+// that lists what Serve excludes. The serve timeline is the arrival
+// process, so there is no Arrival. A serving tick runs no replanning
+// controller, so there is no Policy and no ReplanCost. Serving has no
+// fault schedule, Autoscaler or counterfactual Flip yet. All errors are
+// validation-classified.
 func (c *Config) validateServe() error {
-	sc := c.Serve
-	if err := sc.Spec.Validate(); err != nil {
+	if err := c.Serve.Spec.Validate(); err != nil {
 		return asValidation(err)
 	}
-	if c.Arrival != nil {
+	switch {
+	case c.Arrival != nil:
 		return validationf("campaign: serve and arrival are mutually exclusive (the serve timeline is the arrival process)")
-	}
-	if c.Faults != nil || c.Autoscaler != nil {
+	case c.Policy != nil:
+		return validationf("campaign: serve campaigns have no replanning policy")
+	case c.ReplanCost != 0:
+		return validationf("campaign: serve campaigns have no replanning controller to charge a replan cost")
+	case c.Faults != nil || c.Autoscaler != nil:
 		return validationf("campaign: serve campaigns do not support fault schedules or autoscaling yet")
-	}
-	if c.Flip != nil {
+	case c.Flip != nil:
 		return validationf("campaign: serve campaigns do not support counterfactual flips yet")
 	}
 	return nil
@@ -144,17 +151,16 @@ func (sv *serveState) drained() bool {
 	return sv.cursor >= len(sv.timeline) && len(sv.pending) == 0
 }
 
-// stepServe runs one serving tick: pull arrivals, form a batch, route
-// every request, simulate the iteration, and score latencies against the
-// per-class deadlines. The clock advances by the tick's simulated time
-// (plus any idle gap waiting for the next arrival), so queueing delay
-// compounds naturally when the stream outpaces the cluster.
-func (s *Stream) stepServe() (IterRecord, error) {
-	cfg := &s.cfg
-	sv := s.serve
-	it := s.it
-	world := s.baseWorld
-
+// form is a serving tick's batch source: pull the arrivals due by the
+// stream clock, order the queue by the formation discipline, then take
+// requests in order while the tick's token budget lasts. Routing
+// happens inside the take loop because the affinity objective changes a
+// request's effective cost (home-rank placement skips the shared
+// prefix), which changes how many requests fit the tick. Served
+// requests leave the queue. form returns the batch at effective
+// (post-prefix) lengths and a record holding the full request tokens,
+// the tokens left queued, and the affinity hits and their savings.
+func (sv *serveState) form(tr *decision.Trace, it, world, budget int) ([]seq.Sequence, IterRecord) {
 	// Idle fast-forward: with an empty queue the next tick starts when
 	// the next request lands.
 	if len(sv.pending) == 0 && sv.cursor < len(sv.timeline) {
@@ -167,20 +173,11 @@ func (s *Stream) stepServe() (IterRecord, error) {
 		sv.cursor++
 	}
 
-	// Batch formation: order the queue by the discipline, then take
-	// requests in order while the token budget lasts. Routing happens
-	// inside the take loop because the affinity objective changes a
-	// request's effective cost (home-rank placement skips the shared
-	// prefix), which changes how many requests fit the tick.
 	order := sv.formationOrder()
-	budget := world * s.capacity
 	load := make([]float64, world)
-	type placed struct {
-		req  serve.Request
-		eff  int
-		home bool
-	}
-	var batchReqs []placed
+	var batch []seq.Sequence
+	var rec IterRecord
+	served := sv.served[:0]
 	taken := append(sv.taken[:0], make([]bool, len(sv.pending))...) // all false, no new array once grown
 	sv.taken = taken
 	total := 0
@@ -188,99 +185,60 @@ func (s *Stream) stepServe() (IterRecord, error) {
 		req := sv.pending[idx]
 		rank, eff, homeHit := sv.route(req, load, world)
 		if total+eff > budget {
-			if len(batchReqs) > 0 {
+			if len(served) > 0 {
 				break
 			}
 			// A single oversized request still runs, clamped to capacity.
 			eff = budget
 		}
-		if cfg.Decisions != nil {
-			sv.recordRoute(cfg.Decisions, it, req, load, rank, eff, homeHit, world)
+		if tr != nil {
+			sv.recordRoute(tr, it, req, load, rank, eff, homeHit, world)
 		}
 		load[rank] += float64(eff)
 		sv.homes[req.Session] = rank
-		batchReqs = append(batchReqs, placed{req: req, eff: eff, home: homeHit})
+		batch = append(batch, seq.Sequence{ID: len(batch), Len: eff})
+		served = append(served, req)
+		rec.Tokens += req.Tokens
+		if homeHit {
+			rec.AffinityHits++
+			rec.SavedTokens += req.Tokens - eff
+		}
 		taken[idx] = true
 		total += eff
 	}
+	sv.served = served
 	// Drop served requests, preserving arrival order of the remainder.
 	rest := sv.pending[:0]
 	for i, r := range sv.pending {
 		if !taken[i] {
 			rest = append(rest, r)
+			rec.Queued += r.Tokens
 		}
 	}
 	sv.pending = rest
+	return batch, rec
+}
 
-	// Simulate the tick on the effective (post-prefix-saving) lengths.
-	batch := make([]seq.Sequence, len(batchReqs))
-	var affinityHits, savedTokens, fullTokens int
-	for i, p := range batchReqs {
-		batch[i] = seq.Sequence{ID: i, Len: p.eff}
-		fullTokens += p.req.Tokens
-		if p.home {
-			affinityHits++
-			savedTokens += p.req.Tokens - p.eff
-		}
-	}
-	tcfg := cfg.Trainer
-	res, err := trainer.Run(tcfg, cfg.Method, batch)
-	if err != nil {
-		return IterRecord{}, asValidation(err)
-	}
-	busy := perRankBusy(res, world)
-
-	sv.clock += res.IterTime
-	var violations int
-	for _, p := range batchReqs {
-		agg := sv.stats[p.req.Class]
-		lat := sv.clock - p.req.Arrive
+// complete ends a serving tick that took iterTime seconds: the stream
+// clock advances past it (so queueing delay compounds when the stream
+// outpaces the cluster), and every request the tick served is scored
+// against its class deadline. It returns the tick's violation count.
+func (sv *serveState) complete(iterTime float64) int {
+	sv.clock += iterTime
+	violations := 0
+	for _, req := range sv.served {
+		agg := sv.stats[req.Class]
+		lat := sv.clock - req.Arrive
 		agg.latencies = append(agg.latencies, lat)
-		agg.tokens += p.req.Tokens
+		agg.tokens += req.Tokens
 		if lat > agg.cls.Deadline.Seconds() {
 			agg.violations++
 			violations++
 		} else {
-			agg.goodTokens += p.req.Tokens
+			agg.goodTokens += req.Tokens
 		}
 	}
-
-	queued := 0
-	for _, r := range sv.pending {
-		queued += r.Tokens
-	}
-	rec := IterRecord{
-		Iter:         it,
-		Tokens:       fullTokens,
-		Seqs:         len(batch),
-		Queued:       queued,
-		Penalty:      1,
-		Time:         res.IterTime,
-		Imbalance:    maxOverMean(busy),
-		AffinityHits: affinityHits,
-		SavedTokens:  savedTokens,
-		Violations:   violations,
-	}
-	if rec.Time > 0 {
-		rec.TokensPerSec = float64(rec.Tokens) / rec.Time
-	}
-
-	span := res.LayerTime
-	var util float64
-	if span > 0 {
-		for r, b := range busy {
-			f := b / span
-			if f > 1 {
-				f = 1
-			}
-			util += f
-			s.busySum[r] += b
-		}
-		util /= float64(world)
-		s.spanSum += span
-	}
-	rec.Utilization = util
-	return rec, nil
+	return violations
 }
 
 // route picks a rank for one request. Both objectives score per-rank

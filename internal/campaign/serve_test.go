@@ -8,10 +8,12 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"zeppelin/internal/decision"
+	"zeppelin/internal/faults"
 	"zeppelin/internal/workload"
 	"zeppelin/internal/workload/serve"
 	"zeppelin/internal/zeppelin"
@@ -212,36 +214,55 @@ func TestServeFormationOrders(t *testing.T) {
 	}
 }
 
+// TestServeValidation: Config.Validate is the one place that decides
+// which campaign modes combine. Each of the seven rejected combinations
+// (serve with an arrival, a policy, a replan cost, a fault schedule, an
+// autoscaler or a flip; a fault schedule with an autoscaler) and each
+// malformed serve input fails Start as a validation error naming it.
 func TestServeValidation(t *testing.T) {
-	base := serveConfig(1, "balance")
-
-	arrival := base
-	arrival.Arrival = Steady{D: workload.ArXiv}
-	faulty := base
-	faulty.Autoscaler = &Autoscaler{MinNodes: 1, MaxNodes: 2}
-	flipped := base
-	flipped.Flip = &Flip{Iter: 1, Replan: true}
-	badSpec := base
-	badSpec.Serve = &ServeConfig{Spec: serve.Spec{Clients: -1}}
-	badTrace := base
-	badTrace.Serve = &ServeConfig{
-		Spec:  serveSpec("balance"),
-		Trace: &serve.Trace{Events: []serve.Request{{Arrive: 0, Tokens: 64, Class: "nope"}}},
+	serveWith := func(mut func(*Config)) Config {
+		cfg := serveConfig(1, "balance")
+		mut(&cfg)
+		return cfg
 	}
-	emptyTrace := base
-	emptyTrace.Serve = &ServeConfig{Spec: serveSpec("balance"), Trace: &serve.Trace{}}
+	worldOwners := Config{Trainer: testCell(1), Method: zeppelin.Full(), Iters: 5,
+		Faults: &faults.Schedule{}, Autoscaler: &Autoscaler{}}
 
-	for name, cfg := range map[string]Config{
-		"arrival+serve": arrival, "autoscaler+serve": faulty, "flip+serve": flipped,
-		"bad spec": badSpec, "unknown trace class": badTrace, "empty trace": emptyTrace,
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		substr string
+	}{
+		{"arrival+serve", serveWith(func(c *Config) { c.Arrival = Steady{D: workload.ArXiv} }), "arrival"},
+		{"policy+serve", serveWith(func(c *Config) { c.Policy = Always{} }), "policy"},
+		{"replan-cost+serve", serveWith(func(c *Config) { c.ReplanCost = 5 }), "replan cost"},
+		{"faults+serve", serveWith(func(c *Config) {
+			c.Faults = &faults.Schedule{Stragglers: []faults.Straggler{{Rank: 1, Factor: 2, From: 0, To: 3}}}
+		}), "fault schedules"},
+		{"autoscaler+serve", serveWith(func(c *Config) { c.Autoscaler = &Autoscaler{MinNodes: 1, MaxNodes: 1} }), "autoscaling"},
+		{"flip+serve", serveWith(func(c *Config) { c.Flip = &Flip{Iter: 1, Replan: true} }), "flips"},
+		{"faults+autoscaler", worldOwners, "mutually exclusive"},
+		{"bad spec", serveWith(func(c *Config) { c.Serve = &ServeConfig{Spec: serve.Spec{Clients: -1}} }), "clients"},
+		{"unknown trace class", serveWith(func(c *Config) {
+			c.Serve = &ServeConfig{
+				Spec:  serveSpec("balance"),
+				Trace: &serve.Trace{Events: []serve.Request{{Arrive: 0, Tokens: 64, Class: "nope"}}},
+			}
+		}), "nope"},
+		{"empty trace", serveWith(func(c *Config) {
+			c.Serve = &ServeConfig{Spec: serveSpec("balance"), Trace: &serve.Trace{}}
+		}), ""},
 	} {
-		_, err := Start(context.Background(), cfg)
+		_, err := Start(context.Background(), tc.cfg)
 		if err == nil {
-			t.Errorf("%s: Start succeeded, want validation error", name)
+			t.Errorf("%s: Start succeeded, want validation error", tc.name)
 			continue
 		}
 		if !IsValidation(err) {
-			t.Errorf("%s: error not validation-classified: %v", name, err)
+			t.Errorf("%s: error not validation-classified: %v", tc.name, err)
+		}
+		if !strings.Contains(err.Error(), tc.substr) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.substr)
 		}
 	}
 }

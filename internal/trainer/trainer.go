@@ -79,11 +79,13 @@ type Placement interface {
 type Config struct {
 	Model model.Config
 	Spec  cluster.Spec
+	// Nodes is the node count, in [1, MaxNodes].
 	Nodes int
 	// TP is the tensor-parallel degree (1 unless stated; the paper uses
 	// TP=2 for 13B on Cluster A and 30B on Cluster C).
 	TP int
-	// TokensPerGPU is the per-GPU context budget (4k in the paper).
+	// TokensPerGPU is the per-GPU context budget (4k in the paper), at
+	// most MaxTokensPerGPU; <= 0 selects 4096.
 	TokensPerGPU int
 	// CapacityFactor sets L = CapacityFactor × TokensPerGPU × TP. It
 	// must be finite, at most MaxCapacityFactor, and large enough that L
@@ -101,6 +103,20 @@ type Config struct {
 // overflows the integer capacity L.
 const MaxCapacityFactor = 100
 
+// MaxNodes bounds Config.Nodes, and so the work one simulated iteration
+// can ask for: TE CP's single ring grows with the world size. At 128
+// nodes (1,024 Cluster A GPUs, 4,096 tokens per GPU) one plan-and-
+// simulate call took 5.8 s for TE CP and 0.7 s for Zeppelin on a 2-vCPU
+// x86-64 VM (go1.24.0); no figure or test cell exceeds 16 nodes.
+const MaxNodes = 128
+
+// MaxTokensPerGPU bounds Config.TokensPerGPU (a 1M-token context per
+// GPU), so the global budget TokensPerGPU × GPUs stays far from int
+// overflow. At 128 Cluster A nodes and this budget one plan-and-simulate
+// call took 5.2 s and 1.5 GB of peak RSS for TE CP and 0.2 s for
+// Zeppelin on the same VM.
+const MaxTokensPerGPU = 1 << 20
+
 // Validate fills defaults and checks the configuration.
 func (c *Config) Validate() error {
 	if err := c.Model.Validate(); err != nil {
@@ -109,11 +125,17 @@ func (c *Config) Validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("trainer: nodes must be positive")
 	}
+	if c.Nodes > MaxNodes {
+		return fmt.Errorf("trainer: nodes must be <= %d, got %d", MaxNodes, c.Nodes)
+	}
 	if c.TP <= 0 {
 		c.TP = 1
 	}
 	if c.TokensPerGPU <= 0 {
 		c.TokensPerGPU = 4096
+	}
+	if c.TokensPerGPU > MaxTokensPerGPU {
+		return fmt.Errorf("trainer: tokens per GPU must be <= %d, got %d", MaxTokensPerGPU, c.TokensPerGPU)
 	}
 	if math.IsNaN(c.CapacityFactor) || math.IsInf(c.CapacityFactor, 0) || c.CapacityFactor > MaxCapacityFactor {
 		return fmt.Errorf("trainer: capacity factor must be finite and <= %d, got %g", MaxCapacityFactor, c.CapacityFactor)

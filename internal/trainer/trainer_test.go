@@ -116,7 +116,21 @@ func TestConfigValidateCapacityFactor(t *testing.T) {
 			t.Errorf("capacity factor %v accepted", f)
 		}
 	}
-	c := cfg7B(2)
+	// The node and tokens-per-GPU ceilings bound the work of one
+	// iteration; together at 2^40 they would overflow the token budget.
+	for _, sz := range []struct{ nodes, tpg int }{{1 << 30, 4096}, {2, 1 << 40}, {1 << 40, 1 << 40}, {MaxNodes + 1, 0}, {2, MaxTokensPerGPU + 1}} {
+		c := cfg7B(sz.nodes)
+		c.TokensPerGPU = sz.tpg
+		if err := c.Validate(); err == nil {
+			t.Errorf("%d nodes at %d tokens per GPU accepted", sz.nodes, sz.tpg)
+		}
+	}
+	c := cfg7B(MaxNodes)
+	c.TokensPerGPU = MaxTokensPerGPU
+	if err := c.Validate(); err != nil {
+		t.Fatalf("cell at both size ceilings rejected: %v", err)
+	}
+	c = cfg7B(2)
 	c.CapacityFactor = MaxCapacityFactor
 	if err := c.Validate(); err != nil {
 		t.Fatalf("capacity factor at the ceiling rejected: %v", err)

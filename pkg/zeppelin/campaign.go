@@ -193,8 +193,20 @@ func StartCampaign(ctx context.Context, req CampaignRequest) (*Campaign, error) 
 // the one-call form of the streaming API, bit-identical to consuming the
 // events one by one.
 func RunCampaign(ctx context.Context, req CampaignRequest) (*CampaignReport, error) {
-	c, err := StartCampaign(ctx, req)
+	c, err := drainCampaign(ctx, req)
 	if err != nil {
+		return nil, err
+	}
+	return c.Report(), nil
+}
+
+// drainCampaign runs one campaign to completion and returns it drained.
+func drainCampaign(ctx context.Context, req CampaignRequest, opts ...CampaignOption) (*Campaign, error) {
+	c, err := NewCampaign(req, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.Start(ctx); err != nil {
 		return nil, err
 	}
 	for {
@@ -205,7 +217,7 @@ func RunCampaign(ctx context.Context, req CampaignRequest) (*CampaignReport, err
 	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	return c.Report(), nil
+	return c, nil
 }
 
 // CampaignComparison is the artifact of one comparison grid: the

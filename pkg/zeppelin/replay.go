@@ -86,26 +86,6 @@ func RunReplay(ctx context.Context, req ReplayRequest, opts ...CampaignOption) (
 	return rep, nil
 }
 
-// drainCampaign runs one campaign to completion and returns it drained.
-func drainCampaign(ctx context.Context, req CampaignRequest, opts ...CampaignOption) (*Campaign, error) {
-	c, err := NewCampaign(req, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Start(ctx); err != nil {
-		return nil, err
-	}
-	for {
-		if _, ok := c.Next(); !ok {
-			break
-		}
-	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // eventStreamBytes serializes an event stream exactly the way the
 // zeppelind NDJSON endpoint does — one compact JSON object per line —
 // so byte equality here is byte equality of the streamed wire format.

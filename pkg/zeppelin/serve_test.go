@@ -268,18 +268,21 @@ func TestServeRequestValidation(t *testing.T) {
 	withFaults.Faults = "straggler"
 	withAutoscale := serveReq("balance")
 	withAutoscale.Autoscale = &AutoscaleSpec{MaxNodes: 1}
+	withReplanCost := serveReq("balance")
+	withReplanCost.ReplanCostSec = 5
 	badSpec := serveReq("balance")
 	badSpec.Serve = &ServeSpec{Clients: -1}
 	badTrace := serveReq("balance")
 	badTrace.Serve = &ServeSpec{Trace: []ServeTraceEvent{{T: 0, Class: "nope", Tokens: 64}}}
 
 	for name, req := range map[string]CampaignRequest{
-		"workload+serve":  withWorkload,
-		"policy+serve":    withPolicy,
-		"faults+serve":    withFaults,
-		"autoscale+serve": withAutoscale,
-		"bad spec":        badSpec,
-		"unknown class":   badTrace,
+		"workload+serve":    withWorkload,
+		"policy+serve":      withPolicy,
+		"faults+serve":      withFaults,
+		"autoscale+serve":   withAutoscale,
+		"replan-cost+serve": withReplanCost,
+		"bad spec":          badSpec,
+		"unknown class":     badTrace,
 	} {
 		_, err := RunCampaign(context.Background(), req)
 		if err == nil {
@@ -288,6 +291,14 @@ func TestServeRequestValidation(t *testing.T) {
 		}
 		if !IsValidationError(err) {
 			t.Errorf("%s: error not validation-classified: %v", name, err)
+		}
+	}
+	// "none" and "healthy" both name no fault schedule.
+	for _, f := range []string{"none", "healthy"} {
+		req := serveReq("balance")
+		req.Faults = f
+		if err := req.Validate(); err != nil {
+			t.Errorf("faults %q on a serve request: %v", f, err)
 		}
 	}
 	// A healthy serve request must NOT trip the classifier's inverse:

@@ -16,6 +16,14 @@ const (
 	DefaultTuneBudget = tune.DefaultBudget
 )
 
+// MaxTuneIters bounds the campaign iterations one search may simulate,
+// (Budget + 1) × Seeds × Iters counting the baseline: the ceiling one
+// campaign has (campaign.MaxIters), 22 times the 4,500 of the default
+// CLI search (3 seeds). On the default cell and a 2-vCPU x86-64 VM
+// (go1.24.0, 2 workers), a search at the ceiling took 42 s wall and
+// 80 s CPU; the default CLI search took 1.9 s wall and 3.4 s CPU.
+const MaxTuneIters = campaign.MaxIters
+
 // TuneRequest asks for a closed-loop policy search: sweep a declared
 // parameter space over full campaign runs of the given scenario and
 // return the configuration that maximizes the multi-objective fitness.
@@ -47,6 +55,7 @@ type TuneRequest struct {
 	// default (DefaultTuneIters).
 	Iters int `json:"iters,omitempty"`
 	// Seeds is how many seeds each candidate averages over; 0 selects 1.
+	// (Budget + 1) × Seeds × Iters may not exceed MaxTuneIters.
 	Seeds int `json:"seeds,omitempty"`
 	// Weights are the fitness weights (normalized to sum to 1); nil
 	// selects the defaults.
@@ -92,12 +101,28 @@ func (r TuneRequest) Validate() error {
 	if r.Budget < 0 {
 		return campaign.NewValidationError(fmt.Errorf("zeppelin: tune budget must be >= 0, got %d", r.Budget))
 	}
+	if r.Seeds < 0 {
+		return campaign.NewValidationError(fmt.Errorf("zeppelin: tune seeds must be >= 0, got %d", r.Seeds))
+	}
 	if r.Weights != nil {
 		if err := r.Weights.Validate(); err != nil {
 			return campaign.NewValidationError(err)
 		}
 	}
-	return r.scenarioRequest(0).Validate()
+	scenario := r.scenarioRequest(0)
+	if err := scenario.Validate(); err != nil {
+		return err
+	}
+	budget, seeds := r.Budget, r.Seeds
+	if budget == 0 {
+		budget = DefaultTuneBudget
+	}
+	seeds = max(seeds, 1)
+	// In float64: a budget near the int ceiling would overflow the product.
+	if work := (float64(budget) + 1) * float64(seeds) * float64(scenario.Iters); work > MaxTuneIters {
+		return campaign.NewValidationError(fmt.Errorf("zeppelin: a tune search may simulate at most %d iterations ((budget + 1) × seeds × iters), got %.0f", MaxTuneIters, work))
+	}
+	return nil
 }
 
 // scenarioRequest is the campaign request of one evaluation seed. The

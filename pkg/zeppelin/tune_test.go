@@ -79,14 +79,19 @@ func TestTuneRequestValidate(t *testing.T) {
 		{Weights: &TuneWeights{Utilization: math.Inf(-1)}},
 		{Model: "900B"},
 		{Faults: "gremlins"},
+		{Seeds: -1},
+		{Budget: 1e9},
+		{Budget: 99, Seeds: 10, Iters: 101},
 	}
 	for _, req := range bad {
-		if err := req.Validate(); err == nil {
-			t.Errorf("Validate accepted %+v", req)
+		if err := req.Validate(); !IsValidationError(err) {
+			t.Errorf("Validate(%+v) = %v, want a validation error", req, err)
 		}
 	}
-	if err := (TuneRequest{}).Validate(); err != nil {
-		t.Errorf("zero request rejected: %v", err)
+	for _, req := range []TuneRequest{{}, {Budget: 99, Seeds: 10, Iters: 100}} {
+		if err := req.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", req, err)
+		}
 	}
 	req := tuneSmokeRequest(1)
 	req.Weights = &TuneWeights{Goodput: math.NaN(), P99: 1, Migration: 1, Utilization: 1}
@@ -207,15 +212,25 @@ func TestCapacityFactorFloor(t *testing.T) {
 
 // TestNegativeClusterSizesAreRejected: a negative tp or tokens_per_gpu
 // is a validation error, like a negative node count, instead of being
-// silently replaced by the default; zero still selects the default.
+// silently replaced by the default; zero still selects the default. So
+// is a node count or tokens_per_gpu above the trainer's ceilings, which
+// bound the work of one simulated iteration (at 2^40 each, the token
+// budget overflows).
 func TestNegativeClusterSizesAreRejected(t *testing.T) {
-	for name, cs := range map[string]ClusterSpec{
-		"nodes":          {Nodes: -3},
-		"tp":             {TP: -1},
-		"tokens_per_gpu": {TokensPerGPU: -5},
+	for _, tc := range []struct {
+		name, substr string
+		cs           ClusterSpec
+	}{
+		{"nodes", "nodes", ClusterSpec{Nodes: -3}},
+		{"tp", "tp", ClusterSpec{TP: -1}},
+		{"tokens_per_gpu", "tokens_per_gpu", ClusterSpec{TokensPerGPU: -5}},
+		{"nodes 2^30", "nodes must be <= 128", ClusterSpec{Nodes: 1 << 30}},
+		{"tokens_per_gpu 2^40", "tokens per GPU must be <= 1048576", ClusterSpec{TokensPerGPU: 1 << 40}},
+		{"both 2^40", "nodes must be <= 128", ClusterSpec{Nodes: 1 << 40, TokensPerGPU: 1 << 40}},
 	} {
-		if err := (PlanRequest{Cluster: cs}).Validate(); !IsValidationError(err) || !strings.Contains(err.Error(), name) {
-			t.Errorf("%s: PlanRequest.Validate error = %v, want a validation error naming it", name, err)
+		name, cs := tc.name, tc.cs
+		if err := (PlanRequest{Cluster: cs}).Validate(); !IsValidationError(err) || !strings.Contains(err.Error(), tc.substr) {
+			t.Errorf("%s: PlanRequest.Validate error = %v, want a validation error naming %q", name, err, tc.substr)
 		}
 		if err := (CampaignRequest{Iters: 3, Cluster: cs}).Validate(); !IsValidationError(err) {
 			t.Errorf("%s: CampaignRequest.Validate error = %v, want a validation error", name, err)

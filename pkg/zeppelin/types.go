@@ -329,6 +329,7 @@ type CampaignRequest struct {
 	// ReplanCostSec is the per-replan coordination charge in seconds:
 	// 0 selects the default (20 ms), a negative value is a validation
 	// error (use a small positive value to approximate free replanning).
+	// A serve campaign never replans, so it rejects any non-zero value.
 	ReplanCostSec float64 `json:"replan_cost_sec,omitempty"`
 	// Autoscale, when non-nil, runs the campaign under the closed-loop
 	// autoscaler: world size follows observed queue depth and
@@ -337,11 +338,14 @@ type CampaignRequest struct {
 	Autoscale *AutoscaleSpec `json:"autoscale,omitempty"`
 	// Serve, when non-nil, switches the campaign to a serving scenario:
 	// a timestamped multi-client request stream with SLO classes, batch
-	// formation, and a routing objective. Mutually exclusive with
-	// Workload, Policy, Faults, and Autoscale — the serve spec owns the
-	// arrival process and there is no replanning controller in serve
-	// mode. Iters caps the tick count; the stream ends early when the
-	// timeline drains.
+	// formation, and a routing objective. Each tick is a campaign
+	// iteration whose batch the request queue forms, with the replanning
+	// controller off. The serve spec owns the arrival process, so a
+	// serve request leaves Workload, Policy, ReplanCostSec, Faults and
+	// Autoscale unset; the campaign engine's validation names any it
+	// sets (a Faults of "none" or "healthy" sets no schedule). Iters
+	// caps the tick count; the stream ends early when the timeline
+	// drains.
 	Serve *ServeSpec `json:"serve,omitempty"`
 }
 
@@ -400,50 +404,23 @@ func (r CampaignRequest) configWith(pc *PlanCache) (campaign.Config, error) {
 	if err := tcfg.Validate(); err != nil {
 		return campaign.Config{}, err
 	}
-	if r.Serve != nil {
-		// Serve mode: the serve spec owns the arrival process, and the
-		// serving loop has no replanning controller, fault schedule, or
-		// autoscaler — reject the conflicting knobs instead of silently
-		// ignoring them.
-		if r.Workload.Dataset != "" || r.Workload.Arrival != "" || len(r.Workload.DriftPath) > 0 {
-			return campaign.Config{}, campaign.NewValidationError(fmt.Errorf("zeppelin: serve and workload are mutually exclusive (the serve spec carries its own dataset and arrival process)"))
-		}
-		if r.Policy != (PolicySpec{}) {
-			return campaign.Config{}, campaign.NewValidationError(fmt.Errorf("zeppelin: serve campaigns have no replanning policy"))
-		}
-		if faultsSpecOrNone(r.Faults) != "none" || r.Autoscale != nil {
-			return campaign.Config{}, campaign.NewValidationError(fmt.Errorf("zeppelin: serve campaigns do not support fault schedules or autoscaling yet"))
-		}
-		sc, err := r.Serve.resolve()
-		if err != nil {
-			return campaign.Config{}, campaign.NewValidationError(err)
-		}
-		cfg := campaign.Config{
-			Trainer:    tcfg,
-			Method:     m,
-			Iters:      r.Iters,
-			ReplanCost: r.ReplanCostSec,
-			Serve:      sc,
-		}
-		if err := cfg.Validate(); err != nil {
+	// A serve request owns its arrival process and runs no replanning
+	// controller: its workload and policy resolve only when set, so that
+	// Config.Validate can name the conflict.
+	var arr campaign.Arrival
+	if r.Serve == nil || r.Workload.Dataset != "" || r.Workload.Arrival != "" || len(r.Workload.DriftPath) > 0 {
+		if arr, err = r.Workload.arrival(r.Iters, tcfg.TotalTokens()); err != nil {
 			return campaign.Config{}, err
 		}
-		return cfg, nil
 	}
-	arr, err := r.Workload.arrival(r.Iters, tcfg.TotalTokens())
+	var pol campaign.Policy
+	if r.Serve == nil || r.Policy != (PolicySpec{}) {
+		if pol, err = r.Policy.resolve(); err != nil {
+			return campaign.Config{}, err
+		}
+	}
+	sched, err := faults.ByName(faultsSpecOrNone(r.Faults), r.Iters, tcfg.Nodes, tcfg.EffectiveSpec().GPUsPerNode)
 	if err != nil {
-		return campaign.Config{}, err
-	}
-	pol, err := r.Policy.resolve()
-	if err != nil {
-		return campaign.Config{}, err
-	}
-	espec := tcfg.EffectiveSpec()
-	sched, err := faults.ByName(faultsSpecOrNone(r.Faults), r.Iters, tcfg.Nodes, espec.GPUsPerNode)
-	if err != nil {
-		return campaign.Config{}, err
-	}
-	if err := sched.Validate(tcfg.Nodes, espec.GPUsPerNode, espec.NICsPerNode); err != nil {
 		return campaign.Config{}, err
 	}
 	cfg := campaign.Config{
@@ -461,6 +438,11 @@ func (r CampaignRequest) configWith(pc *PlanCache) (campaign.Config, error) {
 		// and concurrently run grid cells share nothing.
 		as := *r.Autoscale
 		cfg.Autoscaler = &as
+	}
+	if r.Serve != nil {
+		if cfg.Serve, err = r.Serve.resolve(); err != nil {
+			return campaign.Config{}, campaign.NewValidationError(err)
+		}
 	}
 	if err := cfg.Validate(); err != nil {
 		return campaign.Config{}, err
