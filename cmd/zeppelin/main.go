@@ -179,7 +179,8 @@ campaign flags: -iters N  -arrival steady|poisson|bursty|drift|replay
                 -faults none|straggler|nic|failstop|shrink[:k=v,...]
                 -autoscale on|k=v,... (closed-loop world sizing; keys
                 min|max|up-util|down-util|step|cooldown)
-                -serve SPEC (serving scenario; replaces the cell flags)  -json
+                -serve SPEC (serving scenario in place of the training cell;
+                only -iters and -capacity combine with it)  -json
 serve flags:    -serve SPEC (clients=N,arrival=poisson|gamma:cv=X|weibull:shape=X,
                 rate=R@from-to;...,slo=name:p99=DUR:prio=N;...,dataset=NAME,
                 sessions=N,prefix=F,form=fcfs|priority|sjf,horizon=DUR)

@@ -134,8 +134,7 @@ type Config struct {
 	// with the request queue as its batch source (each tick forms and
 	// routes one batch) and the replanning controller off. Iters caps the
 	// number of serving ticks; the stream ends early once the timeline
-	// drains. Validate lists what Serve excludes: Arrival, Policy,
-	// ReplanCost, Faults, Autoscaler and Flip.
+	// drains. Validate lists the fields Serve excludes.
 	Serve *ServeConfig
 }
 
@@ -537,7 +536,8 @@ func (s *Stream) step() (IterRecord, error) {
 	res, err := trainer.Run(tcfg, cfg.Method, batch)
 	if err != nil {
 		if s.serve != nil {
-			// A serving tick only fails on what its spec asked for.
+			// A serving tick simulates what its spec asked for, so its
+			// failure is an input problem.
 			return IterRecord{}, asValidation(err)
 		}
 		return IterRecord{}, fmt.Errorf("campaign: iteration %d: %w", it, err)

@@ -113,13 +113,12 @@ func (r TuneRequest) Validate() error {
 	if err := scenario.Validate(); err != nil {
 		return err
 	}
-	budget, seeds := r.Budget, r.Seeds
+	budget := r.Budget
 	if budget == 0 {
 		budget = DefaultTuneBudget
 	}
-	seeds = max(seeds, 1)
 	// In float64: a budget near the int ceiling would overflow the product.
-	if work := (float64(budget) + 1) * float64(seeds) * float64(scenario.Iters); work > MaxTuneIters {
+	if work := (float64(budget) + 1) * float64(max(r.Seeds, 1)) * float64(scenario.Iters); work > MaxTuneIters {
 		return campaign.NewValidationError(fmt.Errorf("zeppelin: a tune search may simulate at most %d iterations ((budget + 1) × seeds × iters), got %.0f", MaxTuneIters, work))
 	}
 	return nil
