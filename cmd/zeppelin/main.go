@@ -146,21 +146,31 @@ func main() {
 	}
 	opts := zeppelin.Options{Seeds: *seeds, Workers: *workers}
 	if err := experimentCmd(os.Stdout, name, opts, *jsonOut); err != nil {
-		fmt.Fprintln(os.Stderr, "zeppelin:", err)
-		os.Exit(1)
+		fail(err)
 	}
 }
 
-// fail reports a subcommand error, exiting 2 with usage for
-// flag-validation failures and 1 otherwise.
+// fail reports a subcommand or experiment error, exiting 2 with usage
+// for flag-validation failures and 1 otherwise.
 func fail(err error) {
-	fmt.Fprintln(os.Stderr, "zeppelin:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	var ue usageError
 	if errors.As(err, &ue) {
 		flag.Usage()
 		os.Exit(2)
 	}
 	os.Exit(1)
+}
+
+// errorLine is the line fail prints: the error under the program's
+// prefix, which errors from pkg/zeppelin already carry.
+func errorLine(err error) string {
+	const prefix = "zeppelin: "
+	msg := err.Error()
+	if !strings.HasPrefix(msg, prefix) {
+		msg = prefix + msg
+	}
+	return msg
 }
 
 func usage() {

@@ -176,6 +176,22 @@ func TestItersCeilingIsUsageError(t *testing.T) {
 	}
 }
 
+// TestErrorPrefixPrintedOnce: an SDK rejection that already carries the
+// package prefix prints it once, and a CLI error gets it.
+func TestErrorPrefixPrintedOnce(t *testing.T) {
+	err := tuneCmd(io.Discard, []string{"-budget", "99", "-iters", "101"}, 10, 1, false)
+	if err == nil {
+		t.Fatal("a tune search past the iteration ceiling must fail")
+	}
+	const want = "zeppelin: a tune search may simulate at most 100000 iterations ((budget + 1) × seeds × iters), got 101000"
+	if got := errorLine(err); got != want {
+		t.Fatalf("error line %q, want %q", got, want)
+	}
+	if got := errorLine(usageErrorf("-iters must be >= 1")); got != "zeppelin: -iters must be >= 1" {
+		t.Fatalf("error line %q", got)
+	}
+}
+
 // TestReplayCmdRejectsInvalidFlags: flag mistakes are usage errors.
 func TestReplayCmdRejectsInvalidFlags(t *testing.T) {
 	cases := []struct {

@@ -71,24 +71,88 @@ type classAgg struct {
 	violations int
 }
 
-// serveState is the campaign loop state of a serving stream.
+// serveState is the campaign loop state of a serving stream. The queue
+// stays in formation order across ticks: each arrival is pushed once,
+// and a tick pops the requests it serves, so a tick costs its arrivals
+// and its batch, not the whole backlog.
 type serveState struct {
-	gen      serve.Generator
-	spec     *serve.Spec
-	timeline []serve.Request
-	cursor   int
-	pending  []serve.Request
-	clock    float64        // stream time in seconds
-	homes    map[int]int    // session → rank last holding its KV cache
-	prio     map[string]int // class → priority, for priority formation
-	stats    map[string]*classAgg
-	unserved int
-	// order and taken are batch formation's buffers over the queue, and
-	// served the requests the current tick took; all are reused every
-	// tick: under a burst the queue holds thousands.
-	order  []int
-	taken  []bool
+	gen          serve.Generator
+	spec         *serve.Spec
+	timeline     []serve.Request
+	cursor       int
+	queue        serveQueue
+	queuedTokens int         // tokens of the requests in queue
+	clock        float64     // stream time in seconds
+	homes        map[int]int // session → rank last holding its KV cache
+	stats        map[string]*classAgg
+	// load is the tick's per-rank token load and served the requests
+	// the current tick took; both are reused every tick.
+	load   []float64
 	served []serve.Request
+}
+
+// queued is a waiting request: its formation key and its timeline index.
+type queued struct{ key, idx int }
+
+// serveQueue is a binary min-heap on (key, idx), so its top is the
+// request the formation discipline serves next, ties going to the
+// earlier arrival. Its sift steps are those of container/heap,
+// specialized to queued so nothing is boxed.
+type serveQueue []queued
+
+func (q serveQueue) less(i, j int) bool {
+	if q[i].key != q[j].key {
+		return q[i].key < q[j].key
+	}
+	return q[i].idx < q[j].idx
+}
+
+func (q *serveQueue) push(e queued) {
+	*q = append(*q, e)
+	h := *q
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// pop removes the top entry.
+func (q *serveQueue) pop() {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+}
+
+// formationKey orders a request under the formation discipline: fcfs
+// by arrival alone, priority by class priority (highest first), sjf
+// shortest-job-first by full request length. Ties keep arrival order.
+func (sv *serveState) formationKey(req *serve.Request) int {
+	switch sv.spec.Formation {
+	case "priority":
+		return -sv.stats[req.Class].cls.Priority
+	case "sjf":
+		return req.Tokens
+	}
+	return 0
 }
 
 // validateServe checks the serve configuration, and is the one place
@@ -130,12 +194,10 @@ func (s *Stream) startServe() error {
 		spec:     &sc.Spec,
 		timeline: timeline,
 		homes:    make(map[int]int),
-		prio:     make(map[string]int),
 		stats:    make(map[string]*classAgg),
 	}
 	for _, cls := range sc.Spec.Classes {
 		sv.stats[cls.Name] = &classAgg{cls: cls}
-		sv.prio[cls.Name] = cls.Priority
 	}
 	for i, r := range timeline {
 		if _, ok := sv.stats[r.Class]; !ok {
@@ -148,42 +210,46 @@ func (s *Stream) startServe() error {
 
 // drained reports whether every request has arrived and been served.
 func (sv *serveState) drained() bool {
-	return sv.cursor >= len(sv.timeline) && len(sv.pending) == 0
+	return sv.cursor >= len(sv.timeline) && len(sv.queue) == 0
 }
 
-// form is a serving tick's batch source: pull the arrivals due by the
-// stream clock, order the queue by the formation discipline, then take
-// requests in order while the tick's token budget lasts. Routing
-// happens inside the take loop because the affinity objective changes a
-// request's effective cost (home-rank placement skips the shared
-// prefix), which changes how many requests fit the tick. Served
-// requests leave the queue. form returns the batch at effective
-// (post-prefix) lengths and a record holding the full request tokens,
-// the tokens left queued, and the affinity hits and their savings.
+// form is a serving tick's batch source: push the arrivals due by the
+// stream clock onto the queue, then take requests from its top while
+// the tick's token budget lasts. Once a request is served, the tick
+// stops at the first one that does not fit, so it always takes a prefix
+// of the formation order. Routing happens inside the take loop because
+// the affinity objective changes a request's effective cost (home-rank
+// placement skips the shared prefix), which changes how many requests
+// fit the tick. form returns the batch at effective (post-prefix)
+// lengths and a record holding the full request tokens, the tokens left
+// queued, and the affinity hits and their savings.
 func (sv *serveState) form(tr *decision.Trace, it, world, budget int) ([]seq.Sequence, IterRecord) {
 	// Idle fast-forward: with an empty queue the next tick starts when
 	// the next request lands.
-	if len(sv.pending) == 0 && sv.cursor < len(sv.timeline) {
+	if len(sv.queue) == 0 && sv.cursor < len(sv.timeline) {
 		if t := sv.timeline[sv.cursor].Arrive; t > sv.clock {
 			sv.clock = t
 		}
 	}
 	for sv.cursor < len(sv.timeline) && sv.timeline[sv.cursor].Arrive <= sv.clock {
-		sv.pending = append(sv.pending, sv.timeline[sv.cursor])
+		req := &sv.timeline[sv.cursor]
+		sv.queue.push(queued{key: sv.formationKey(req), idx: sv.cursor})
+		sv.queuedTokens += req.Tokens
 		sv.cursor++
 	}
 
-	order := sv.formationOrder()
-	load := make([]float64, world)
+	if cap(sv.load) < world {
+		sv.load = make([]float64, world)
+	}
+	load := sv.load[:world]
+	clear(load)
 	var batch []seq.Sequence
 	var rec IterRecord
 	served := sv.served[:0]
-	taken := append(sv.taken[:0], make([]bool, len(sv.pending))...) // all false, no new array once grown
-	sv.taken = taken
 	total := 0
-	for _, idx := range order {
-		req := sv.pending[idx]
-		rank, eff, homeHit := sv.route(req, load, world)
+	for len(sv.queue) > 0 {
+		req := sv.timeline[sv.queue[0].idx]
+		rank, best, eff, homeHit := sv.route(req, load, world)
 		if total+eff > budget {
 			if len(served) > 0 {
 				break
@@ -192,7 +258,7 @@ func (sv *serveState) form(tr *decision.Trace, it, world, budget int) ([]seq.Seq
 			eff = budget
 		}
 		if tr != nil {
-			sv.recordRoute(tr, it, req, load, rank, eff, homeHit, world)
+			sv.recordRoute(tr, it, req, load, best, homeHit, world)
 		}
 		load[rank] += float64(eff)
 		sv.homes[req.Session] = rank
@@ -203,19 +269,12 @@ func (sv *serveState) form(tr *decision.Trace, it, world, budget int) ([]seq.Seq
 			rec.AffinityHits++
 			rec.SavedTokens += req.Tokens - eff
 		}
-		taken[idx] = true
 		total += eff
+		sv.queue.pop()
+		sv.queuedTokens -= req.Tokens
 	}
 	sv.served = served
-	// Drop served requests, preserving arrival order of the remainder.
-	rest := sv.pending[:0]
-	for i, r := range sv.pending {
-		if !taken[i] {
-			rest = append(rest, r)
-			rec.Queued += r.Tokens
-		}
-	}
-	sv.pending = rest
+	rec.Queued = sv.queuedTokens
 	return batch, rec
 }
 
@@ -241,13 +300,13 @@ func (sv *serveState) complete(iterTime float64) int {
 	return violations
 }
 
-// route picks a rank for one request. Both objectives score per-rank
-// token loads of the tick being formed; the affinity objective
-// additionally credits the session's home rank with the prefix tokens it
-// would not recompute, choosing it whenever the credited placement is no
-// worse than spreading to the least-loaded rank.
-func (sv *serveState) route(req serve.Request, load []float64, world int) (rank, eff int, homeHit bool) {
-	best := 0
+// route picks a rank for one request and also returns the least-loaded
+// rank. Both objectives score per-rank token loads of the tick being
+// formed; the affinity objective additionally credits the session's
+// home rank with the prefix tokens it would not recompute, choosing it
+// whenever the credited placement is no worse than spreading to the
+// least-loaded rank.
+func (sv *serveState) route(req serve.Request, load []float64, world int) (rank, best, eff int, homeHit bool) {
 	for r := 1; r < world; r++ {
 		if load[r] < load[best] {
 			best = r
@@ -259,14 +318,14 @@ func (sv *serveState) route(req serve.Request, load []float64, world int) (rank,
 	if hasHome && home < world {
 		if sv.spec.Route == "affinity" {
 			if load[home]+float64(effHome) <= load[best]+float64(effFull) {
-				return home, effHome, true
+				return home, best, effHome, true
 			}
 		} else if home == best {
 			// Balance routing still banks an incidental home hit.
-			return home, effHome, true
+			return home, best, effHome, true
 		}
 	}
-	return best, effFull, false
+	return best, best, effFull, false
 }
 
 // effectiveLen floors a routed request's placed length at the samplers'
@@ -279,17 +338,12 @@ func effectiveLen(n int) int {
 }
 
 // recordRoute emits the routing decision for a request that had a real
-// choice (an existing home rank).
-func (sv *serveState) recordRoute(tr *decision.Trace, it int, req serve.Request, load []float64, rank, eff int, homeHit bool, world int) {
+// choice (an existing home rank); best is the least-loaded rank route
+// found.
+func (sv *serveState) recordRoute(tr *decision.Trace, it int, req serve.Request, load []float64, best int, homeHit bool, world int) {
 	home, hasHome := sv.homes[req.Session]
 	if !hasHome || home >= world {
 		return
-	}
-	best := 0
-	for r := 1; r < world; r++ {
-		if load[r] < load[best] {
-			best = r
-		}
 	}
 	chosen := "spread"
 	if homeHit {
@@ -304,35 +358,10 @@ func (sv *serveState) recordRoute(tr *decision.Trace, it int, req serve.Request,
 	})
 }
 
-// formationOrder returns queue indices in serving order, in a buffer
-// reused every tick: fcfs keeps arrival order, priority sorts by class
-// priority (stable, so FCFS within a class), sjf shortest-job-first by
-// full request length.
-func (sv *serveState) formationOrder() []int {
-	pending := sv.pending
-	order := sv.order[:0]
-	for i := range pending {
-		order = append(order, i)
-	}
-	sv.order = order
-	switch sv.spec.Formation {
-	case "priority":
-		sort.SliceStable(order, func(a, b int) bool {
-			return sv.prio[pending[order[a]].Class] > sv.prio[pending[order[b]].Class]
-		})
-	case "sjf":
-		sort.SliceStable(order, func(a, b int) bool {
-			return pending[order[a]].Tokens < pending[order[b]].Tokens
-		})
-	}
-	return order
-}
-
 // finishServe folds the per-class accumulators into the report and names
 // the summary columns after the generator and the serving knobs.
 func (s *Stream) finishServe() {
 	sv := s.serve
-	sv.unserved = len(sv.pending) + (len(sv.timeline) - sv.cursor)
 	classes := make([]ClassMetrics, 0, len(sv.stats))
 	for _, cls := range sv.spec.Classes {
 		agg := sv.stats[cls.Name]
@@ -366,7 +395,7 @@ func (s *Stream) finishServe() {
 	s.report.summarize(s.cfg.Method.Name(), sv.gen.Name(), "serve:"+sv.spec.Formation+"+"+sv.spec.Route)
 	sum := &s.report.Summary
 	sum.StreamTime = sv.clock
-	sum.Unserved = sv.unserved
+	sum.Unserved = len(sv.queue) + (len(sv.timeline) - sv.cursor)
 	for _, cm := range classes {
 		sum.Requests += cm.Requests
 		sum.Violations += cm.Violations

@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"zeppelin/internal/decision"
 	"zeppelin/internal/faults"
+	"zeppelin/internal/seq"
 	"zeppelin/internal/workload"
 	"zeppelin/internal/workload/serve"
 	"zeppelin/internal/zeppelin"
@@ -190,28 +193,273 @@ func TestServeRouteDecisionsTraced(t *testing.T) {
 	_ = spread // spread may legitimately be zero on an uncontended cell
 }
 
+// TestServeFormationOrders: four requests queued at once leave the
+// queue in each discipline's order (priority by class, FCFS within one;
+// sjf by length; fcfs by arrival), whether one tick takes them all or
+// each tick takes one and the rest wait for the next.
 func TestServeFormationOrders(t *testing.T) {
-	sv := &serveState{
-		spec: &serve.Spec{Formation: "priority"},
-		prio: map[string]int{"hi": 2, "lo": 1},
-		pending: []serve.Request{
-			{Class: "lo", Tokens: 100},
-			{Class: "hi", Tokens: 300},
-			{Class: "lo", Tokens: 50},
-			{Class: "hi", Tokens: 200},
+	timeline := []serve.Request{
+		{ID: 0, Class: "lo", Tokens: 100},
+		{ID: 1, Class: "hi", Tokens: 300},
+		{ID: 2, Class: "lo", Tokens: 50},
+		{ID: 3, Class: "hi", Tokens: 200},
+	}
+	for form, want := range map[string][]int{
+		"priority": {1, 3, 0, 2},
+		"sjf":      {2, 0, 3, 1},
+		"fcfs":     {0, 1, 2, 3},
+	} {
+		for _, budget := range []int{1000, 1} {
+			sv := &serveState{
+				spec:     &serve.Spec{Formation: form},
+				timeline: timeline,
+				homes:    map[int]int{},
+				stats: map[string]*classAgg{
+					"hi": {cls: serve.SLOClass{Name: "hi", Priority: 2}},
+					"lo": {cls: serve.SLOClass{Name: "lo", Priority: 1}},
+				},
+			}
+			var got []int
+			for it := 0; !sv.drained(); it++ {
+				sv.form(nil, it, 1, budget)
+				for _, r := range sv.served {
+					got = append(got, r.ID)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s order at budget %d = %v, want %v", form, budget, got, want)
+			}
+		}
+	}
+}
+
+// TestServeFormationMatchesReference drives the formation queue and the
+// sort-based reference it replaced (refServe) tick by tick, under every
+// formation and routing objective, over generated timelines at six
+// seeds and one recorded trace with tied arrivals. Every tick must form
+// the same batch and record, serve the same requests in the same order,
+// and trace the same route decisions.
+func TestServeFormationMatchesReference(t *testing.T) {
+	const text = "clients=4,arrival=gamma:cv=2.0,rate=20@0-2s;200@2-3s;20@3-6s," +
+		"slo=interactive:p99=2s:prio=2;batch:p99=8s:prio=1;bulk:p99=30s:prio=1,sessions=3,prefix=0.6"
+	base, err := serve.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded, err := base.Timeline(rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recorded {
+		// Quarter-second arrivals tie many requests on arrival time.
+		recorded[i].Arrive = math.Floor(4*recorded[i].Arrive) / 4
+	}
+	trace, err := (&serve.Trace{Events: recorded}).Timeline(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, form := range serve.Formations {
+		for _, route := range []string{"balance", "affinity"} {
+			spec := base
+			spec.Formation, spec.Route = form, route
+			for seed := int64(1); seed <= 6; seed++ {
+				timeline, err := spec.Timeline(rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Odd seeds run a cell whose budget some requests exceed.
+				world, budget := 4, 4*4096
+				if seed%2 == 1 {
+					world, budget = 2, 2*1024
+				}
+				checkFormation(t, fmt.Sprintf("%s/%s/seed=%d", form, route, seed), &spec, timeline, world, budget)
+			}
+			checkFormation(t, fmt.Sprintf("%s/%s/trace", form, route), &spec, trace, 4, 4*2048)
+		}
+	}
+}
+
+// checkFormation runs one timeline through serveState.form and
+// refServe.form until both drain, closing each tick with the same
+// synthetic iteration time.
+func checkFormation(t *testing.T, name string, spec *serve.Spec, timeline []serve.Request, world, budget int) {
+	t.Helper()
+	sv := &serveState{spec: spec, timeline: timeline, homes: map[int]int{}, stats: map[string]*classAgg{}}
+	ref := &refServe{spec: spec, timeline: timeline, homes: map[int]int{}, prio: map[string]int{}}
+	for _, cls := range spec.Classes {
+		sv.stats[cls.Name] = &classAgg{cls: cls}
+		ref.prio[cls.Name] = cls.Priority
+	}
+	var got, want decision.Trace
+	it := 0
+	for ; !ref.drained(); it++ {
+		if sv.drained() {
+			t.Fatalf("%s: queue drained before tick %d, reference did not", name, it)
+		}
+		batch, rec := sv.form(&got, it, world, budget)
+		wantBatch, wantRec := ref.form(&want, it, world, budget)
+		if !reflect.DeepEqual(batch, wantBatch) {
+			t.Fatalf("%s tick %d: batch %v, want %v", name, it, batch, wantBatch)
+		}
+		if !reflect.DeepEqual(rec, wantRec) {
+			t.Fatalf("%s tick %d: record %+v, want %+v", name, it, rec, wantRec)
+		}
+		if !reflect.DeepEqual(sv.served, ref.served) {
+			t.Fatalf("%s tick %d: served %v, want %v", name, it, sv.served, ref.served)
+		}
+		if !reflect.DeepEqual(got.Records(), want.Records()) {
+			t.Fatalf("%s tick %d: route decisions differ", name, it)
+		}
+		got.Reset()
+		want.Reset()
+		iterTime := 0.01 + 2e-6*float64(rec.Tokens)
+		sv.complete(iterTime)
+		ref.clock += iterTime
+	}
+	if !sv.drained() {
+		t.Fatalf("%s: reference drained after %d ticks, queue did not", name, it)
+	}
+}
+
+// refServe is batch formation as it stood before the serve queue kept
+// formation order across ticks: every tick re-sorts the whole backlog
+// (formationOrder), takes requests in that order while the budget
+// lasts, then filters the served ones out, and the route record scans
+// the loads again for the least-loaded rank. Its code is kept as it was
+// as the written specification of "the same batches", as internal/sim
+// keeps refEngine.
+type refServe struct {
+	spec     *serve.Spec
+	timeline []serve.Request
+	cursor   int
+	pending  []serve.Request
+	clock    float64
+	homes    map[int]int
+	prio     map[string]int
+	served   []serve.Request
+}
+
+func (sv *refServe) drained() bool {
+	return sv.cursor >= len(sv.timeline) && len(sv.pending) == 0
+}
+
+func (sv *refServe) form(tr *decision.Trace, it, world, budget int) ([]seq.Sequence, IterRecord) {
+	if len(sv.pending) == 0 && sv.cursor < len(sv.timeline) {
+		if t := sv.timeline[sv.cursor].Arrive; t > sv.clock {
+			sv.clock = t
+		}
+	}
+	for sv.cursor < len(sv.timeline) && sv.timeline[sv.cursor].Arrive <= sv.clock {
+		sv.pending = append(sv.pending, sv.timeline[sv.cursor])
+		sv.cursor++
+	}
+
+	order := sv.formationOrder()
+	load := make([]float64, world)
+	var batch []seq.Sequence
+	var rec IterRecord
+	var served []serve.Request
+	taken := make([]bool, len(sv.pending))
+	total := 0
+	for _, idx := range order {
+		req := sv.pending[idx]
+		rank, eff, homeHit := sv.route(req, load, world)
+		if total+eff > budget {
+			if len(served) > 0 {
+				break
+			}
+			eff = budget
+		}
+		if tr != nil {
+			sv.recordRoute(tr, it, req, load, homeHit, world)
+		}
+		load[rank] += float64(eff)
+		sv.homes[req.Session] = rank
+		batch = append(batch, seq.Sequence{ID: len(batch), Len: eff})
+		served = append(served, req)
+		rec.Tokens += req.Tokens
+		if homeHit {
+			rec.AffinityHits++
+			rec.SavedTokens += req.Tokens - eff
+		}
+		taken[idx] = true
+		total += eff
+	}
+	sv.served = served
+	rest := sv.pending[:0]
+	for i, r := range sv.pending {
+		if !taken[i] {
+			rest = append(rest, r)
+			rec.Queued += r.Tokens
+		}
+	}
+	sv.pending = rest
+	return batch, rec
+}
+
+func (sv *refServe) route(req serve.Request, load []float64, world int) (rank, eff int, homeHit bool) {
+	best := 0
+	for r := 1; r < world; r++ {
+		if load[r] < load[best] {
+			best = r
+		}
+	}
+	home, hasHome := sv.homes[req.Session]
+	effHome := effectiveLen(req.Tokens - req.Prefix)
+	effFull := effectiveLen(req.Tokens)
+	if hasHome && home < world {
+		if sv.spec.Route == "affinity" {
+			if load[home]+float64(effHome) <= load[best]+float64(effFull) {
+				return home, effHome, true
+			}
+		} else if home == best {
+			return home, effHome, true
+		}
+	}
+	return best, effFull, false
+}
+
+func (sv *refServe) recordRoute(tr *decision.Trace, it int, req serve.Request, load []float64, homeHit bool, world int) {
+	home, hasHome := sv.homes[req.Session]
+	if !hasHome || home >= world {
+		return
+	}
+	best := 0
+	for r := 1; r < world; r++ {
+		if load[r] < load[best] {
+			best = r
+		}
+	}
+	chosen := "spread"
+	if homeHit {
+		chosen = "affinity"
+	}
+	tr.Add(decision.Record{
+		Iter: it, Kind: decision.KindRoute, Chosen: chosen,
+		Alternatives: []decision.Alternative{
+			{Choice: "affinity", Score: load[home] + float64(effectiveLen(req.Tokens-req.Prefix)), Chosen: homeHit},
+			{Choice: "spread", Score: load[best] + float64(effectiveLen(req.Tokens)), Chosen: !homeHit},
 		},
+	})
+}
+
+func (sv *refServe) formationOrder() []int {
+	pending := sv.pending
+	order := make([]int, len(pending))
+	for i := range order {
+		order[i] = i
 	}
-	if got := sv.formationOrder(); !reflect.DeepEqual(got, []int{1, 3, 0, 2}) {
-		t.Fatalf("priority order = %v", got)
+	switch sv.spec.Formation {
+	case "priority":
+		sort.SliceStable(order, func(a, b int) bool {
+			return sv.prio[pending[order[a]].Class] > sv.prio[pending[order[b]].Class]
+		})
+	case "sjf":
+		sort.SliceStable(order, func(a, b int) bool {
+			return pending[order[a]].Tokens < pending[order[b]].Tokens
+		})
 	}
-	sv.spec = &serve.Spec{Formation: "sjf"}
-	if got := sv.formationOrder(); !reflect.DeepEqual(got, []int{2, 0, 3, 1}) {
-		t.Fatalf("sjf order = %v", got)
-	}
-	sv.spec = &serve.Spec{Formation: "fcfs"}
-	if got := sv.formationOrder(); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
-		t.Fatalf("fcfs order = %v", got)
-	}
+	return order
 }
 
 // TestServeValidation: Config.Validate is the one place that decides

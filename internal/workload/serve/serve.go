@@ -12,10 +12,11 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -450,11 +451,8 @@ func gammaSample(rng *rand.Rand, k float64) float64 {
 // sortRequests orders by arrival time (client, then draw order break
 // ties) and assigns sequential IDs — the canonical timeline order.
 func sortRequests(reqs []Request) {
-	sort.SliceStable(reqs, func(i, j int) bool {
-		if reqs[i].Arrive != reqs[j].Arrive {
-			return reqs[i].Arrive < reqs[j].Arrive
-		}
-		return reqs[i].Client < reqs[j].Client
+	slices.SortStableFunc(reqs, func(a, b Request) int {
+		return cmp.Or(cmp.Compare(a.Arrive, b.Arrive), cmp.Compare(a.Client, b.Client))
 	})
 	for i := range reqs {
 		reqs[i].ID = i
