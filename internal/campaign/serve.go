@@ -89,6 +89,9 @@ type serveState struct {
 	// the current tick took; both are reused every tick.
 	load   []float64
 	served []serve.Request
+	// alts is the unused rest of the slab route records take their two
+	// alternatives from.
+	alts []decision.Alternative
 }
 
 // queued is a waiting request: its formation key and its timeline index.
@@ -349,13 +352,16 @@ func (sv *serveState) recordRoute(tr *decision.Trace, it int, req serve.Request,
 	if homeHit {
 		chosen = "affinity"
 	}
-	tr.Add(decision.Record{
-		Iter: it, Kind: decision.KindRoute, Chosen: chosen,
-		Alternatives: []decision.Alternative{
-			{Choice: "affinity", Score: load[home] + float64(effectiveLen(req.Tokens-req.Prefix)), Chosen: homeHit},
-			{Choice: "spread", Score: load[best] + float64(effectiveLen(req.Tokens)), Chosen: !homeHit},
-		},
-	})
+	// Capped at two, a record's alternatives cannot grow into the next
+	// record's.
+	if len(sv.alts) < 2 {
+		sv.alts = make([]decision.Alternative, 256)
+	}
+	alts := sv.alts[:2:2]
+	sv.alts = sv.alts[2:]
+	alts[0] = decision.Alternative{Choice: "affinity", Score: load[home] + float64(effectiveLen(req.Tokens-req.Prefix)), Chosen: homeHit}
+	alts[1] = decision.Alternative{Choice: "spread", Score: load[best] + float64(effectiveLen(req.Tokens)), Chosen: !homeHit}
+	tr.Add(decision.Record{Iter: it, Kind: decision.KindRoute, Chosen: chosen, Alternatives: alts})
 }
 
 // finishServe folds the per-class accumulators into the report and names

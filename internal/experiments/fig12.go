@@ -39,7 +39,8 @@ func Fig12Scenarios() []Fig12Scenario {
 }
 
 // Fig12Trace runs one scenario's attention layer (forward + backward) and
-// returns the collected events.
+// returns the collected events. The events are copies, so the engine's
+// graph storage goes back to the pool before it returns.
 func Fig12Trace(sc Fig12Scenario) ([]trace.Event, error) {
 	cfg := trainer.Config{
 		Model: model.LLaMA3B, Spec: cluster.ClusterA, Nodes: 2, TP: 1,
@@ -49,6 +50,7 @@ func Fig12Trace(sc Fig12Scenario) ([]trace.Event, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer env.E.Release()
 	pl, err := sc.Method.Plan(env, sc.Batch)
 	if err != nil {
 		return nil, err

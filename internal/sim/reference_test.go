@@ -341,50 +341,95 @@ func runReference(g graphSpec) (schedule, error) {
 
 func sameTime(a, b Time) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestScheduleMatchesReference: on seeded random DAGs full of equal-time
-// ties, Engine reproduces the reference scheduler bit for bit — every
-// task's Start and End, every resource's BusyTime, the makespan, and the
-// OnTaskDone order. Each graph is released after its schedule is read,
-// so later graphs run in the blocks earlier graphs used; zero-duration
-// barriers and zero-time tasks go through the zero-delay FIFO, whose
-// order the reference's single heap pins.
+// TestScheduleMatchesReference: on hand-built run-queue inputs and on
+// seeded random DAGs full of equal-time ties, Engine reproduces the
+// reference scheduler bit for bit — every task's Start and End, every
+// resource's BusyTime, the makespan, and the OnTaskDone order. Each
+// graph is released after its schedule is read, so later graphs run in
+// the blocks earlier graphs used; zero-duration barriers and zero-time
+// tasks go through the zero-delay FIFO, and same-time completions
+// through runs, whose order the reference's single heap pins.
 func TestScheduleMatchesReference(t *testing.T) {
+	type input struct {
+		name string
+		g    graphSpec
+	}
+	inputs := []input{
+		// Tasks of 2, 3 and 2 s ready at 0 make two runs due at 2 split
+		// by one due at 3. The zero-duration successor of the first
+		// completes after the second run at 2, not before it.
+		{"two runs at 2 split by a run at 3", graphSpec{
+			res: []resSpec{{}, {}, {}},
+			tasks: []taskSpec{
+				{res: 0, kind: KindCompute, dur: 2},
+				{res: 1, kind: KindCompute, dur: 3},
+				{res: 2, kind: KindCompute, dur: 2},
+				{res: -1, kind: KindBarrier},
+			},
+			edges: [][2]int{{0, 3}},
+		}},
+		// Runs due at 2 (task 1, then task 3) are split by one due at 3.
+		// At 1 a zero-delay barrier fans out to tasks due at 2, which
+		// join the newest run (task 3's), not the heap's top (task 1's),
+		// and to one due now. At 2 another barrier, released by the
+		// first run, fans out to zero-time tasks, which complete after
+		// the second run.
+		{"barrier fan-outs between runs at 2", graphSpec{
+			res: []resSpec{{}, {}, {}, {}},
+			tasks: []taskSpec{
+				{res: 0, kind: KindCompute, dur: 1},
+				{res: 1, kind: KindCompute, dur: 2},
+				{res: 2, kind: KindCompute, dur: 3},
+				{res: 3, kind: KindCompute, dur: 2},
+				{res: -1, kind: KindBarrier},
+				{res: 0, kind: KindCompute, dur: 1},
+				{res: -1, kind: KindBarrier, dur: 1},
+				{res: -1, kind: KindBarrier},
+				{res: -1, kind: KindBarrier},
+				{res: 1, kind: KindCompute},
+				{res: -1, kind: KindBarrier},
+			},
+			edges: [][2]int{{0, 4}, {4, 5}, {4, 6}, {4, 7}, {1, 8}, {8, 9}, {8, 10}},
+		}},
+	}
+	for seed := int64(1); seed <= 400; seed++ {
+		inputs = append(inputs, input{fmt.Sprintf("seed %d", seed), randomGraph(rand.New(rand.NewSource(seed)))})
+	}
 	ties, recycled := 0, 0
 	var prev *block
-	for seed := int64(1); seed <= 400; seed++ {
-		g := randomGraph(rand.New(rand.NewSource(seed)))
-		got, err := runEngine(g)
+	for _, in := range inputs {
+		got, err := runEngine(in.g)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("%s: %v", in.name, err)
 		}
 		if got.first == prev {
 			recycled++
 		}
 		prev = got.first
-		want, err := runReference(g)
+		want, err := runReference(in.g)
 		if err != nil {
-			t.Fatalf("seed %d: reference: %v", seed, err)
+			t.Fatalf("%s: reference: %v", in.name, err)
 		}
 		if !sameTime(got.makespan, want.makespan) {
-			t.Fatalf("seed %d: makespan %v, reference %v", seed, got.makespan, want.makespan)
+			t.Fatalf("%s: makespan %v, reference %v", in.name, got.makespan, want.makespan)
 		}
 		for i := range want.start {
 			if !sameTime(got.start[i], want.start[i]) || !sameTime(got.end[i], want.end[i]) {
-				t.Fatalf("seed %d: task %d ran [%v,%v], reference [%v,%v]",
-					seed, i, got.start[i], got.end[i], want.start[i], want.end[i])
+				t.Fatalf("%s: task %d ran [%v,%v], reference [%v,%v]",
+					in.name, i, got.start[i], got.end[i], want.start[i], want.end[i])
 			}
 		}
 		for i := range want.busy {
 			if !sameTime(got.busy[i], want.busy[i]) {
-				t.Fatalf("seed %d: resource %d busy %v, reference %v", seed, i, got.busy[i], want.busy[i])
+				t.Fatalf("%s: resource %d busy %v, reference %v", in.name, i, got.busy[i], want.busy[i])
 			}
 		}
 		if len(got.order) != len(want.order) {
-			t.Fatalf("seed %d: %d completions, reference %d", seed, len(got.order), len(want.order))
+			t.Fatalf("%s: %d completions, reference %d", in.name, len(got.order), len(want.order))
 		}
 		for i := range want.order {
 			if got.order[i] != want.order[i] {
-				t.Fatalf("seed %d: completion %d is task %d, reference task %d", seed, i, got.order[i], want.order[i])
+				t.Fatalf("%s: completion %d is task %d, reference task %d", in.name, i, got.order[i], want.order[i])
 			}
 		}
 		for i := 1; i < len(want.order); i++ {
@@ -401,6 +446,6 @@ func TestScheduleMatchesReference(t *testing.T) {
 	// what is put back, but most graphs must still reuse their
 	// predecessor's first block.
 	if recycled < 200 {
-		t.Fatalf("only %d of 399 graphs started in their predecessor's first block", recycled)
+		t.Fatalf("only %d of %d graphs started in their predecessor's first block", recycled, len(inputs)-1)
 	}
 }

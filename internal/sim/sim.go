@@ -29,28 +29,35 @@
 //
 // Building and running a graph allocates per block, not per task: tasks
 // and successor edges come from pooled blocks, the event queue is a
-// typed heap, and a resource's FIFO reuses its backing array.
+// typed heap of runs linked through the tasks themselves, and a
+// resource's FIFO reuses its backing array.
 //
 // Graph storage is recycled. Tasks and edges live in blocks, and an
-// engine's growable slices (block list, task list, event heap and
-// zero-delay FIFO) in a lists value; an engine takes both from
-// process-wide sync.Pools with its first task, and Release zeroes them
-// and hands them back. No task of a released engine may be read: Tasks
-// is empty, Run fails, and a *Task kept from before points into
-// whatever graph its block holds next. Blocks are pooled singly rather
-// than as one storage per engine because a sync.Pool keeps one object
-// per processor out of the others' reach: whole storages stranded there
-// each grew to the largest graph seen, while single blocks circulate,
-// and those a burst of large graphs left behind are dropped two
-// collections after their last use. Zeroed, a pooled block keeps no
-// earlier graph reachable.
+// engine's growable slices (block list, task list and event heap) in a
+// lists value; an engine takes both from process-wide sync.Pools with
+// its first task, and Release zeroes them and hands them back. No task
+// of a released engine may be read: Tasks is empty, Run fails, and a
+// *Task kept from before points into whatever graph its block holds
+// next. Blocks are pooled singly rather than as one storage per engine
+// because a sync.Pool keeps one object per processor out of the others'
+// reach: whole storages stranded there each grew to the largest graph
+// seen, while single blocks circulate, and those a burst of large graphs
+// left behind are dropped two collections after their last use. Zeroed,
+// a pooled block keeps no earlier graph reachable.
 //
-// Events due at the current time (zero-duration barriers, zero-time
-// tasks) skip the heap and go into a FIFO. This keeps the (time,
-// creation) order exactly: a heap event due now was pushed before time
-// reached now, so it precedes everything in the FIFO, which in turn
-// precedes every later heap event. Run pops in that order. The argument
-// needs non-negative task times, which every cost in this repository is.
+// Completions are ordered by (time, push sequence), and balanced
+// schedules make many of them tie. One heap entry stands for a run: the
+// tasks pushed one after another for one time, linked in push order
+// through Task.next. A push for a later time joins the newest run if it
+// has that time and starts a new run otherwise, so runs are contiguous
+// stretches of the push sequence, and (time, run, position in run) is
+// exactly (time, push sequence). Completions due at the current time
+// (zero-duration barriers, zero-time tasks) skip the heap for a FIFO
+// chained through the same field; each task is pushed once. Run pops the
+// rest of the current run, then any other run due now (pushed before
+// time reached now, so earlier than everything in the FIFO), then the
+// FIFO, then the next run. The argument needs non-negative task times,
+// which every cost in this repository is.
 package sim
 
 import (
@@ -168,6 +175,7 @@ func (r *Resource) Utilization(makespan Time) float64 {
 type Task struct {
 	Label string
 	Kind  Kind
+	state taskState
 	// Rank identifies the device this task belongs to, for tracing.
 	Rank int
 	// Duration is a fixed execution time. Used when Size is zero.
@@ -175,13 +183,13 @@ type Task struct {
 	// Size is a transfer size in bytes; execution time is Size/res.Rate.
 	Size float64
 
-	id    int
-	eng   *Engine
-	res   *Resource
-	deps  int
-	succ  *edge // successors in the order After added them
-	last  *edge // tail of the succ list
-	state taskState
+	id   int
+	eng  *Engine
+	res  *Resource
+	deps int
+	succ *edge // successors in the order After added them
+	last *edge // tail of the succ list
+	next *Task // the task completing after this one in its run or the FIFO
 
 	// Start and End are filled in by Run.
 	Start, End Time
@@ -229,13 +237,12 @@ type block struct {
 }
 
 // lists are an engine's growable slices, pooled with capacity kept: the
-// blocks it took, the task list, the event heap and the zero-delay FIFO.
-// Entries past a slice's length are nil.
+// blocks it took, the task list and the event heap. Entries past a
+// slice's length are zero.
 type lists struct {
 	blocks []*block
 	tasks  []*Task
-	events eventHeap
-	due    []*Task // due[Engine.dueHead:] complete at the current time
+	runs   runHeap
 }
 
 var (
@@ -252,13 +259,19 @@ type Engine struct {
 	edges     []edge // unused tail of the current edge block
 	taskBlock int    // blocks[:taskBlock] have handed out their tasks
 	edgeBlock int    // blocks[:edgeBlock] have handed out their edges
-	dueHead   int
 	resources []*Resource
-	eventSeq  int
 	ran       bool // set by Run and by Release
 
+	// cur is the rest of the run popped last; newest is the last task
+	// pushed onto a run and newestAt its time; dueHead and dueTail are
+	// the ends of the zero-delay FIFO.
+	cur, newest      *Task
+	newestAt         Time
+	dueHead, dueTail *Task
+	runSeq           int
+
 	// OnTaskDone, if set, is invoked after each task finishes, in
-	// completion order. Used by the trace package.
+	// completion order. Only tests set it.
 	OnTaskDone func(t *Task)
 }
 
@@ -300,9 +313,10 @@ func (e *Engine) Release() {
 	}
 	clear(l.blocks)
 	clear(l.tasks)
-	// Run leaves the heap and the FIFO empty, their vacated slots zeroed.
-	l.blocks, l.tasks, l.events, l.due = l.blocks[:0], l.tasks[:0], l.events[:0], l.due[:0]
-	e.lists, e.spare, e.edges = nil, nil, nil
+	// Run leaves the heap empty, its vacated slots zeroed, and cur and
+	// the FIFO nil; newest still points into a block.
+	l.blocks, l.tasks, l.runs = l.blocks[:0], l.tasks[:0], l.runs[:0]
+	e.lists, e.spare, e.edges, e.newest = nil, nil, nil, nil
 	listsPool.Put(l)
 }
 
@@ -331,9 +345,12 @@ func (e *Engine) NewTask(label string, kind Kind, rank int, res *Resource) *Task
 		}
 		e.spare = e.nextBlock(&e.taskBlock).tasks[:]
 	}
+	// A block's tasks are zero until handed out (Release clears them), so
+	// setting the fields one by one is the whole initialization; a
+	// composite literal would be built on the stack and copied.
 	t := &e.spare[0]
 	e.spare = e.spare[1:]
-	*t = Task{Label: label, Kind: kind, Rank: rank, res: res, id: len(e.tasks), eng: e}
+	t.Label, t.Kind, t.Rank, t.res, t.id, t.eng = label, kind, rank, res, len(e.tasks), e
 	e.tasks = append(e.tasks, t)
 	return t
 }
@@ -367,25 +384,28 @@ func (e *Engine) Barrier(label string, rank int) *Task {
 	return e.NewTask(label, KindBarrier, rank, nil)
 }
 
-type event struct {
+// run is a heap entry: the tasks due at one time that were pushed one
+// after another, from head along Task.next. seq numbers runs in the
+// order they were started.
+type run struct {
 	at   Time
 	seq  int
-	task *Task
+	head *Task
 }
 
-// eventHeap is a binary min-heap on (at, seq). Its sift steps are those
-// of container/heap, specialized to event so nothing is boxed.
-type eventHeap []event
+// runHeap is a binary min-heap on (at, seq). Its sift steps are those of
+// container/heap, specialized to run so nothing is boxed.
+type runHeap []run
 
-func (h eventHeap) less(i, j int) bool {
+func (h runHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
 
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
+func (h *runHeap) push(r run) {
+	*h = append(*h, r)
 	q := *h
 	for j := len(q) - 1; ; {
 		i := (j - 1) / 2 // parent
@@ -397,7 +417,7 @@ func (h *eventHeap) push(ev event) {
 	}
 }
 
-func (h *eventHeap) pop() event {
+func (h *runHeap) pop() run {
 	q := *h
 	n := len(q) - 1
 	q[0], q[n] = q[n], q[0]
@@ -415,40 +435,55 @@ func (h *eventHeap) pop() event {
 		q[i], q[j] = q[j], q[i]
 		i = j
 	}
-	ev := q[n]
-	q[n] = event{}
+	r := q[n]
+	q[n] = run{}
 	*h = q[:n]
-	return ev
+	return r
 }
 
-// push schedules t to complete at at: into the zero-delay FIFO when at
-// is the current time, onto the heap otherwise.
+// push schedules t to complete at at: onto the zero-delay FIFO when at
+// is the current time; otherwise onto the newest run if that run is due
+// at at, and as a new run on the heap if not.
 func (e *Engine) push(at Time, t *Task) {
-	if at == e.now {
-		e.due = append(e.due, t)
+	switch {
+	case at == e.now:
+		if e.dueTail == nil {
+			e.dueHead = t
+		} else {
+			e.dueTail.next = t
+		}
+		e.dueTail = t
 		return
+	case at == e.newestAt && e.newest != nil:
+		e.newest.next = t
+	default:
+		e.runs.push(run{at: at, seq: e.runSeq, head: t})
+		e.runSeq++
+		e.newestAt = at
 	}
-	e.events.push(event{at: at, seq: e.eventSeq, task: t})
-	e.eventSeq++
+	e.newest = t
 }
 
-// pop returns the next task to complete in (time, creation) order,
-// advancing the clock, or nil when no event is left: heap events due
-// now, then the FIFO, then the heap's later events.
+// pop returns the next task to complete in (time, push) order, advancing
+// the clock, or nil when no event is left: the rest of the current run,
+// another run due now, the FIFO, then the next run.
 func (e *Engine) pop() *Task {
-	if len(e.events) > 0 && (e.events[0].at == e.now || e.dueHead == len(e.due)) {
-		ev := e.events.pop()
-		e.now = ev.at
-		return ev.task
+	if t := e.cur; t != nil {
+		e.cur = t.next
+		return t
 	}
-	if e.dueHead == len(e.due) {
-		return nil
+	if len(e.runs) > 0 && (e.runs[0].at == e.now || e.dueHead == nil) {
+		r := e.runs.pop()
+		e.now = r.at
+		e.cur = r.head.next
+		return r.head
 	}
-	t := e.due[e.dueHead]
-	e.due[e.dueHead] = nil
-	e.dueHead++
-	if e.dueHead == len(e.due) {
-		e.due, e.dueHead = e.due[:0], 0
+	t := e.dueHead
+	if t != nil {
+		e.dueHead = t.next
+		if e.dueHead == nil {
+			e.dueTail = nil
+		}
 	}
 	return t
 }
