@@ -258,7 +258,10 @@ type Stream struct {
 	// footprint, 2 × hidden × bytes × layers / TP.
 	stateBytes float64
 
-	// Loop state carried across iterations.
+	// Loop state carried across iterations. env is the simulation
+	// environment the iterations run in: re-armed each iteration, and
+	// rebuilt only when the active node count changes.
+	env         *trainer.Env
 	rng         *rand.Rand
 	stale       *slotPlan
 	sinceReplan int
@@ -382,6 +385,7 @@ func (s *Stream) finish() {
 		return
 	}
 	s.done = true
+	s.env = nil // a finished stream simulates nothing more
 	s.report.PerRankUtil = make([]float64, s.baseWorld)
 	if s.spanSum > 0 {
 		for r := range s.busySum {
@@ -533,7 +537,12 @@ func (s *Stream) step() (IterRecord, error) {
 	tcfg := cfg.Trainer
 	tcfg.Nodes = view.Nodes
 	tcfg.Health = view.Health
-	res, err := trainer.Run(tcfg, cfg.Method, batch)
+	var res *trainer.Result
+	env, err := tcfg.ReuseEnv(s.env)
+	if err == nil {
+		s.env = env
+		res, err = trainer.RunOn(tcfg, cfg.Method, env, batch)
+	}
 	if err != nil {
 		if s.serve != nil {
 			// A serving tick simulates what its spec asked for, so its
@@ -546,7 +555,7 @@ func (s *Stream) step() (IterRecord, error) {
 	realizedImb := maxOverMean(busy)
 
 	// Placement record: which fast path the incremental planner took for
-	// this iteration's plan (trainer.Run just executed it). Cumulative
+	// this iteration's plan (trainer.RunOn just executed it). Cumulative
 	// fast-path counters score the alternatives — the planner's lifetime
 	// tendency at the moment of the decision.
 	if cfg.Decisions != nil && s.controller {

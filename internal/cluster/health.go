@@ -10,8 +10,8 @@ import (
 // retries) and which NICs have lost bandwidth (link flaps, congestion,
 // lane degradation). A nil *Health means the cluster is nominal. The
 // fault-injection layer (internal/faults) produces one Health per
-// campaign iteration; trainer.NewEnv applies it to the Fabric so the
-// degradation shows up in the discrete-event simulation itself, and
+// campaign iteration; the trainer sets the Fabric to it (SetHealth) so
+// the degradation shows up in the discrete-event simulation itself, and
 // speed-aware planners (Zeppelin's partitioner and remapping layer) read
 // the same view to rebalance around it.
 type Health struct {
@@ -94,22 +94,23 @@ func (h *Health) Validate(world, nics int) error {
 	return nil
 }
 
-// Degrade applies a health view to the fabric's resources: slow ranks'
-// compute streams run at reduced Speed and derated NICs lose Rate. Call
-// before the engine runs; healthy fabrics skip it entirely.
-func (f *Fabric) Degrade(h *Health) {
-	if !h.Degraded() {
-		return
-	}
-	for r := range f.Compute {
+// SetHealth puts the fabric's resources under a health view: a slow
+// rank's compute stream runs at Speed 1/slowdown, and a derated NIC's
+// send and receive Rate is NICBandwidth × derate. Each value is set from
+// the spec rather than scaled from the current one, so a fabric moved
+// through any sequence of views is exactly what a new fabric put under
+// the last view would be. Nominal entries and a nil view restore a new
+// fabric's values (compute Speed unset, Rate NICBandwidth). Call before
+// the engine runs.
+func (f *Fabric) SetHealth(h *Health) {
+	for r, c := range f.Compute {
+		c.Speed = 0
 		if s := h.SlowOf(r); s != 1 {
-			f.Compute[r].Speed = 1 / s
+			c.Speed = 1 / s
 		}
 	}
 	for n := range f.NICSend {
-		if d := h.NICDerateOf(n); d != 1 {
-			f.NICSend[n].Rate *= d
-			f.NICRecv[n].Rate *= d
-		}
+		rate := f.C.NICBandwidth * h.NICDerateOf(n)
+		f.NICSend[n].Rate, f.NICRecv[n].Rate = rate, rate
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"zeppelin/internal/sim"
@@ -72,7 +73,7 @@ func TestFabricDegrade(t *testing.T) {
 	f := NewFabric(e, c)
 	nominalRate := f.NICSend[1].Rate
 
-	f.Degrade(&Health{
+	f.SetHealth(&Health{
 		Slow:      []float64{1, 2.5},
 		NICDerate: []float64{1, 0.25},
 	})
@@ -95,9 +96,32 @@ func TestFabricDegrade(t *testing.T) {
 	// Degrading with a nominal view is a no-op.
 	e2 := sim.NewEngine()
 	f2 := NewFabric(e2, c)
-	f2.Degrade(&Health{Slow: []float64{1, 1}})
+	f2.SetHealth(&Health{Slow: []float64{1, 1}})
 	if f2.Compute[0].Speed != 0 || f2.NICSend[0].Rate != nominalRate {
 		t.Fatal("nominal view must not touch the fabric")
+	}
+
+	// Views are set, not stacked: the fabric above, moved on through more
+	// views, reads bit for bit what a new fabric under each view reads.
+	for i, h := range []*Health{
+		{NICDerate: []float64{0.5, 0.5, 0.3}},
+		{Slow: []float64{3, 1, 1.5}},
+		nil,
+		{Slow: []float64{1, 2.5}, NICDerate: []float64{1, 0.25}},
+	} {
+		f.SetHealth(h)
+		fresh := NewFabric(sim.NewEngine(), c)
+		fresh.SetHealth(h)
+		got := [][]*sim.Resource{f.Compute, f.IntraSend, f.IntraRecv, f.NICSend, f.NICRecv}
+		want := [][]*sim.Resource{fresh.Compute, fresh.IntraSend, fresh.IntraRecv, fresh.NICSend, fresh.NICRecv}
+		for k := range want {
+			for j, w := range want[k] {
+				g := got[k][j]
+				if math.Float64bits(g.Rate) != math.Float64bits(w.Rate) || math.Float64bits(g.Speed) != math.Float64bits(w.Speed) || g.Latency != w.Latency {
+					t.Fatalf("view %d: resource %s %d reads rate %v speed %v, a new fabric %v %v", i, w.Name, j, g.Rate, g.Speed, w.Rate, w.Speed)
+				}
+			}
+		}
 	}
 }
 
@@ -107,7 +131,7 @@ func TestDegradedComputeTaskTime(t *testing.T) {
 	c := MustNew(ClusterA, 1)
 	e := sim.NewEngine()
 	f := NewFabric(e, c)
-	f.Degrade(&Health{Slow: []float64{2}})
+	f.SetHealth(&Health{Slow: []float64{2}})
 	tk := f.ComputeTask("k", 0, 10e-3)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)

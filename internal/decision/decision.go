@@ -125,37 +125,76 @@ type Record struct {
 // serialization may run concurrently (the zeppelind decisions route
 // reads while a stream is running), so all methods are safe for
 // concurrent use.
+//
+// Records are stored in fixed-size chunks linked in order, so adding a
+// record never copies the ones before it: n Adds allocate ⌈n/chunkLen⌉
+// chunks and nothing else.
 type Trace struct {
-	mu      sync.Mutex
-	records []Record
+	mu         sync.Mutex
+	head, tail *chunk
+	n          int // records held; the tail holds the last n - (chunks-1)·chunkLen
+}
+
+// chunkLen is the number of records in a chunk: 64 records of 184 bytes
+// make a chunk of 11.5 KiB, which takes one 12 KiB allocation.
+const chunkLen = 64
+
+// chunk is one fixed-size run of records.
+type chunk struct {
+	recs [chunkLen]Record
+	next *chunk
 }
 
 // Add appends one record.
 func (t *Trace) Add(r Record) {
 	t.mu.Lock()
-	t.records = append(t.records, r)
+	i := t.n % chunkLen
+	if i == 0 {
+		c := new(chunk)
+		if t.tail == nil {
+			t.head = c
+		} else {
+			t.tail.next = c
+		}
+		t.tail = c
+	}
+	t.tail.recs[i] = r
+	t.n++
 	t.mu.Unlock()
+}
+
+// each calls f with the held records chunk by chunk, in order. The
+// caller holds mu.
+func (t *Trace) each(f func([]Record)) {
+	left := t.n
+	for c := t.head; left > 0; c = c.next {
+		k := min(left, chunkLen)
+		f(c.recs[:k])
+		left -= k
+	}
 }
 
 // Len reports the number of records accumulated.
 func (t *Trace) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.records)
+	return t.n
 }
 
 // Records snapshots the accumulated records (a copy; safe to hold).
 func (t *Trace) Records() []Record {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Record(nil), t.records...)
+	out := make([]Record, 0, t.n)
+	t.each(func(recs []Record) { out = append(out, recs...) })
+	return out
 }
 
 // Reset drops all records; campaigns call it at stream start so a
 // reused trace never mixes runs.
 func (t *Trace) Reset() {
 	t.mu.Lock()
-	t.records = t.records[:0]
+	t.head, t.tail, t.n = nil, nil, 0
 	t.mu.Unlock()
 }
 
@@ -188,10 +227,12 @@ func (t *Trace) CountKind(kind Kind, chosen string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	for _, r := range t.records {
-		if r.Kind == kind && (chosen == "" || r.Chosen == chosen) {
-			n++
+	t.each(func(recs []Record) {
+		for i := range recs {
+			if r := &recs[i]; r.Kind == kind && (chosen == "" || r.Chosen == chosen) {
+				n++
+			}
 		}
-	}
+	})
 	return n
 }

@@ -65,43 +65,67 @@ func TestNDJSONDeterministic(t *testing.T) {
 	}
 }
 
-// TestCountKind: the replan-execution count filters on kind and chosen.
+// TestCountKind: the replan-execution count filters on kind and chosen,
+// over records spread across several chunks.
 func TestCountKind(t *testing.T) {
 	tr := &Trace{}
-	for _, r := range sampleRecords() {
-		tr.Add(r)
+	const rounds = chunkLen
+	for i := 0; i < rounds; i++ {
+		for _, r := range sampleRecords() {
+			tr.Add(r)
+		}
+		tr.Add(Record{Iter: 2, Kind: KindReplan, Chosen: "reuse"})
 	}
-	tr.Add(Record{Iter: 2, Kind: KindReplan, Chosen: "reuse"})
-	if n := tr.CountKind(KindReplan, "replan"); n != 1 {
-		t.Fatalf("replan executions = %d, want 1", n)
+	if n := tr.CountKind(KindReplan, "replan"); n != rounds {
+		t.Fatalf("replan executions = %d, want %d", n, rounds)
 	}
-	if n := tr.CountKind(KindReplan, ""); n != 2 {
-		t.Fatalf("replan decisions = %d, want 2", n)
+	if n := tr.CountKind(KindReplan, ""); n != 2*rounds {
+		t.Fatalf("replan decisions = %d, want %d", n, 2*rounds)
 	}
-	if n := tr.Len(); n != 4 {
-		t.Fatalf("len = %d, want 4", n)
+	if n := tr.Len(); n != 4*rounds {
+		t.Fatalf("len = %d, want %d", n, 4*rounds)
+	}
+	if n := len(tr.Records()); n != 4*rounds {
+		t.Fatalf("snapshot holds %d records, want %d", n, 4*rounds)
 	}
 }
 
-// TestReset: a reused trace starts empty.
+// TestReset: a reused trace starts empty, and records added after the
+// reset are the only ones it holds.
 func TestReset(t *testing.T) {
 	tr := &Trace{}
-	tr.Add(Record{Iter: 0, Kind: KindReplan, Chosen: "replan"})
+	for i := 0; i < 2*chunkLen+1; i++ {
+		tr.Add(Record{Iter: i, Kind: KindReplan, Chosen: "replan"})
+	}
 	tr.Reset()
-	if tr.Len() != 0 {
+	if tr.Len() != 0 || len(tr.Records()) != 0 || tr.CountKind(KindReplan, "") != 0 {
 		t.Fatal("reset left records behind")
+	}
+	for i := 0; i < chunkLen+1; i++ {
+		tr.Add(Record{Iter: i, Kind: KindScale, Chosen: "hold"})
+	}
+	recs := tr.Records()
+	if len(recs) != chunkLen+1 || tr.CountKind(KindReplan, "") != 0 {
+		t.Fatalf("after reset: %d records, %d replan; want %d, 0", len(recs), tr.CountKind(KindReplan, ""), chunkLen+1)
+	}
+	for i, r := range recs {
+		if r.Iter != i || r.Kind != KindScale {
+			t.Fatalf("record %d after reset is %+v", i, r)
+		}
 	}
 }
 
 // TestConcurrentReads: snapshots may race the producing loop — the
-// zeppelind decisions route reads while the stream is running.
+// zeppelind decisions route reads while the stream is running. The
+// producer fills many chunks, so snapshots cross chunk boundaries.
 func TestConcurrentReads(t *testing.T) {
 	tr := &Trace{}
+	const n = 16*chunkLen + 5
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 1000; i++ {
+		for i := 0; i < n; i++ {
 			tr.Add(Record{Iter: i, Kind: KindReplan, Chosen: "reuse"})
 		}
 	}()
@@ -109,15 +133,42 @@ func TestConcurrentReads(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			recs := tr.Records()
-			for j := 1; j < len(recs); j++ {
-				if recs[j].Iter < recs[j-1].Iter {
-					t.Error("snapshot out of order")
+			for j, r := range recs {
+				if r.Iter != j {
+					t.Errorf("snapshot holds iteration %d at position %d", r.Iter, j)
 					return
 				}
 			}
 		}
 	}()
 	wg.Wait()
+	if tr.Len() != n || tr.CountKind(KindReplan, "reuse") != n {
+		t.Fatalf("len %d, counted %d; want %d", tr.Len(), tr.CountKind(KindReplan, "reuse"), n)
+	}
+}
+
+// TestAddNeverCopies: records go into fixed-size chunks, so n Adds on a
+// new trace allocate one chunk per chunkLen records and nothing else. A
+// trace kept in one growing slice allocated 7 times for 64 records and
+// 8 for 129, copying every record it held at each growth.
+func TestAddNeverCopies(t *testing.T) {
+	for _, n := range []int{1, chunkLen, chunkLen + 1, 2*chunkLen + 1, 10*chunkLen + 3} {
+		chunks := (n + chunkLen - 1) / chunkLen
+		var tr Trace
+		r := sampleRecords()[0]
+		allocs := testing.AllocsPerRun(5, func() {
+			tr = Trace{}
+			for i := 0; i < n; i++ {
+				tr.Add(r)
+			}
+		})
+		if allocs > float64(chunks) {
+			t.Errorf("%d Adds: %.0f allocations, want <= %d (one per chunk)", n, allocs, chunks)
+		}
+		if tr.Len() != n {
+			t.Fatalf("len %d, want %d", tr.Len(), n)
+		}
+	}
 }
 
 // TestKindsIsTheVocabulary: Kinds lists every kind exactly once, the

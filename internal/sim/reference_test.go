@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -270,12 +271,76 @@ type schedule struct {
 // releases it, so the next graph runs on recycled storage.
 func runEngine(g graphSpec) (schedule, error) {
 	e := NewEngine()
+	s, err := runGraph(e, addResources(e, g), g)
+	e.Release()
+	return s, err
+}
+
+// runReset runs g on an engine that has already run pred and was then
+// reset. The engine is built with g's resources, and pred's tasks are
+// moved onto them (resource i becomes i mod len(g.res)), so pred's run
+// fills their FIFOs and busy times. With deadlock, pred also holds a
+// cycle, so its run stops with tasks pending; the test then parks tasks
+// in every FIFO and marks each resource busy, the state a run cut short
+// would leave. Reset must keep the resources and their FIFOs' backing
+// arrays and clear everything else.
+func runReset(t *testing.T, g, pred graphSpec, deadlock bool) (schedule, error) {
+	e := NewEngine()
+	res := addResources(e, g)
+	p := graphSpec{edges: pred.edges}
+	for _, ts := range pred.tasks {
+		if ts.res >= 0 {
+			ts.res %= len(res)
+		}
+		p.tasks = append(p.tasks, ts)
+	}
+	if deadlock {
+		a, b := len(p.tasks), len(p.tasks)+1
+		p.tasks = append(p.tasks, taskSpec{res: -1}, taskSpec{res: -1}, taskSpec{res: 0, kind: KindCompute, dur: 1})
+		p.edges = append(slices.Clip(p.edges), [2]int{a, b}, [2]int{b, a}, [2]int{b, b + 1})
+	}
+	if _, err := runGraph(e, res, p); (err != nil) != deadlock {
+		t.Fatalf("predecessor run (deadlock %v): %v", deadlock, err)
+	}
+	if deadlock {
+		for i, r := range res {
+			r.enqueue(e.tasks[i%len(e.tasks)])
+			r.busy = true
+		}
+	}
+	caps := make([]int, len(res))
+	for i, r := range res {
+		caps[i] = cap(r.queue)
+	}
+	e.Reset()
+	if len(e.resources) != len(res) {
+		t.Fatalf("reset engine holds %d resources, want %d", len(e.resources), len(res))
+	}
+	for i, r := range res {
+		if e.resources[i] != r || r.busy || r.BusyTime != 0 || len(r.queue) != 0 || r.head != 0 || cap(r.queue) != caps[i] {
+			t.Fatalf("resource %d after reset: busy %v, BusyTime %v, FIFO %d/%d (cap before %d)",
+				i, r.busy, r.BusyTime, len(r.queue), cap(r.queue), caps[i])
+		}
+	}
+	s, err := runGraph(e, res, g)
+	e.Release()
+	return s, err
+}
+
+// addResources registers g's resources on e.
+func addResources(e *Engine, g graphSpec) []*Resource {
 	var res []*Resource
 	for _, r := range g.res {
 		x := e.NewResource("r", r.rate)
 		x.Latency, x.Speed = r.latency, r.speed
 		res = append(res, x)
 	}
+	return res
+}
+
+// runGraph builds g's tasks on e over res, runs them and reads the
+// schedule. g must have a task.
+func runGraph(e *Engine, res []*Resource, g graphSpec) (schedule, error) {
 	var tasks []*Task
 	for _, ts := range g.tasks {
 		var r *Resource
@@ -300,7 +365,6 @@ func runEngine(g graphSpec) (schedule, error) {
 	for _, r := range res {
 		s.busy = append(s.busy, r.BusyTime)
 	}
-	e.Release()
 	return s, err
 }
 
@@ -348,7 +412,10 @@ func sameTime(a, b Time) bool { return math.Float64bits(a) == math.Float64bits(b
 // graph is released after its schedule is read, so later graphs run in
 // the blocks earlier graphs used; zero-duration barriers and zero-time
 // tasks go through the zero-delay FIFO, and same-time completions
-// through runs, whose order the reference's single heap pins.
+// through runs, whose order the reference's single heap pins. Each
+// graph also runs twice on a reset engine (runReset): once after the
+// previous input ran to completion on its resources, once after that
+// input deadlocked, and both must match the reference too.
 func TestScheduleMatchesReference(t *testing.T) {
 	type input struct {
 		name string
@@ -397,40 +464,49 @@ func TestScheduleMatchesReference(t *testing.T) {
 	}
 	ties, recycled := 0, 0
 	var prev *block
-	for _, in := range inputs {
-		got, err := runEngine(in.g)
-		if err != nil {
-			t.Fatalf("%s: %v", in.name, err)
-		}
-		if got.first == prev {
-			recycled++
-		}
-		prev = got.first
+	for k, in := range inputs {
 		want, err := runReference(in.g)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", in.name, err)
 		}
-		if !sameTime(got.makespan, want.makespan) {
-			t.Fatalf("%s: makespan %v, reference %v", in.name, got.makespan, want.makespan)
-		}
-		for i := range want.start {
-			if !sameTime(got.start[i], want.start[i]) || !sameTime(got.end[i], want.end[i]) {
-				t.Fatalf("%s: task %d ran [%v,%v], reference [%v,%v]",
-					in.name, i, got.start[i], got.end[i], want.start[i], want.end[i])
+		check := func(name string, got schedule, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !sameTime(got.makespan, want.makespan) {
+				t.Fatalf("%s: makespan %v, reference %v", name, got.makespan, want.makespan)
+			}
+			for i := range want.start {
+				if !sameTime(got.start[i], want.start[i]) || !sameTime(got.end[i], want.end[i]) {
+					t.Fatalf("%s: task %d ran [%v,%v], reference [%v,%v]",
+						name, i, got.start[i], got.end[i], want.start[i], want.end[i])
+				}
+			}
+			for i := range want.busy {
+				if !sameTime(got.busy[i], want.busy[i]) {
+					t.Fatalf("%s: resource %d busy %v, reference %v", name, i, got.busy[i], want.busy[i])
+				}
+			}
+			if len(got.order) != len(want.order) {
+				t.Fatalf("%s: %d completions, reference %d", name, len(got.order), len(want.order))
+			}
+			for i := range want.order {
+				if got.order[i] != want.order[i] {
+					t.Fatalf("%s: completion %d is task %d, reference task %d", name, i, got.order[i], want.order[i])
+				}
 			}
 		}
-		for i := range want.busy {
-			if !sameTime(got.busy[i], want.busy[i]) {
-				t.Fatalf("%s: resource %d busy %v, reference %v", in.name, i, got.busy[i], want.busy[i])
-			}
+		got, err := runEngine(in.g)
+		check(in.name, got, err)
+		if got.first == prev {
+			recycled++
 		}
-		if len(got.order) != len(want.order) {
-			t.Fatalf("%s: %d completions, reference %d", in.name, len(got.order), len(want.order))
-		}
-		for i := range want.order {
-			if got.order[i] != want.order[i] {
-				t.Fatalf("%s: completion %d is task %d, reference task %d", in.name, i, got.order[i], want.order[i])
-			}
+		pred := inputs[(k+len(inputs)-1)%len(inputs)]
+		for _, deadlock := range []bool{false, true} {
+			got, err := runReset(t, in.g, pred.g, deadlock)
+			check(fmt.Sprintf("%s, reset after %s (deadlock %v)", in.name, pred.name, deadlock), got, err)
+			prev = got.first
 		}
 		for i := 1; i < len(want.order); i++ {
 			if sameTime(want.end[want.order[i]], want.end[want.order[i-1]]) {
@@ -443,8 +519,8 @@ func TestScheduleMatchesReference(t *testing.T) {
 		t.Fatalf("only %d equal-time completions across all graphs; the generator lost its ties", ties)
 	}
 	// A GC may empty the pool, and the race detector drops a quarter of
-	// what is put back, but most graphs must still reuse their
-	// predecessor's first block.
+	// what is put back, but most graphs must still start in the first
+	// block of the graph released just before them, the last reset run.
 	if recycled < 200 {
 		t.Fatalf("only %d of %d graphs started in their predecessor's first block", recycled, len(inputs)-1)
 	}

@@ -45,6 +45,16 @@
 // left behind are dropped two collections after their last use. Zeroed,
 // a pooled block keeps no earlier graph reachable.
 //
+// Resources outlive graphs. Reset re-arms a released engine for the next
+// graph on the same resources, so a caller that simulates one cluster
+// many times (a campaign) builds them once. What survives a reset is
+// each resource with its Name, Rate, Latency and Speed, its creation
+// order, and its FIFO's backing array, so a resource that once queued n
+// tasks never grows its queue again for n. What is zeroed is the clock,
+// the event queue, and each resource's busy flag, FIFO contents and
+// BusyTime. A graph built after Reset schedules exactly as on a new
+// engine with the same resources.
+//
 // Completions are ordered by (time, push sequence), and balanced
 // schedules make many of them tie. One heap entry stands for a run: the
 // tasks pushed one after another for one time, linked in push order
@@ -320,6 +330,21 @@ func (e *Engine) Release() {
 	listsPool.Put(l)
 }
 
+// Reset releases the engine's graph (see Release) and re-arms the engine
+// for a new one on the same resources: the clock and the event queue
+// start from zero, and every resource is idle, with zero BusyTime and an
+// empty FIFO that keeps its backing array. The fields a caller sets on a
+// resource, and OnTaskDone, are kept. Reset may follow Run, a failed Run
+// or Release.
+func (e *Engine) Reset() {
+	e.Release()
+	for _, r := range e.resources {
+		clear(r.queue)
+		r.queue, r.head, r.busy, r.BusyTime = r.queue[:0], 0, false, 0
+	}
+	*e = Engine{resources: e.resources, OnTaskDone: e.OnTaskDone}
+}
+
 // NewResource registers a serial FIFO resource.
 func (e *Engine) NewResource(name string, rate float64) *Resource {
 	r := &Resource{Name: name, Rate: rate, id: len(e.resources)}
@@ -528,8 +553,8 @@ func (e *Engine) start(t *Task) {
 
 // Run executes the task graph to completion and returns the makespan.
 // It returns an error if the dependency graph has a cycle (some tasks can
-// never run). Run may be called only once per engine, and not after
-// Release.
+// never run). Run may be called once per graph: once on a new engine or
+// after Reset, and not after Release.
 func (e *Engine) Run() (Time, error) {
 	if e.ran {
 		return 0, fmt.Errorf("sim: engine already ran or was released")

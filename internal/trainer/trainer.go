@@ -30,7 +30,11 @@ import (
 	"zeppelin/internal/sim"
 )
 
-// Env is the per-iteration execution environment handed to placements.
+// Env is the execution environment an iteration runs in, handed to
+// placements. NewEnv builds one; after RunPlanned has spent it, ReuseEnv
+// re-arms it for another iteration of the same cell, so a campaign
+// builds its engine, fabric and cost model once per node count rather
+// than once per iteration.
 type Env struct {
 	E  *sim.Engine
 	F  *cluster.Fabric
@@ -217,22 +221,52 @@ func (c *Config) NewEnv() (*Env, error) {
 	if memTokens < c.TokensPerGPU*c.TP {
 		memTokens = c.TokensPerGPU * c.TP
 	}
-	f := cluster.NewFabric(e, cl)
-	if c.Health.Degraded() {
-		if err := c.Health.Validate(cl.World(), cl.Nodes*cl.NICsPerNode); err != nil {
-			return nil, err
-		}
-		f.Degrade(c.Health)
-	}
-	return &Env{
+	env := &Env{
 		E:              e,
-		F:              f,
+		F:              cluster.NewFabric(e, cl),
 		C:              cl,
 		CM:             cm,
 		CapacityTokens: c.CapacityTokens(),
 		MemoryTokens:   memTokens,
-		Health:         c.Health,
-	}, nil
+	}
+	if err := c.setHealth(env); err != nil {
+		return nil, err
+	}
+	return env, nil
+}
+
+// ReuseEnv returns the environment for one iteration of c: env re-armed
+// when it was built for c's node count, a new one from NewEnv when env is
+// nil or was not. c may differ from the configuration env was built for
+// only in Nodes, Health and Seed, and is validated as NewEnv validates
+// it, degraded health view included. Re-arming resets the engine,
+// keeping its resources (sim.Engine.Reset), and sets the fabric to c's
+// health view. Any graph env still holds is released.
+func (c *Config) ReuseEnv(env *Env) (*Env, error) {
+	if env == nil || env.C.Nodes != c.Nodes {
+		return c.NewEnv()
+	}
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	env.E.Reset()
+	if err := c.setHealth(env); err != nil {
+		return nil, err
+	}
+	return env, nil
+}
+
+// setHealth puts env under c's health view, validating a degraded view
+// against env's cluster first.
+func (c *Config) setHealth(env *Env) error {
+	if c.Health.Degraded() {
+		if err := c.Health.Validate(env.C.World(), env.C.Nodes*env.C.NICsPerNode); err != nil {
+			return err
+		}
+	}
+	env.F.SetHealth(c.Health)
+	env.Health = c.Health
+	return nil
 }
 
 // Batch samples the iteration's batch for a dataset-like sampler.
@@ -301,12 +335,19 @@ func gradSyncTime(cfg *Config) float64 {
 	return 0.5 * t // half overlapped with backward
 }
 
-// Run simulates one training iteration of a method on a batch.
+// Run simulates one training iteration of a method on a batch, in a new
+// environment.
 func Run(cfg Config, m Method, batch []seq.Sequence) (*Result, error) {
 	env, err := cfg.NewEnv()
 	if err != nil {
 		return nil, err
 	}
+	return RunOn(cfg, m, env, batch)
+}
+
+// RunOn plans batch with m on env and simulates the iteration; env
+// comes from cfg.NewEnv or cfg.ReuseEnv and is spent as by RunPlanned.
+func RunOn(cfg Config, m Method, env *Env, batch []seq.Sequence) (*Result, error) {
 	pl, err := m.Plan(env, batch)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", m.Name(), err)
@@ -318,11 +359,12 @@ func Run(cfg Config, m Method, batch []seq.Sequence) (*Result, error) {
 // the environment it was planned against. Callers that need both the
 // placement's plan facts and the simulated readout (the public API's
 // one-shot plan endpoint) use it to avoid solving the partition twice;
-// env must come from cfg.NewEnv() and carry no previously emitted tasks.
-// env is spent after the call: RunPlanned releases its engine's task
-// graph for the next simulation to reuse, once the Result is built and
-// pl.HostOverhead has run; neither the caller nor pl may read the graph
-// afterwards.
+// env must come from cfg.NewEnv() or cfg.ReuseEnv and carry no
+// previously emitted tasks. env is spent after the call: RunPlanned
+// releases its engine's task graph for the next simulation to reuse,
+// once the Result is built and pl.HostOverhead has run; neither the
+// caller nor pl may read the graph afterwards. Only ReuseEnv may bring a
+// spent env back.
 func RunPlanned(cfg Config, name string, env *Env, pl Placement, batch []seq.Sequence) (*Result, error) {
 	defer env.E.Release()
 	// ends[i] is the task count once stage i, of phase stagePhases[i], is
