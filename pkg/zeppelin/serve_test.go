@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -191,6 +193,49 @@ func TestServeTraceRoundTripThroughWire(t *testing.T) {
 	bc, _ := json.Marshal(traceRep.Classes)
 	if !bytes.Equal(ac, bc) {
 		t.Fatal("trace replay class metrics diverged")
+	}
+}
+
+// TestServeTraceGolden pins the trace-replay v2 file format: CI's spec
+// at DefaultSeed writes the checked-in NDJSON byte for byte, and reading
+// the file back and writing it again gives the same bytes.
+func TestServeTraceGolden(t *testing.T) {
+	spec, err := ParseServeSpec("clients=2,rate=20@0-4s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := GenerateServeTimeline(spec, DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := WriteServeTrace(&got, events); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "serve_trace.golden.ndjson")
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("WriteServeTrace drifted from %s:\n got: %s\nwant: %s", path, got.Bytes(), want)
+	}
+	back, err := ReadServeTrace(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := WriteServeTrace(&again, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Fatalf("%s does not round-trip through ReadServeTrace:\n got: %s", path, again.Bytes())
 	}
 }
 

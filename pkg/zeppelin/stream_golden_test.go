@@ -80,7 +80,27 @@ func streamCells() []streamCell {
 		{"zeppelin/serve/balance", serveReq("balance"), nil, "route records", routed},
 		{"zeppelin/serve/affinity", serveReq("affinity"), nil, "route records", routed},
 		{"hybriddp/serve/affinity", withMethod(serveReq("affinity"), "hybriddp"), nil, "route records", routed},
+		{"zeppelin/serve/trace", recordedServeReq(), nil, "route records", routed},
 	}
+}
+
+// recordedServeReq is serveReq("affinity") replayed from its own
+// timeline, written to NDJSON and read back.
+func recordedServeReq() CampaignRequest {
+	req := serveReq("affinity")
+	events, err := GenerateServeTimeline(req.Serve, req.Seed)
+	if err != nil {
+		panic(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteServeTrace(&buf, events); err != nil {
+		panic(err)
+	}
+	if req.Serve.Trace, err = ReadServeTrace(&buf); err != nil {
+		panic(err)
+	}
+	req.Serve.TraceName = "recorded"
+	return req
 }
 
 func recovered(rep *CampaignReport, _ []DecisionRecord) bool {
@@ -180,6 +200,7 @@ var streamGolden = map[string]streamDigest{
 	"zeppelin/failstop":           {"b2574bcb1b466ff9d954a8ea3ed23846749bfe3431e475da3a98ad44457a2eff", "dab5966f63c8992ecc64633ee4147b1856fc354317fd499cc058d456d985d723", "df9809883846e44e7adb3e2bc2231c9e73d5b06f7a82cb6e2c84849f5c96b359"},
 	"zeppelin/serve/affinity":     {"e89f0a1cd838f01f54d54448cbe0fb9190eabc09357f52bab8d10e67fdff80af", "629c906cdf368132e3f5d9a7b74895fd9574789477f65d09ab51fd4ad86e073a", "bcac1cf09f64d76eb1fbd05d98c66a4589f71107fd31a1616e5841b7db8fa6cf"},
 	"zeppelin/serve/balance":      {"d8dfb352db4478662d4a2033de569035358bfae33ad95ca63736dbeb7e89b5ae", "8867e2d1878b2d252a4e9a6624130d631147784ef1041d6d6c34b15387fb5de5", "a6f62d4406aa465c52185eaaa421edbf5d3647afb80cb70a37cc795968c26dcf"},
+	"zeppelin/serve/trace":        {"e89f0a1cd838f01f54d54448cbe0fb9190eabc09357f52bab8d10e67fdff80af", "629c906cdf368132e3f5d9a7b74895fd9574789477f65d09ab51fd4ad86e073a", "c84473e81fbcdc38e99063f47e3efe418fb72bcdd76d37903a616ac42e99747d"},
 	"zeppelin/shrink":             {"4cc4b27bcd93502149a4278bf9fa4c81ec37ed87f41ee1f7e4b39e5afb649b75", "5ab7c3b4ddda4d6adbacc5c8c53fc7059e21241dce9783eb953e0ce7ee72b738", "0aea55589d59ac9e69f82aacf4596d7b94edf5346a7471053f8fc6c33afd1c62"},
 	"zeppelin/steady/capacity0.5": {"4e4f3f1341e18bb1bf9003cfdf71637011af05f5f4e60a72e547713e422e6d3d", "a21d87090e4562b83ffaa92d1a20bddfba3249501e2345888f4632bf0feb43c3", "4c2385b2befd70d40ff227355e5e194d375cb59a20bdf38027b16549b300c89b"},
 	"zeppelin/straggler":          {"46488f30bf119275b356d0978ac7cec93db55b58aa9597e21b0758b22e59abca", "d972ff428194991bd8ff06b08eadc663aa398b9df0fbe4ac89ba8c65757e7a3c", "ce1022e537154132584b3ca6e69b231fb4f90609967eb8ae930efa4775ea05ec"},
