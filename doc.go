@@ -25,7 +25,8 @@
 //     campaigns with a deterministic winner, plus
 //     AutoscaleSpec/ParseAutoscaleSpec for the campaign autoscaler),
 //     and the serving-scenario surface (ServeSpec/ParseServeSpec: the
-//     -serve flag grammar as a wire object, CompareServeRoutes for the
+//     -serve flag grammar resolved into the serve engine's own spec,
+//     which is also the wire object, CompareServeRoutes for the
 //     balance-vs-affinity routing grid, GenerateServeTimeline plus
 //     Write/ReadServeTrace for NDJSON trace-replay v2, and
 //     IsValidationError to tell client mistakes from engine failures).
@@ -57,8 +58,8 @@
 //     multi-client Poisson/Gamma/Weibull arrivals under per-window rate
 //     schedules, SLO classes with deadlines, session/prefix structure
 //     for KV-affinity routing, and an NDJSON trace round-trip
-//     (trace-replay v2) that makes recorded timelines a first-class
-//     generator
+//     (trace-replay v2): a spec carrying a recorded trace replays it in
+//     place of its synthetic timeline
 //
 //   - internal/seq        — sequences, rings, placement plans
 //

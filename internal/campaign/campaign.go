@@ -139,11 +139,25 @@ type Config struct {
 }
 
 // Flip names one replan decision to invert during a counterfactual
-// re-run: at iteration Iter, force the verdict to Replan instead of
-// whatever the policy decides.
+// re-run: at iteration Iter, force the verdict to Decision ("replan" or
+// "reuse") instead of whatever the policy decides. It is also the wire
+// type zeppelin.FlipSpec.
 type Flip struct {
-	Iter   int
-	Replan bool
+	Iter     int    `json:"iter"`
+	Decision string `json:"decision"`
+}
+
+// Validate checks the flip without running anything. Its messages are
+// the public API's, which zeppelind's replay endpoint answers as 400
+// bodies.
+func (f Flip) Validate() error {
+	if f.Iter < 0 {
+		return fmt.Errorf("zeppelin: flip iter must be >= 0, got %d", f.Iter)
+	}
+	if f.Decision != "replan" && f.Decision != "reuse" {
+		return fmt.Errorf("zeppelin: unknown flip decision %q (want replan|reuse)", f.Decision)
+	}
+	return nil
 }
 
 // DefaultReplanCost is the per-replan charge in seconds; see
@@ -502,8 +516,8 @@ func (s *Stream) step() (IterRecord, error) {
 		// The counterfactual override: invert exactly one non-forced
 		// verdict. A flip that agrees with the factual verdict is a no-op,
 		// so a replay with that flip stays bit-identical.
-		if cfg.Flip != nil && cfg.Flip.Iter == it && !forced && replan != cfg.Flip.Replan {
-			replan = cfg.Flip.Replan
+		if f := cfg.Flip; f != nil && f.Iter == it && !forced && replan != (f.Decision == "replan") {
+			replan = !replan
 			rec.Flipped = true
 		}
 		if cfg.Decisions != nil {

@@ -118,7 +118,7 @@ func TestFlipOverridesOneVerdict(t *testing.T) {
 	}
 
 	cfTr := &decision.Trace{}
-	counter := runCampaign(t, tracedConfig(11, iters, cfTr, &Flip{Iter: flipIter, Replan: false}))
+	counter := runCampaign(t, tracedConfig(11, iters, cfTr, &Flip{Iter: flipIter, Decision: "reuse"}))
 	if counter.Records[flipIter].Replanned {
 		t.Fatalf("iteration %d still replanned under the flip", flipIter)
 	}
@@ -141,7 +141,7 @@ func TestFlipOverridesOneVerdict(t *testing.T) {
 
 	// A flip that matches the factual verdict changes nothing.
 	noopTr := &decision.Trace{}
-	noop := runCampaign(t, tracedConfig(11, iters, noopTr, &Flip{Iter: flipIter, Replan: true}))
+	noop := runCampaign(t, tracedConfig(11, iters, noopTr, &Flip{Iter: flipIter, Decision: "replan"}))
 	a, _ := json.Marshal(factual.Records)
 	b, _ := json.Marshal(noop.Records)
 	if !bytes.Equal(a, b) {
@@ -153,7 +153,7 @@ func TestFlipOverridesOneVerdict(t *testing.T) {
 
 	// Forced decisions are not flippable: iteration 0 stays a replan.
 	forcedTr := &decision.Trace{}
-	forced := runCampaign(t, tracedConfig(11, iters, forcedTr, &Flip{Iter: 0, Replan: false}))
+	forced := runCampaign(t, tracedConfig(11, iters, forcedTr, &Flip{Iter: 0, Decision: "reuse"}))
 	if !forced.Records[0].Replanned || forced.Records[0].Flipped {
 		t.Fatalf("forced iteration 0 was flipped: %+v", forced.Records[0])
 	}

@@ -20,22 +20,10 @@ import (
 // recomputing its shared prefix), and per-request latencies are scored
 // against the spec's SLO-class deadlines.
 type ServeConfig struct {
-	// Spec carries the serving knobs — SLO classes, formation, routing
-	// objective — and, when Trace is nil, generates the synthetic
-	// timeline.
+	// Spec carries the timeline (generated, or its Trace replayed) and
+	// the serving knobs: SLO classes, formation, routing objective.
+	// Validation resolves its zero fields to their defaults.
 	Spec serve.Spec
-	// Trace, when non-nil, replaces the spec's synthetic timeline with a
-	// recorded one (trace-replay v2). Event classes must exist in
-	// Spec.Classes.
-	Trace *serve.Trace
-}
-
-// generator picks the timeline source.
-func (sc *ServeConfig) generator() serve.Generator {
-	if sc.Trace != nil {
-		return sc.Trace
-	}
-	return &sc.Spec
 }
 
 // ClassMetrics aggregates one SLO class over a serve campaign. It is
@@ -76,7 +64,6 @@ type classAgg struct {
 // and a tick pops the requests it serves, so a tick costs its arrivals
 // and its batch, not the whole backlog.
 type serveState struct {
-	gen          serve.Generator
 	spec         *serve.Spec
 	timeline     []serve.Request
 	cursor       int
@@ -165,6 +152,7 @@ func (sv *serveState) formationKey(req *serve.Request) int {
 // fault schedule, Autoscaler or counterfactual Flip yet. All errors are
 // validation-classified.
 func (c *Config) validateServe() error {
+	c.Serve.Spec = c.Serve.Spec.WithDefaults()
 	if err := c.Serve.Spec.Validate(); err != nil {
 		return asValidation(err)
 	}
@@ -186,26 +174,19 @@ func (c *Config) validateServe() error {
 // startServe expands the timeline and primes the serving state. Timeline
 // errors (a broken trace, an invalid spec) are validation errors.
 func (s *Stream) startServe() error {
-	sc := s.cfg.Serve
-	gen := sc.generator()
-	timeline, err := gen.Timeline(s.rng)
+	spec := &s.cfg.Serve.Spec
+	timeline, err := spec.Timeline(s.rng)
 	if err != nil {
 		return asValidation(err)
 	}
 	sv := &serveState{
-		gen:      gen,
-		spec:     &sc.Spec,
+		spec:     spec,
 		timeline: timeline,
 		homes:    make(map[int]int),
 		stats:    make(map[string]*classAgg),
 	}
-	for _, cls := range sc.Spec.Classes {
+	for _, cls := range spec.Classes {
 		sv.stats[cls.Name] = &classAgg{cls: cls}
-	}
-	for i, r := range timeline {
-		if _, ok := sv.stats[r.Class]; !ok {
-			return validationf("campaign: serve timeline event %d references unknown SLO class %q", i, r.Class)
-		}
 	}
 	s.serve = sv
 	return nil
@@ -230,11 +211,11 @@ func (sv *serveState) form(tr *decision.Trace, it, world, budget int) ([]seq.Seq
 	// Idle fast-forward: with an empty queue the next tick starts when
 	// the next request lands.
 	if len(sv.queue) == 0 && sv.cursor < len(sv.timeline) {
-		if t := sv.timeline[sv.cursor].Arrive; t > sv.clock {
+		if t := sv.timeline[sv.cursor].T; t > sv.clock {
 			sv.clock = t
 		}
 	}
-	for sv.cursor < len(sv.timeline) && sv.timeline[sv.cursor].Arrive <= sv.clock {
+	for sv.cursor < len(sv.timeline) && sv.timeline[sv.cursor].T <= sv.clock {
 		req := &sv.timeline[sv.cursor]
 		sv.queue.push(queued{key: sv.formationKey(req), idx: sv.cursor})
 		sv.queuedTokens += req.Tokens
@@ -290,10 +271,10 @@ func (sv *serveState) complete(iterTime float64) int {
 	violations := 0
 	for _, req := range sv.served {
 		agg := sv.stats[req.Class]
-		lat := sv.clock - req.Arrive
+		lat := sv.clock - req.T
 		agg.latencies = append(agg.latencies, lat)
 		agg.tokens += req.Tokens
-		if lat > agg.cls.Deadline.Seconds() {
+		if lat > agg.cls.P99Sec {
 			agg.violations++
 			violations++
 		} else {
@@ -365,7 +346,7 @@ func (sv *serveState) recordRoute(tr *decision.Trace, it int, req serve.Request,
 }
 
 // finishServe folds the per-class accumulators into the report and names
-// the summary columns after the generator and the serving knobs.
+// the summary columns after the timeline's source and the serving knobs.
 func (s *Stream) finishServe() {
 	sv := s.serve
 	classes := make([]ClassMetrics, 0, len(sv.stats))
@@ -374,7 +355,7 @@ func (s *Stream) finishServe() {
 		cm := ClassMetrics{
 			Class:      cls.Name,
 			Priority:   cls.Priority,
-			Deadline:   cls.Deadline.Seconds(),
+			Deadline:   cls.P99Sec,
 			Requests:   len(agg.latencies),
 			Violations: agg.violations,
 			Tokens:     agg.tokens,
@@ -398,7 +379,7 @@ func (s *Stream) finishServe() {
 		return classes[a].Class < classes[b].Class
 	})
 	s.report.Classes = classes
-	s.report.summarize(s.cfg.Method.Name(), sv.gen.Name(), "serve:"+sv.spec.Formation+"+"+sv.spec.Route)
+	s.report.summarize(s.cfg.Method.Name(), sv.spec.Name(), "serve:"+sv.spec.Formation+"+"+sv.spec.Route)
 	sum := &s.report.Summary
 	sum.StreamTime = sv.clock
 	sum.Unserved = len(sv.queue) + (len(sv.timeline) - sv.cursor)

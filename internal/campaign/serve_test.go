@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"zeppelin/internal/decision"
 	"zeppelin/internal/faults"
@@ -151,7 +150,7 @@ func TestServeTraceReplayMatchesSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	trCfg := serveConfig(5, "affinity")
-	trCfg.Serve.Trace = &serve.Trace{Source: "recorded", Events: timeline}
+	trCfg.Serve.Spec.Trace, trCfg.Serve.Spec.TraceName = timeline, "recorded"
 	traceRep := runCampaign(t, trCfg)
 
 	if !reflect.DeepEqual(specRep.Records, traceRep.Records) {
@@ -199,15 +198,15 @@ func TestServeRouteDecisionsTraced(t *testing.T) {
 // each tick takes one and the rest wait for the next.
 func TestServeFormationOrders(t *testing.T) {
 	timeline := []serve.Request{
-		{ID: 0, Class: "lo", Tokens: 100},
-		{ID: 1, Class: "hi", Tokens: 300},
-		{ID: 2, Class: "lo", Tokens: 50},
-		{ID: 3, Class: "hi", Tokens: 200},
+		{Class: "lo", Tokens: 100},
+		{Class: "hi", Tokens: 300},
+		{Class: "lo", Tokens: 50},
+		{Class: "hi", Tokens: 200},
 	}
-	for form, want := range map[string][]int{
-		"priority": {1, 3, 0, 2},
-		"sjf":      {2, 0, 3, 1},
-		"fcfs":     {0, 1, 2, 3},
+	for form, want := range map[string][]int{ // tokens, in serving order
+		"priority": {300, 200, 100, 50},
+		"sjf":      {50, 100, 200, 300},
+		"fcfs":     {100, 300, 50, 200},
 	} {
 		for _, budget := range []int{1000, 1} {
 			sv := &serveState{
@@ -223,7 +222,7 @@ func TestServeFormationOrders(t *testing.T) {
 			for it := 0; !sv.drained(); it++ {
 				sv.form(nil, it, 1, budget)
 				for _, r := range sv.served {
-					got = append(got, r.ID)
+					got = append(got, r.Tokens)
 				}
 			}
 			if !reflect.DeepEqual(got, want) {
@@ -252,9 +251,11 @@ func TestServeFormationMatchesReference(t *testing.T) {
 	}
 	for i := range recorded {
 		// Quarter-second arrivals tie many requests on arrival time.
-		recorded[i].Arrive = math.Floor(4*recorded[i].Arrive) / 4
+		recorded[i].T = math.Floor(4*recorded[i].T) / 4
 	}
-	trace, err := (&serve.Trace{Events: recorded}).Timeline(nil)
+	replayed := base
+	replayed.Trace = recorded
+	trace, err := replayed.Timeline(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +346,11 @@ func (sv *refServe) drained() bool {
 
 func (sv *refServe) form(tr *decision.Trace, it, world, budget int) ([]seq.Sequence, IterRecord) {
 	if len(sv.pending) == 0 && sv.cursor < len(sv.timeline) {
-		if t := sv.timeline[sv.cursor].Arrive; t > sv.clock {
+		if t := sv.timeline[sv.cursor].T; t > sv.clock {
 			sv.clock = t
 		}
 	}
-	for sv.cursor < len(sv.timeline) && sv.timeline[sv.cursor].Arrive <= sv.clock {
+	for sv.cursor < len(sv.timeline) && sv.timeline[sv.cursor].T <= sv.clock {
 		sv.pending = append(sv.pending, sv.timeline[sv.cursor])
 		sv.cursor++
 	}
@@ -488,18 +489,12 @@ func TestServeValidation(t *testing.T) {
 			c.Faults = &faults.Schedule{Stragglers: []faults.Straggler{{Rank: 1, Factor: 2, From: 0, To: 3}}}
 		}), "fault schedules"},
 		{"autoscaler+serve", serveWith(func(c *Config) { c.Autoscaler = &Autoscaler{MinNodes: 1, MaxNodes: 1} }), "autoscaling"},
-		{"flip+serve", serveWith(func(c *Config) { c.Flip = &Flip{Iter: 1, Replan: true} }), "flips"},
+		{"flip+serve", serveWith(func(c *Config) { c.Flip = &Flip{Iter: 1, Decision: "replan"} }), "flips"},
 		{"faults+autoscaler", worldOwners, "mutually exclusive"},
 		{"bad spec", serveWith(func(c *Config) { c.Serve = &ServeConfig{Spec: serve.Spec{Clients: -1}} }), "clients"},
 		{"unknown trace class", serveWith(func(c *Config) {
-			c.Serve = &ServeConfig{
-				Spec:  serveSpec("balance"),
-				Trace: &serve.Trace{Events: []serve.Request{{Arrive: 0, Tokens: 64, Class: "nope"}}},
-			}
+			c.Serve.Spec.Trace = []serve.Request{{T: 0, Tokens: 64, Class: "nope"}}
 		}), "nope"},
-		{"empty trace", serveWith(func(c *Config) {
-			c.Serve = &ServeConfig{Spec: serveSpec("balance"), Trace: &serve.Trace{}}
-		}), ""},
 	} {
 		_, err := Start(context.Background(), tc.cfg)
 		if err == nil {
@@ -572,7 +567,7 @@ func TestServeDeadlinesBindViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	loose := strict
-	loose.Classes = []serve.SLOClass{{Name: "tight", Deadline: time.Hour, Priority: 0}}
+	loose.Classes = []serve.SLOClass{{Name: "tight", P99Sec: 3600, Priority: 0}}
 	for _, tc := range []struct {
 		spec     serve.Spec
 		wantAll  bool

@@ -27,7 +27,7 @@ func FuzzParse(f *testing.F) {
 		// "rate=1000@0-10000s" doesn't allocate millions of requests.
 		total := 0.0
 		for _, w := range spec.Windows {
-			total += w.Rate * (w.To - w.From).Seconds()
+			total += w.Rate * (w.ToSec - w.FromSec)
 		}
 		if total > 50000 {
 			return
@@ -37,10 +37,10 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("Parse(%q) accepted a spec whose Timeline fails: %v", s, terr)
 		}
 		for i, r := range reqs {
-			if r.Tokens < 1 || r.Prefix < 0 || r.Prefix >= r.Tokens || r.Arrive < 0 {
+			if r.Tokens < 1 || r.Prefix < 0 || r.Prefix >= r.Tokens || r.T < 0 {
 				t.Fatalf("Parse(%q) timeline event %d malformed: %+v", s, i, r)
 			}
-			if i > 0 && r.Arrive < reqs[i-1].Arrive {
+			if i > 0 && r.T < reqs[i-1].T {
 				t.Fatalf("Parse(%q) timeline unsorted at %d", s, i)
 			}
 		}

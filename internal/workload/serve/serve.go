@@ -4,11 +4,11 @@
 // per-class deadlines, and session/prefix structure for KV-affinity-aware
 // routing. A spec is written in the key=value grammar every spec shares
 // (package kv: "clients=3,arrival=gamma:cv=2.0,rate=50@0-60s;120@60-300s,
-// slo=interactive:p99=200ms") and expands deterministically into a
-// timestamped request timeline of about MaxRequests requests at most.
-// Recorded timelines round-trip through NDJSON (trace-replay v2), making
-// captured traces a first-class generator alongside the synthetic
-// processes.
+// slo=interactive:p99=200ms") or as JSON, the wire form, where a zero
+// field selects its default; either way it expands deterministically
+// into a timestamped request timeline of about MaxRequests requests at
+// most. A spec may instead carry a recorded timeline (trace-replay v2),
+// which round-trips through NDJSON.
 package serve
 
 import (
@@ -25,46 +25,38 @@ import (
 	"zeppelin/internal/workload"
 )
 
-// SLOClass is a named service class with a latency deadline. Requests in
-// the class that complete after Deadline count as SLO violations; Priority
-// orders classes for priority batch formation (higher first).
+// SLOClass is a named service class with a latency deadline: requests
+// completing after P99Sec count as violations, and Priority orders
+// classes for priority batch formation (higher first).
 type SLOClass struct {
-	Name     string
-	Deadline time.Duration
-	Priority int
+	Name     string  `json:"name"`
+	P99Sec   float64 `json:"p99_sec"`
+	Priority int     `json:"priority,omitempty"`
 }
 
-// RateWindow schedules an aggregate arrival rate (requests/second across
-// all clients) over [From, To).
+// RateWindow schedules an aggregate arrival rate (requests/second
+// across all clients) over [FromSec, ToSec) of stream time. A window
+// with neither bound spans the spec's horizon.
 type RateWindow struct {
-	From, To time.Duration
-	Rate     float64
+	FromSec float64 `json:"from_sec,omitempty"`
+	ToSec   float64 `json:"to_sec"`
+	Rate    float64 `json:"rate"`
 }
 
-// Request is one inference request on the generated timeline. Arrive is
-// seconds since stream start. Prefix is the number of leading tokens
-// shared with earlier requests of the same Session: a router that lands
-// the request on the rank already holding that session's KV cache skips
-// recomputing them.
+// Request is one inference request on a timeline, and one line of a
+// recorded trace (trace-replay v2). Prefix is the number of leading
+// tokens shared with earlier requests of the same Session: a router
+// that lands the request on the rank already holding that session's KV
+// cache skips recomputing them. Field order is part of the NDJSON trace
+// contract: append new fields, never reorder.
 type Request struct {
-	ID      int
-	Client  int
-	Class   string
-	Arrive  float64 // seconds
-	Tokens  int
-	Session int
-	Prefix  int // shared-prefix tokens, < Tokens
-}
-
-// Generator is the pluggable source of request timelines: synthetic specs
-// and recorded traces both implement it, and the campaign engine consumes
-// either without knowing which.
-type Generator interface {
-	Name() string
-	// Timeline expands the generator into an arrival-ordered request
-	// list. All randomness is drawn sequentially from rng, so equal
-	// seeds give bit-identical timelines; trace generators ignore rng.
-	Timeline(rng *rand.Rand) ([]Request, error)
+	// T is the arrival time in seconds since stream start.
+	T       float64 `json:"t"`
+	Client  int     `json:"client"`
+	Class   string  `json:"class"`
+	Tokens  int     `json:"tokens"`
+	Session int     `json:"session"`
+	Prefix  int     `json:"prefix,omitempty"` // shared-prefix tokens, < Tokens
 }
 
 // Arrival processes understood by Spec.
@@ -87,50 +79,111 @@ var (
 // holds the whole request list in memory (about 265 B a request).
 const MaxRequests = 1_000_000
 
-// Spec is a ServeGen-style multi-client workload description.
+// Spec is a ServeGen-style multi-client workload description, and the
+// wire form of a serving scenario (zeppelin.ServeSpec). The zero value
+// of every field selects its default (WithDefaults): two Poisson
+// clients at 8 req/s over 60 s, interactive+batch classes,
+// StackExchange lengths, priority formation, balance routing.
 type Spec struct {
-	Clients   int
-	Process   string  // poisson | gamma | weibull
-	CV        float64 // gamma coefficient of variation (CV>1 → bursty)
-	Shape     float64 // weibull shape (k<1 → heavy-tailed gaps)
-	Windows   []RateWindow
-	Classes   []SLOClass
-	Dataset   string  // request-length distribution (workload.ByName)
-	Sessions  int     // sessions per client
-	Prefix    float64 // shared-prefix fraction of each request, [0,0.9]
-	Formation string  // fcfs | priority | sjf
-	Route     string  // balance | affinity
-	Horizon   time.Duration
+	// Clients is the number of concurrent request clients; 0 selects 2.
+	Clients int `json:"clients,omitempty"`
+	// Arrival names the inter-arrival process: "poisson" (default),
+	// "gamma", or "weibull".
+	Arrival string `json:"arrival,omitempty"`
+	// CV is the gamma process's coefficient of variation (0 selects 1;
+	// CV > 1 is bursty); Shape the weibull shape (0 selects 1; k < 1
+	// gives heavy-tailed gaps).
+	CV    float64 `json:"cv,omitempty"`
+	Shape float64 `json:"shape,omitempty"`
+	// Windows schedule the aggregate request rate over stream time;
+	// empty selects one 8 req/s window over the horizon.
+	Windows []RateWindow `json:"windows,omitempty"`
+	// Classes are the SLO classes; empty selects interactive (p99 2s,
+	// priority 2) and batch (p99 8s, priority 1). Clients round-robin
+	// over classes.
+	Classes []SLOClass `json:"classes,omitempty"`
+	// Dataset names the request-length distribution (workload.ByName);
+	// empty selects "stackexchange".
+	Dataset string `json:"dataset,omitempty"`
+	// Sessions is the session count per client (0 selects 8); Prefix the
+	// shared-prefix fraction of each request, at most 0.9 (0 selects
+	// 0.5, negative selects none).
+	Sessions int     `json:"sessions,omitempty"`
+	Prefix   float64 `json:"prefix,omitempty"`
+	// Formation orders the queue into batches: "fcfs", "priority"
+	// (default), or "sjf".
+	Formation string `json:"formation,omitempty"`
+	// Route is the placement objective: "balance" (default,
+	// least-loaded) or "affinity" (prefer a session's KV home rank).
+	Route string `json:"route,omitempty"`
+	// HorizonSec is the span in seconds of the default window and of
+	// every window with neither bound; 0 selects 60.
+	HorizonSec float64 `json:"horizon_sec,omitempty"`
+	// Trace, when non-empty, replaces the synthetic timeline with a
+	// recorded one (trace-replay v2); TraceName labels it in reports.
+	Trace     []Request `json:"trace,omitempty"`
+	TraceName string    `json:"trace_name,omitempty"`
 }
 
-// DefaultSpec returns the baseline serving scenario: two clients on a
-// Poisson process at 8 req/s over 60s, interactive+batch SLO classes,
-// short-tailed StackExchange request lengths.
-func DefaultSpec() Spec {
-	return Spec{
-		Clients:   2,
-		Process:   ProcessPoisson,
-		CV:        1,
-		Shape:     1,
-		Windows:   []RateWindow{{From: 0, To: 60 * time.Second, Rate: 8}},
-		Classes:   DefaultClasses(),
-		Dataset:   "stackexchange",
-		Sessions:  8,
-		Prefix:    0.5,
-		Formation: "priority",
-		Route:     "balance",
-		Horizon:   60 * time.Second,
+// WithDefaults returns the spec with every zero field at its default
+// (see the field docs); a window with neither bound, the default one
+// included, spans the horizon. Resolving a resolved spec changes
+// nothing, and the result never shares a changed element with s:
+// specs that share Windows or Classes, like the cells of one grid,
+// stay untouched.
+func (s Spec) WithDefaults() Spec {
+	if s.Clients == 0 {
+		s.Clients = 2
 	}
+	if s.Arrival == "" {
+		s.Arrival = ProcessPoisson
+	}
+	if s.CV == 0 {
+		s.CV = 1
+	}
+	if s.Shape == 0 {
+		s.Shape = 1
+	}
+	if s.HorizonSec == 0 {
+		s.HorizonSec = 60
+	}
+	if len(s.Windows) == 0 {
+		s.Windows = []RateWindow{{Rate: 8}}
+	}
+	if slices.ContainsFunc(s.Windows, RateWindow.bare) {
+		s.Windows = slices.Clone(s.Windows)
+		for i, w := range s.Windows {
+			if w.bare() {
+				s.Windows[i].ToSec = s.HorizonSec
+			}
+		}
+	}
+	if len(s.Classes) == 0 {
+		s.Classes = []SLOClass{
+			{Name: "interactive", P99Sec: 2, Priority: 2},
+			{Name: "batch", P99Sec: 8, Priority: 1},
+		}
+	}
+	if s.Dataset == "" {
+		s.Dataset = "stackexchange"
+	}
+	if s.Sessions == 0 {
+		s.Sessions = 8
+	}
+	if s.Prefix == 0 {
+		s.Prefix = 0.5
+	}
+	if s.Formation == "" {
+		s.Formation = "priority"
+	}
+	if s.Route == "" {
+		s.Route = "balance"
+	}
+	return s
 }
 
-// DefaultClasses are the two stock SLO classes used when a spec or trace
-// does not declare its own.
-func DefaultClasses() []SLOClass {
-	return []SLOClass{
-		{Name: "interactive", Deadline: 2 * time.Second, Priority: 2},
-		{Name: "batch", Deadline: 8 * time.Second, Priority: 1},
-	}
-}
+// bare reports whether the window has neither bound.
+func (w RateWindow) bare() bool { return w.FromSec == 0 && w.ToSec == 0 }
 
 // Parse reads the serve-spec grammar: ','-separated key=value entries
 // under the kv package's rules (the README's "Spec grammar")
@@ -141,23 +194,24 @@ func DefaultClasses() []SLOClass {
 //	slo=interactive:p99=200ms:prio=2;batch:p99=2s
 //	dataset=stackexchange              request-length distribution
 //	sessions=8                         sessions per client
-//	prefix=0.5                         shared-prefix fraction
+//	prefix=0.5                         shared-prefix fraction (0: none)
 //	form=priority                      fcfs | priority | sjf
 //	route=affinity                     balance | affinity
-//	horizon=120s                       default window span for bare rates
+//	horizon=120s                       span of bare rates (default 60s)
 //
 // The arrival and class parameters are ':'-separated key=value entries
-// under the same rules. Omitted keys take DefaultSpec values. The result
-// is validated.
+// under the same rules. Omitted keys take their defaults; a value the
+// grammar states is taken as given, so "clients=0" is an error rather
+// than the default. The result is resolved (WithDefaults) and
+// validated.
 func Parse(s string) (Spec, error) {
-	spec := DefaultSpec()
-	spec.Windows = []RateWindow{{Rate: 8}} // a bare rate spans the horizon
-	var horizonSet bool
+	spec := Spec{}.WithDefaults()
+	spec.Windows = nil // resolved below, after a later horizon key
 	err := kv.Parse("serve", s, ",", map[string]kv.Field{
 		"clients": kv.Int(&spec.Clients),
 		"arrival": func(v string) error {
 			name, params, _ := strings.Cut(v, ":")
-			spec.Process = name
+			spec.Arrival = name
 			return kv.Parse("arrival "+name, params, ":", map[string]kv.Field{
 				"cv": kv.Float(&spec.CV), "shape": kv.Float(&spec.Shape),
 			})
@@ -169,7 +223,7 @@ func Parse(s string) (Spec, error) {
 				name, params, _ := strings.Cut(c, ":")
 				cls := SLOClass{Name: name, Priority: -i} // later classes rank lower by default
 				err := kv.Parse(fmt.Sprintf("class %q", name), params, ":", map[string]kv.Field{
-					"p99": kv.Duration(&cls.Deadline), "prio": kv.Int(&cls.Priority),
+					"p99": kv.Of(&cls.P99Sec, seconds), "prio": kv.Int(&cls.Priority),
 				})
 				if err != nil {
 					return err
@@ -183,33 +237,31 @@ func Parse(s string) (Spec, error) {
 		"prefix":   kv.Float(&spec.Prefix),
 		"form":     kv.String(&spec.Formation),
 		"route":    kv.String(&spec.Route),
-		"horizon": func(v string) error {
-			horizonSet = true
-			return kv.Duration(&spec.Horizon)(v)
-		},
+		"horizon":  kv.Of(&spec.HorizonSec, seconds),
 	})
 	if err != nil {
 		return Spec{}, err
 	}
-	// Bare "rate=50" windows span the horizon; a later horizon key must
-	// still apply, so resolve zero-width windows here.
-	for i := range spec.Windows {
-		if spec.Windows[i].To == 0 && spec.Windows[i].From == 0 {
-			spec.Windows[i].To = spec.Horizon
-		}
+	switch {
+	case spec.Prefix < 0:
+		return Spec{}, fmt.Errorf("serve: prefix fraction must be in [0, 0.9], got %v", spec.Prefix)
+	case spec.Prefix == 0:
+		spec.Prefix = -1 // the grammar's none; a zero field selects the default
 	}
-	if !horizonSet {
-		// Extend the horizon to cover explicit windows.
-		for _, w := range spec.Windows {
-			if w.To > spec.Horizon {
-				spec.Horizon = w.To
-			}
-		}
-	}
+	// Only the windows take their defaults here: any other zero was
+	// written in the grammar, and Validate rejects it.
+	spec.Windows = spec.WithDefaults().Windows
 	if err := spec.Validate(); err != nil {
 		return Spec{}, err
 	}
 	return spec, nil
+}
+
+// seconds reads a time.ParseDuration value ("200ms", "1m30s") as
+// seconds.
+func seconds(v string) (float64, error) {
+	d, err := time.ParseDuration(v)
+	return d.Seconds(), err
 }
 
 func parseWindows(val string) ([]RateWindow, error) {
@@ -226,10 +278,10 @@ func parseWindows(val string) ([]RateWindow, error) {
 			if !ok {
 				return nil, fmt.Errorf("window %q is not from-to", span)
 			}
-			if win.From, err = parseDur(fromStr); err != nil {
+			if win.FromSec, err = spanBound(fromStr); err != nil {
 				return nil, err
 			}
-			if win.To, err = parseDur(toStr); err != nil {
+			if win.ToSec, err = spanBound(toStr); err != nil {
 				return nil, err
 			}
 		}
@@ -238,11 +290,12 @@ func parseWindows(val string) ([]RateWindow, error) {
 	return out, nil
 }
 
-// parseDur reads a duration, treating a bare number as seconds so window
-// spans can be written "50@0-60s" or "120@60-300s".
-func parseDur(s string) (time.Duration, error) {
-	if d, err := time.ParseDuration(s); err == nil {
-		return d, nil
+// spanBound reads a window bound in seconds: a duration, or a bare
+// number of seconds, so window spans can be written "50@0-60s" or
+// "120@60-300".
+func spanBound(s string) (float64, error) {
+	if sec, err := seconds(s); err == nil {
+		return sec, nil
 	}
 	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
@@ -251,41 +304,61 @@ func parseDur(s string) (time.Duration, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return 0, fmt.Errorf("duration %q is not finite", s)
 	}
-	return time.Duration(f * float64(time.Second)), nil
+	return f, nil
 }
 
-// Validate checks the spec is well-formed, including that the dataset
-// exists and its bin weights are sane (workload.Dataset.Validate).
+// Bounds on the arrival processes. An inter-arrival draw is float64
+// seconds added to the stream clock; burstier processes and finer rates
+// than these would draw gaps that no longer move it, so a timeline
+// would hold far more requests than its windows expect, or never end.
+const (
+	minCV, maxCV  = 0.1, 10 // gamma: shape 1/CV² in [0.01, 100]
+	minShape      = 0.25    // weibull: CV below 9
+	maxResolution = 1 << 40
+)
+
+// Validate checks a resolved spec (WithDefaults) is well-formed,
+// including that the dataset exists and its bin weights are sane
+// (workload.Dataset.Validate). A trace's events are checked when
+// Timeline replays them.
 func (s *Spec) Validate() error {
 	if s.Clients < 1 || s.Clients > MaxRequests {
 		return fmt.Errorf("serve: clients must be in [1, %d], got %d", MaxRequests, s.Clients)
 	}
-	switch s.Process {
+	switch s.Arrival {
 	case ProcessPoisson, ProcessGamma, ProcessWeibull:
 	default:
-		return fmt.Errorf("serve: unknown arrival process %q (want poisson, gamma, or weibull)", s.Process)
+		return fmt.Errorf("serve: unknown arrival process %q (want poisson, gamma, or weibull)", s.Arrival)
 	}
-	if s.CV <= 0 || math.IsNaN(s.CV) || math.IsInf(s.CV, 0) {
-		return fmt.Errorf("serve: gamma cv must be finite and > 0, got %v", s.CV)
+	if !(s.CV >= minCV && s.CV <= maxCV) {
+		return fmt.Errorf("serve: gamma cv must be in [%v, %v], got %v", minCV, maxCV, s.CV)
 	}
-	if s.Shape <= 0 || math.IsNaN(s.Shape) || math.IsInf(s.Shape, 0) {
-		return fmt.Errorf("serve: weibull shape must be finite and > 0, got %v", s.Shape)
+	if !(s.Shape >= minShape) || math.IsInf(s.Shape, 1) {
+		return fmt.Errorf("serve: weibull shape must be finite and >= %v, got %v", minShape, s.Shape)
+	}
+	if !finitePositive(s.HorizonSec) {
+		return fmt.Errorf("serve: horizon must be finite and > 0 seconds, got %v", s.HorizonSec)
 	}
 	if len(s.Windows) == 0 {
 		return fmt.Errorf("serve: at least one rate window required")
 	}
 	var expected float64
 	for i, w := range s.Windows {
-		if w.Rate <= 0 || math.IsNaN(w.Rate) || math.IsInf(w.Rate, 0) {
+		if !finitePositive(w.Rate) {
 			return fmt.Errorf("serve: window %d rate must be finite and > 0, got %v", i, w.Rate)
 		}
-		if w.From < 0 || w.To <= w.From {
-			return fmt.Errorf("serve: window %d span [%v,%v) is empty or negative", i, w.From, w.To)
+		if !(w.FromSec >= 0 && w.ToSec > w.FromSec) {
+			return fmt.Errorf("serve: window %d span [%gs,%gs) is empty or negative", i, w.FromSec, w.ToSec)
 		}
-		if i > 0 && w.From < s.Windows[i-1].To {
-			return fmt.Errorf("serve: window %d starts at %v before window %d ends at %v", i, w.From, i-1, s.Windows[i-1].To)
+		// A client's mean gap stays above 2^-40 of the window's end, or
+		// 4096 steps of the float64 clock there.
+		if w.ToSec*w.Rate/float64(s.Clients) > maxResolution {
+			return fmt.Errorf("serve: window %d asks for arrivals finer than the stream clock resolves at %gs", i, w.ToSec)
 		}
-		expected += w.Rate * (w.To - w.From).Seconds()
+		if i > 0 && w.FromSec < s.Windows[i-1].ToSec {
+			return fmt.Errorf("serve: window %d starts at %gs before window %d ends at %gs", i, w.FromSec, i-1, s.Windows[i-1].ToSec)
+		}
+		expected += w.Rate * (w.ToSec - w.FromSec)
 	}
 	if expected > MaxRequests {
 		return fmt.Errorf("serve: rate windows expect %.0f requests, above the %d ceiling", expected, MaxRequests)
@@ -302,8 +375,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("serve: duplicate class %q", c.Name)
 		}
 		seen[c.Name] = true
-		if c.Deadline <= 0 {
-			return fmt.Errorf("serve: class %s deadline must be > 0, got %v", c.Name, c.Deadline)
+		if !(c.P99Sec > 0) {
+			return fmt.Errorf("serve: class %s deadline must be > 0, got %gs", c.Name, c.P99Sec)
 		}
 	}
 	d, err := workload.ByName(s.Dataset)
@@ -316,26 +389,19 @@ func (s *Spec) Validate() error {
 	if s.Sessions < 1 {
 		return fmt.Errorf("serve: sessions must be >= 1, got %d", s.Sessions)
 	}
-	if s.Prefix < 0 || s.Prefix > 0.9 || math.IsNaN(s.Prefix) {
+	if s.Prefix > 0.9 || math.IsNaN(s.Prefix) {
 		return fmt.Errorf("serve: prefix fraction must be in [0, 0.9], got %v", s.Prefix)
 	}
-	if !contains(Formations, s.Formation) {
+	if !slices.Contains(Formations, s.Formation) {
 		return fmt.Errorf("serve: unknown formation %q (want one of %v)", s.Formation, Formations)
 	}
-	if !contains(Routes, s.Route) {
+	if !slices.Contains(Routes, s.Route) {
 		return fmt.Errorf("serve: unknown route objective %q (want one of %v)", s.Route, Routes)
 	}
 	return nil
 }
 
-func contains(set []string, s string) bool {
-	for _, v := range set {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
+func finitePositive(f float64) bool { return f > 0 && !math.IsInf(f, 1) }
 
 // Class returns the class named name, or false.
 func (s *Spec) Class(name string) (SLOClass, bool) {
@@ -347,10 +413,15 @@ func (s *Spec) Class(name string) (SLOClass, bool) {
 	return SLOClass{}, false
 }
 
-// Name labels the generator for reports ("serve(2xpoisson,2cls)").
+// Name labels the timeline's source for reports: the synthetic
+// process ("serve(2xpoisson,2cls)"), or a trace with its name and event
+// count ("tracev2(name,N)").
 func (s *Spec) Name() string {
-	proc := s.Process
-	switch s.Process {
+	if len(s.Trace) > 0 {
+		return fmt.Sprintf("tracev2(%s,%d)", cmp.Or(s.TraceName, "wire"), len(s.Trace))
+	}
+	proc := s.Arrival
+	switch s.Arrival {
 	case ProcessGamma:
 		proc = fmt.Sprintf("gamma cv=%g", s.CV)
 	case ProcessWeibull:
@@ -359,30 +430,34 @@ func (s *Spec) Name() string {
 	return fmt.Sprintf("serve(%dx%s,%dcls)", s.Clients, proc, len(s.Classes))
 }
 
-// Timeline expands the spec into an arrival-ordered request stream. Each
-// client draws its own inter-arrival process at rate/Clients, resetting
-// at window boundaries; request lengths come from the dataset
-// distribution, and each request joins one of the client's sessions with
-// a shared prefix of Prefix×Tokens tokens. All draws come sequentially
-// from rng — same seed, same timeline, bit for bit.
+// Timeline expands the spec into an arrival-ordered request stream, or
+// replays its Trace (see replay). Each client draws its own
+// inter-arrival process at rate/Clients, resetting at window
+// boundaries; request lengths come from the dataset distribution, and
+// each request joins one of the client's sessions with a shared prefix
+// of Prefix×Tokens tokens. All draws come sequentially from rng — same
+// seed, same timeline, bit for bit.
 func (s *Spec) Timeline(rng *rand.Rand) ([]Request, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
+	}
+	if len(s.Trace) > 0 {
+		return s.replay()
 	}
 	d, err := workload.ByName(s.Dataset)
 	if err != nil {
 		return nil, err
 	}
+	prefix := max(s.Prefix, 0) // negative selects none
 	var out []Request
 	for client := 0; client < s.Clients; client++ {
 		class := s.Classes[client%len(s.Classes)].Name
 		for _, w := range s.Windows {
 			rate := w.Rate / float64(s.Clients)
-			t := w.From.Seconds()
-			end := w.To.Seconds()
+			t := w.FromSec
 			for {
 				t += s.gap(rng, rate)
-				if t >= end {
+				if t >= w.ToSec {
 					break
 				}
 				tokens := d.SampleLen(rng)
@@ -390,12 +465,12 @@ func (s *Spec) Timeline(rng *rand.Rand) ([]Request, error) {
 					tokens = 16
 				}
 				out = append(out, Request{
+					T:       t,
 					Client:  client,
 					Class:   class,
-					Arrive:  t,
 					Tokens:  tokens,
 					Session: client*s.Sessions + rng.Intn(s.Sessions),
-					Prefix:  int(s.Prefix * float64(tokens)),
+					Prefix:  int(prefix * float64(tokens)),
 				})
 			}
 		}
@@ -406,7 +481,7 @@ func (s *Spec) Timeline(rng *rand.Rand) ([]Request, error) {
 
 // gap draws one inter-arrival gap in seconds for a per-client rate.
 func (s *Spec) gap(rng *rand.Rand, rate float64) float64 {
-	switch s.Process {
+	switch s.Arrival {
 	case ProcessGamma:
 		// Gamma with mean 1/rate and coefficient of variation CV:
 		// shape k = 1/CV², scale θ = CV²/rate. CV=1 degenerates to the
@@ -448,13 +523,10 @@ func gammaSample(rng *rand.Rand, k float64) float64 {
 	}
 }
 
-// sortRequests orders by arrival time (client, then draw order break
-// ties) and assigns sequential IDs — the canonical timeline order.
+// sortRequests orders by arrival time, client, then draw order — the
+// canonical timeline order.
 func sortRequests(reqs []Request) {
 	slices.SortStableFunc(reqs, func(a, b Request) int {
-		return cmp.Or(cmp.Compare(a.Arrive, b.Arrive), cmp.Compare(a.Client, b.Client))
+		return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.Client, b.Client))
 	})
-	for i := range reqs {
-		reqs[i].ID = i
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestParseFull(t *testing.T) {
@@ -15,19 +14,19 @@ func TestParseFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Clients != 3 || spec.Process != ProcessGamma || spec.CV != 2.0 {
+	if spec.Clients != 3 || spec.Arrival != ProcessGamma || spec.CV != 2.0 {
 		t.Errorf("clients/arrival wrong: %+v", spec)
 	}
 	want := []RateWindow{
-		{From: 0, To: 60 * time.Second, Rate: 50},
-		{From: 60 * time.Second, To: 300 * time.Second, Rate: 120},
+		{FromSec: 0, ToSec: 60, Rate: 50},
+		{FromSec: 60, ToSec: 300, Rate: 120},
 	}
 	if !reflect.DeepEqual(spec.Windows, want) {
 		t.Errorf("windows = %+v, want %+v", spec.Windows, want)
 	}
 	wantCls := []SLOClass{
-		{Name: "interactive", Deadline: 200 * time.Millisecond, Priority: 2},
-		{Name: "batch", Deadline: 2 * time.Second, Priority: -1},
+		{Name: "interactive", P99Sec: 0.2, Priority: 2},
+		{Name: "batch", P99Sec: 2, Priority: -1},
 	}
 	if !reflect.DeepEqual(spec.Classes, wantCls) {
 		t.Errorf("classes = %+v, want %+v", spec.Classes, wantCls)
@@ -38,8 +37,10 @@ func TestParseFull(t *testing.T) {
 	if spec.Formation != "sjf" || spec.Route != "affinity" {
 		t.Errorf("form/route wrong: %+v", spec)
 	}
-	if spec.Horizon != 300*time.Second {
-		t.Errorf("horizon = %v, want 300s (extended to cover windows)", spec.Horizon)
+	// The horizon spans only bare windows, so explicit ones leave it at
+	// its default.
+	if spec.HorizonSec != 60 {
+		t.Errorf("horizon = %vs, want the 60s default", spec.HorizonSec)
 	}
 }
 
@@ -48,8 +49,8 @@ func TestParseDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(spec, DefaultSpec()) {
-		t.Errorf("Parse(\"\") = %+v, want DefaultSpec", spec)
+	if !reflect.DeepEqual(spec, Spec{}.WithDefaults()) {
+		t.Errorf("Parse(\"\") = %+v, want the zero spec's defaults", spec)
 	}
 }
 
@@ -58,7 +59,7 @@ func TestParseBareRateUsesHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.Windows) != 1 || spec.Windows[0].To != 90*time.Second || spec.Windows[0].Rate != 20 {
+	if len(spec.Windows) != 1 || spec.Windows[0].ToSec != 90 || spec.Windows[0].Rate != 20 {
 		t.Errorf("windows = %+v, want one 0-90s window at 20", spec.Windows)
 	}
 }
@@ -115,7 +116,7 @@ func TestParseSharedGrammar(t *testing.T) {
 		{"slo=a:p99=1s:prio=2.0", func(s Spec) bool { return s.Classes[0].Priority == 2 }},
 		// The value is trimmed, so the class name loses its leading space.
 		{"slo= a:p99=1s", func(s Spec) bool { return s.Classes[0].Name == "a" }},
-		{"arrival=gamma:", func(s Spec) bool { return s.Process == ProcessGamma && s.CV == 1 }},
+		{"arrival=gamma:", func(s Spec) bool { return s.Arrival == ProcessGamma && s.CV == 1 }},
 		{"arrival=gamma: cv=2", func(s Spec) bool { return s.CV == 2 }},
 	} {
 		spec, err := Parse(c.spec)
@@ -161,14 +162,11 @@ func TestTimelineDeterministic(t *testing.T) {
 		t.Fatal("empty timeline")
 	}
 	for i, r := range a {
-		if r.ID != i {
-			t.Fatalf("request %d has ID %d", i, r.ID)
-		}
-		if i > 0 && r.Arrive < a[i-1].Arrive {
+		if i > 0 && r.T < a[i-1].T {
 			t.Fatalf("timeline not sorted at %d", i)
 		}
-		if r.Arrive < 0 || r.Arrive >= 10 {
-			t.Fatalf("arrival %v outside window", r.Arrive)
+		if r.T < 0 || r.T >= 10 {
+			t.Fatalf("arrival %v outside window", r.T)
 		}
 		if r.Tokens < 16 {
 			t.Fatalf("request %d has %d tokens", i, r.Tokens)
@@ -215,7 +213,7 @@ func TestGammaSampleMean(t *testing.T) {
 }
 
 func TestTraceRoundTrip(t *testing.T) {
-	spec := DefaultSpec()
+	spec := Spec{}.WithDefaults()
 	reqs, err := spec.Timeline(rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
@@ -228,8 +226,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &Trace{Source: "test", Events: got}
-	replayed, err := tr.Timeline(nil)
+	spec.Trace, spec.TraceName = got, "test"
+	replayed, err := spec.Timeline(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,21 +241,19 @@ func TestTraceValidation(t *testing.T) {
 		name string
 		ev   Request
 	}{
-		{"negative arrive", Request{Arrive: -1, Tokens: 32, Class: "a"}},
-		{"nan arrive", Request{Arrive: math.NaN(), Tokens: 32, Class: "a"}},
-		{"zero tokens", Request{Arrive: 0, Tokens: 0, Class: "a"}},
-		{"no class", Request{Arrive: 0, Tokens: 32}},
-		{"prefix too big", Request{Arrive: 0, Tokens: 32, Class: "a", Prefix: 32}},
-		{"negative client", Request{Arrive: 0, Tokens: 32, Class: "a", Client: -1}},
+		{"negative arrive", Request{T: -1, Tokens: 32, Class: "a"}},
+		{"nan arrive", Request{T: math.NaN(), Tokens: 32, Class: "a"}},
+		{"zero tokens", Request{T: 0, Tokens: 0, Class: "a"}},
+		{"no class", Request{T: 0, Tokens: 32}},
+		{"unknown class", Request{T: 0, Tokens: 32, Class: "b"}},
+		{"prefix too big", Request{T: 0, Tokens: 32, Class: "a", Prefix: 32}},
+		{"negative client", Request{T: 0, Tokens: 32, Class: "a", Client: -1}},
 	}
 	for _, c := range cases {
-		tr := &Trace{Events: []Request{c.ev}}
-		if _, err := tr.Timeline(nil); err == nil {
+		spec := Spec{Classes: []SLOClass{{Name: "a", P99Sec: 1}}, Trace: []Request{c.ev}}.WithDefaults()
+		if _, err := spec.Timeline(nil); err == nil {
 			t.Errorf("%s: Timeline succeeded, want error", c.name)
 		}
-	}
-	if _, err := (&Trace{}).Timeline(nil); err == nil {
-		t.Error("empty trace accepted")
 	}
 }
 
@@ -268,13 +264,66 @@ func TestReadTraceBadJSON(t *testing.T) {
 }
 
 func TestSpecName(t *testing.T) {
-	spec := DefaultSpec()
+	spec := Spec{}.WithDefaults()
 	if got := spec.Name(); got != "serve(2xpoisson,2cls)" {
 		t.Errorf("Name = %q", got)
 	}
-	spec.Process = ProcessGamma
+	spec.Arrival = ProcessGamma
 	spec.CV = 2
 	if got := spec.Name(); got != "serve(2xgamma cv=2,2cls)" {
 		t.Errorf("Name = %q", got)
+	}
+}
+
+// TestWithDefaults: a zero field takes its default, a bare or absent
+// window spans the horizon, resolving twice changes nothing, and the
+// caller's Windows are copied, not written.
+func TestWithDefaults(t *testing.T) {
+	shared := []RateWindow{{Rate: 20}, {FromSec: 100, ToSec: 110, Rate: 5}}
+	spec := Spec{Windows: shared, HorizonSec: 90}.WithDefaults()
+	want := []RateWindow{{ToSec: 90, Rate: 20}, {FromSec: 100, ToSec: 110, Rate: 5}}
+	if !reflect.DeepEqual(spec.Windows, want) {
+		t.Fatalf("windows = %+v, want %+v", spec.Windows, want)
+	}
+	if shared[0].ToSec != 0 {
+		t.Fatalf("WithDefaults wrote into the caller's windows: %+v", shared)
+	}
+	if twice := spec.WithDefaults(); !reflect.DeepEqual(twice, spec) {
+		t.Fatalf("resolving twice changed the spec:\n%+v\n%+v", spec, twice)
+	}
+	absent := Spec{HorizonSec: 120}.WithDefaults()
+	if !reflect.DeepEqual(absent.Windows, []RateWindow{{ToSec: 120, Rate: 8}}) {
+		t.Fatalf("absent windows = %+v, want one 8 req/s window over the 120s horizon", absent.Windows)
+	}
+	if err := absent.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestValidateBoundsArrivals: a spec whose draws would stop moving the
+// stream clock (gaps below its float64 resolution, or bursts so heavy
+// that nearly every gap is zero) is rejected before it expands; the
+// bounds themselves expand.
+func TestValidateBoundsArrivals(t *testing.T) {
+	for _, bad := range []string{
+		"arrival=gamma:cv=11",
+		"arrival=gamma:cv=0.05",
+		"arrival=weibull:shape=0.001",
+		"rate=1000000000000@1000000-1000000.000001",
+		"horizon=0s",
+		"horizon=-5s",
+	} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", bad)
+		}
+	}
+	for _, ok := range []string{"arrival=gamma:cv=10", "arrival=gamma:cv=0.1", "arrival=weibull:shape=0.25"} {
+		spec, err := Parse(ok + ",rate=20@0-4s")
+		if err != nil {
+			t.Fatalf("Parse(%q) = %v", ok, err)
+		}
+		if _, err := spec.Timeline(rand.New(rand.NewSource(1))); err != nil {
+			t.Fatalf("%q: %v", ok, err)
+		}
 	}
 }

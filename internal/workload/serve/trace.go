@@ -6,44 +6,24 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
+	"slices"
 )
 
-// Trace is a recorded request timeline replayed as a first-class
-// generator (trace-replay v2): timestamped events with client and
-// SLO-class columns, round-tripping through NDJSON.
-type Trace struct {
-	Source string // label for reports, e.g. the trace file name
-	Events []Request
-}
-
-// Name labels the trace for reports.
-func (t *Trace) Name() string {
-	src := t.Source
-	if src == "" {
-		src = "inline"
-	}
-	return fmt.Sprintf("tracev2(%s,%d)", src, len(t.Events))
-}
-
-// Timeline validates the recorded events and returns them in canonical
-// arrival order with fresh IDs. The rng is unused: a trace replays the
-// same stream regardless of seed.
-func (t *Trace) Timeline(_ *rand.Rand) ([]Request, error) {
-	if len(t.Events) == 0 {
-		return nil, fmt.Errorf("serve: trace %s has no events", t.Name())
-	}
-	out := make([]Request, len(t.Events))
-	copy(out, t.Events)
+// replay is the timeline of a spec carrying a recorded trace
+// (trace-replay v2): the events, checked and copied into canonical
+// arrival order. It draws nothing, so a trace replays the same stream
+// at every seed.
+func (s *Spec) replay() ([]Request, error) {
+	out := slices.Clone(s.Trace)
 	for i, r := range out {
-		if r.Arrive < 0 || math.IsNaN(r.Arrive) || math.IsInf(r.Arrive, 0) {
-			return nil, fmt.Errorf("serve: trace event %d has invalid arrival time %v", i, r.Arrive)
+		if r.T < 0 || math.IsNaN(r.T) || math.IsInf(r.T, 0) {
+			return nil, fmt.Errorf("serve: trace event %d has invalid arrival time %v", i, r.T)
 		}
 		if r.Tokens < 1 {
 			return nil, fmt.Errorf("serve: trace event %d has %d tokens, want >= 1", i, r.Tokens)
 		}
-		if r.Class == "" {
-			return nil, fmt.Errorf("serve: trace event %d has no SLO class", i)
+		if _, ok := s.Class(r.Class); !ok {
+			return nil, fmt.Errorf("serve: trace event %d references unknown SLO class %q", i, r.Class)
 		}
 		if r.Client < 0 || r.Session < 0 {
 			return nil, fmt.Errorf("serve: trace event %d has negative client or session", i)
@@ -56,26 +36,12 @@ func (t *Trace) Timeline(_ *rand.Rand) ([]Request, error) {
 	return out, nil
 }
 
-// traceLine is the NDJSON wire form of one trace event. Field order is
-// part of the recorded-trace contract: append new fields, never reorder.
-type traceLine struct {
-	T       float64 `json:"t"`
-	Client  int     `json:"client"`
-	Class   string  `json:"class"`
-	Tokens  int     `json:"tokens"`
-	Session int     `json:"session"`
-	Prefix  int     `json:"prefix,omitempty"`
-}
-
 // WriteTrace serializes a timeline as NDJSON, one event per line.
 func WriteTrace(w io.Writer, events []Request) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, r := range events {
-		if err := enc.Encode(traceLine{
-			T: r.Arrive, Client: r.Client, Class: r.Class,
-			Tokens: r.Tokens, Session: r.Session, Prefix: r.Prefix,
-		}); err != nil {
+		if err := enc.Encode(r); err != nil {
 			return err
 		}
 	}
@@ -83,7 +49,7 @@ func WriteTrace(w io.Writer, events []Request) error {
 }
 
 // ReadTrace parses an NDJSON request trace. Blank lines are skipped;
-// structural validation happens in Trace.Timeline.
+// the events are checked when a spec replays them.
 func ReadTrace(r io.Reader) ([]Request, error) {
 	var out []Request
 	sc := bufio.NewScanner(r)
@@ -95,14 +61,11 @@ func ReadTrace(r io.Reader) ([]Request, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var l traceLine
-		if err := json.Unmarshal(raw, &l); err != nil {
+		var req Request
+		if err := json.Unmarshal(raw, &req); err != nil {
 			return nil, fmt.Errorf("serve: trace line %d: %v", line, err)
 		}
-		out = append(out, Request{
-			Client: l.Client, Class: l.Class, Arrive: l.T,
-			Tokens: l.Tokens, Session: l.Session, Prefix: l.Prefix,
-		})
+		out = append(out, req)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("serve: reading trace: %v", err)

@@ -95,11 +95,10 @@ func NewCampaign(req CampaignRequest, opts ...CampaignOption) (*Campaign, error)
 	}
 	c := &Campaign{cfg: cfg}
 	if o.flip != nil {
-		fl, err := o.flip.flip()
-		if err != nil {
+		if err := o.flip.Validate(); err != nil {
 			return nil, err
 		}
-		c.cfg.Flip = fl
+		c.cfg.Flip = o.flip
 		o.decisions = true
 	}
 	if o.decisions {

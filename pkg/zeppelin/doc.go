@@ -33,11 +33,12 @@
 //     flag set, and is bit-identical at every Workers count.
 //   - ServeSpec / ParseServeSpec / CompareServeRoutes — serving
 //     scenarios: the -serve flag grammar (multi-client arrivals, rate
-//     windows, SLO classes, sessions/prefixes) as a wire object on
-//     CampaignRequest.Serve, the balance-vs-affinity routing comparison
-//     grid, and trace-replay v2 (GenerateServeTimeline,
-//     WriteServeTrace/ReadServeTrace round-trip the timestamped NDJSON
-//     trace format bit-identically). Serve reports carry per-SLO-class
+//     windows, SLO classes, sessions/prefixes) parsed into the wire
+//     object CampaignRequest.Serve carries, where a zero field selects
+//     the same default an omitted grammar key does; the
+//     balance-vs-affinity routing comparison grid; and trace-replay v2
+//     (GenerateServeTimeline, WriteServeTrace/ReadServeTrace round-trip
+//     the timestamped NDJSON trace format bit-identically). Serve reports carry per-SLO-class
 //     metrics (ClassMetrics); IsValidationError distinguishes client
 //     mistakes — bad specs, NaN dataset weights, broken traces — from
 //     engine failures, which zeppelind maps to 400 vs 500.
@@ -55,13 +56,14 @@
 // schema that is pinned by golden tests (testdata/*.golden.json) and
 // served verbatim by the zeppelind daemon under /v1.
 //
-// The event, summary, decision, class-metrics, autoscale and tune types
-// (CampaignEvent, CampaignSummary, DecisionRecord, DecisionAlternative,
-// ClassMetrics, AutoscaleSpec, TuneWeights, TuneParams, TuneMetrics,
-// TuneFitness, TuneCandidate, TuneReport) are aliases of the engine's
-// own json-tagged types under their v1 names, so no converter sits
-// between the engine and the wire; the goldens pin their bytes like
-// every other wire type.
+// The event, summary, decision, class-metrics, autoscale, serve, flip
+// and tune types (CampaignEvent, CampaignSummary, DecisionRecord,
+// DecisionAlternative, ClassMetrics, AutoscaleSpec, ServeSpec,
+// ServeWindow, SLOClass, ServeTraceEvent, FlipSpec, TuneWeights,
+// TuneParams, TuneMetrics, TuneFitness, TuneCandidate, TuneReport) are
+// aliases of the engine's own json-tagged types under their v1 names,
+// so no converter sits between the engine and the wire; the goldens pin
+// their bytes like every other wire type.
 //
 // The JSON error shape every /v1 endpoint returns on failure is
 // ErrorBody: {"error":{"code":"...","message":"..."}}.

@@ -25,7 +25,7 @@ import (
 // the recorded stream the request originally produced.
 func RunReplay(ctx context.Context, req ReplayRequest, opts ...CampaignOption) (*ReplayReport, error) {
 	if req.Flip != nil {
-		if _, err := req.Flip.flip(); err != nil {
+		if err := req.Flip.Validate(); err != nil {
 			return nil, err
 		}
 	}

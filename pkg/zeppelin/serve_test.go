@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"zeppelin/internal/campaign"
@@ -103,51 +105,151 @@ func TestServeSDKMatchesInternalRun(t *testing.T) {
 	}
 }
 
-// TestParseServeSpecMirrorsInternalGrammar: the wire parser and the
-// internal parser resolve the issue's example grammar identically.
-func TestParseServeSpecMirrorsInternalGrammar(t *testing.T) {
-	const grammar = "clients=3,arrival=gamma:cv=2.0,rate=50@0-60s;120@60-300s,slo=interactive:p99=200ms"
-	wire, err := ParseServeSpec(grammar)
-	if err != nil {
+// serveSpecTexts are the grammar strings the CLI == SDK == HTTP table
+// covers: the README example, fig16's spec, CI's specs, and
+// zbench serve-burst's spec text.
+var serveSpecTexts = []string{
+	"clients=3,arrival=gamma:cv=2.0,rate=50@0-60s;120@60-300s,slo=interactive:p99=200ms",
+	"clients=6,arrival=gamma:cv=2.0,rate=20@0-20s;60@20-40s;15@40-80s," +
+		"slo=interactive:p99=2.5s:prio=2;batch:p99=15s:prio=1,dataset=stackexchange,sessions=8,prefix=0.6,form=priority,route=affinity",
+	"clients=2,arrival=gamma:cv=2.0,rate=20@0-4s",
+	"clients=2,rate=20@0-4s",
+	"clients=2,rate=20@0-4s,form=fcfs",
+	"clients=2,rate=20@0-4s,form=sjf",
+	"clients=2,rate=15@0-3s",
+	"clients=16,arrival=gamma:cv=2.0,rate=40@0-20s;400@20-40s;40@40-80s," +
+		"slo=interactive:p99=2.5s:prio=2;batch:p99=15s:prio=1,dataset=stackexchange,sessions=8,prefix=0.6,form=priority,route=affinity",
+	"",
+	"prefix=0",
+}
+
+// decodeServeSpec decodes a wire spec the way zeppelind decodes a
+// request body: unknown fields are an error.
+func decodeServeSpec(t *testing.T, body []byte) *ServeSpec {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var spec ServeSpec
+	if err := dec.Decode(&spec); err != nil {
+		t.Fatalf("decode %s: %v", body, err)
+	}
+	return &spec
+}
+
+// TestServeSpecCLIMatchesWire: a grammar string's timeline is the same
+// whether the spec stays in-process (serve.Parse) or rides the wire
+// (ParseServeSpec, JSON, zeppelind's strict decode,
+// GenerateServeTimeline), and hand-written wire bodies expand like
+// their grammar equivalents.
+func TestServeSpecCLIMatchesWire(t *testing.T) {
+	want := func(t *testing.T, text string, seed int64) []ServeTraceEvent {
+		t.Helper()
+		spec, err := serve.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs, err := spec.Timeline(rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reqs
+	}
+	for _, text := range serveSpecTexts {
+		wire, err := ParseServeSpec(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{DefaultSeed, 7} {
+			got, err := GenerateServeTimeline(decodeServeSpec(t, body), seed)
+			if err != nil {
+				t.Fatalf("%q: %v", text, err)
+			}
+			if exp := want(t, text, seed); !reflect.DeepEqual(got, exp) {
+				t.Errorf("%q seed %d: wire timeline has %d requests, grammar %d", text, seed, len(got), len(exp))
+			}
+		}
+	}
+	for _, c := range []struct {
+		body, text string
+		horizon    float64
+	}{
+		{`{"horizon_sec":120}`, "horizon=120s", 120},
+		{`{"windows":[{"rate":20}],"horizon_sec":90}`, "rate=20,horizon=90s", 90},
+	} {
+		got, err := GenerateServeTimeline(decodeServeSpec(t, []byte(c.body)), DefaultSeed)
+		if err != nil {
+			t.Fatalf("%s: %v", c.body, err)
+		}
+		exp := want(t, c.text, DefaultSeed)
+		if !reflect.DeepEqual(got, exp) {
+			t.Errorf("%s: %d requests, want %d as %q", c.body, len(got), len(exp), c.text)
+		}
+		if last := exp[len(exp)-1].T; last < 0.9*c.horizon {
+			t.Errorf("%q: last arrival %vs does not reach across its horizon", c.text, last)
+		}
+	}
+}
+
+// TestServeHorizonValidated: a horizon that is not finite and positive
+// is a validation error on the wire and in the grammar.
+func TestServeHorizonValidated(t *testing.T) {
+	for _, h := range []float64{-5, math.Inf(1)} {
+		req := CampaignRequest{Iters: 1, Serve: &ServeSpec{HorizonSec: h}}
+		if err := req.Validate(); !IsValidationError(err) || !strings.Contains(err.Error(), "horizon") {
+			t.Errorf("horizon_sec %v: Validate = %v, want a horizon validation error", h, err)
+		}
+	}
+	for _, text := range []string{"horizon=0s", "horizon=-5s", "rate=5@0-10s,horizon=-1s"} {
+		if _, err := ParseServeSpec(text); err == nil || !strings.Contains(err.Error(), "horizon") {
+			t.Errorf("%q: ParseServeSpec = %v, want a horizon error", text, err)
+		}
+	}
+}
+
+// TestCompareServeRoutesSharesNoDefaults: grid cells share the
+// request's Windows and Classes, so resolving one cell's defaults must
+// never write into them; -race sees a write while the cells run.
+func TestCompareServeRoutesSharesNoDefaults(t *testing.T) {
+	req := serveReq("balance")
+	spec := &ServeSpec{Clients: 3, Windows: []ServeWindow{{Rate: 30}}, HorizonSec: 4}
+	req.Serve = spec
+	if _, err := CompareServeRoutes(context.Background(), req, 2, 2); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := wire.resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serve.Parse(grammar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sc.Spec, want) {
-		t.Fatalf("wire resolution diverged from internal parse:\n got %+v\nwant %+v", sc.Spec, want)
+	if spec.Windows[0] != (ServeWindow{Rate: 30}) || spec.Classes != nil || spec.Prefix != 0 {
+		t.Fatalf("comparison wrote its defaults into the request's spec: %+v", *spec)
 	}
 }
 
 // TestServeSpecPrefixConvention: wire zero selects the default prefix,
-// negative selects none — the faults.Schedule.RestartCost convention.
+// negative selects none — the faults.Schedule.RestartCost convention —
+// and the grammar's prefix=0 (none) reaches the wire as a negative.
 func TestServeSpecPrefixConvention(t *testing.T) {
-	def, err := (&ServeSpec{}).resolve()
+	if p := (ServeSpec{}).WithDefaults().Prefix; p != 0.5 {
+		t.Fatalf("zero prefix resolved to %v, want the 0.5 default", p)
+	}
+	none, err := GenerateServeTimeline(&ServeSpec{Prefix: -1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Spec.Prefix != serve.DefaultSpec().Prefix {
-		t.Fatalf("zero prefix resolved to %v, want default %v", def.Spec.Prefix, serve.DefaultSpec().Prefix)
+	for _, ev := range none {
+		if ev.Prefix != 0 {
+			t.Fatalf("negative prefix shared %d tokens, want none", ev.Prefix)
+		}
 	}
-	none, err := (&ServeSpec{Prefix: -1}).resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if none.Spec.Prefix != 0 {
-		t.Fatalf("negative prefix resolved to %v, want 0", none.Spec.Prefix)
-	}
-	// And the parser preserves an explicit prefix=0 through the wire form.
 	parsed, err := ParseServeSpec("prefix=0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if parsed.Prefix >= 0 {
 		t.Fatalf("parsed prefix=0 encodes as %v, want negative sentinel", parsed.Prefix)
+	}
+	if _, err := ParseServeSpec("prefix=-0.1"); err == nil {
+		t.Fatal("the grammar accepted a negative prefix")
 	}
 }
 
@@ -236,35 +338,6 @@ func TestServeTraceGolden(t *testing.T) {
 	}
 	if !bytes.Equal(again.Bytes(), want) {
 		t.Fatalf("%s does not round-trip through ReadServeTrace:\n got: %s", path, again.Bytes())
-	}
-}
-
-// TestGenerateServeTimelineMatchesInternal: the public generator is the
-// internal spec timeline at the same seed.
-func TestGenerateServeTimelineMatchesInternal(t *testing.T) {
-	wire, err := ParseServeSpec("clients=2,rate=20@0-4s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, err := GenerateServeTimeline(wire, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := serve.Parse("clients=2,rate=20@0-4s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := spec.Timeline(rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != len(want) {
-		t.Fatalf("%d events, want %d", len(events), len(want))
-	}
-	for i := range events {
-		if events[i].T != want[i].Arrive || events[i].Tokens != want[i].Tokens {
-			t.Fatalf("event %d = %+v, want %+v", i, events[i], want[i])
-		}
 	}
 }
 

@@ -440,9 +440,7 @@ func (r CampaignRequest) configWith(pc *PlanCache) (campaign.Config, error) {
 		cfg.Autoscaler = &as
 	}
 	if r.Serve != nil {
-		if cfg.Serve, err = r.Serve.resolve(); err != nil {
-			return campaign.Config{}, campaign.NewValidationError(err)
-		}
+		cfg.Serve = &campaign.ServeConfig{Spec: *r.Serve}
 	}
 	if err := cfg.Validate(); err != nil {
 		return campaign.Config{}, err
@@ -505,33 +503,11 @@ func DecisionKinds() []decision.Kind { return decision.Kinds() }
 
 // FlipSpec names one replan decision to invert during a counterfactual
 // replay: at iteration Iter, force the verdict to Decision ("replan" or
-// "reuse") instead of whatever the policy decided.
-type FlipSpec struct {
-	Iter     int    `json:"iter"`
-	Decision string `json:"decision"`
-}
-
-// Validate checks the spec without running anything — the up-front
-// check zeppelind's replay endpoint uses to distinguish a malformed
+// "reuse") instead of whatever the policy decided — the engine's own
+// override. Its Validate checks it without running anything, the
+// up-front check zeppelind's replay endpoint uses to tell a malformed
 // flip (400) from a replay that failed to run (500).
-func (f FlipSpec) Validate() error {
-	_, err := f.flip()
-	return err
-}
-
-// flip resolves the spec onto the internal override.
-func (f FlipSpec) flip() (*campaign.Flip, error) {
-	if f.Iter < 0 {
-		return nil, fmt.Errorf("zeppelin: flip iter must be >= 0, got %d", f.Iter)
-	}
-	switch f.Decision {
-	case "replan":
-		return &campaign.Flip{Iter: f.Iter, Replan: true}, nil
-	case "reuse":
-		return &campaign.Flip{Iter: f.Iter, Replan: false}, nil
-	}
-	return nil, fmt.Errorf("zeppelin: unknown flip decision %q (want replan|reuse)", f.Decision)
-}
+type FlipSpec = campaign.Flip
 
 // ReplayRequest asks for a recorded campaign to be deterministically
 // re-run, optionally with exactly one replan decision flipped. With no
