@@ -15,6 +15,9 @@ func FuzzParse(f *testing.F) {
 	f.Add("")
 	f.Add("clients=-1")
 	f.Add("rate=1e309")
+	f.Add("arrival=gamma:cv=10,rate=20@0-4s")
+	f.Add("arrival=gamma:cv=0.1,rate=20@0-4s")
+	f.Add("arrival=weibull:shape=0.25,rate=20@0-4s")
 	f.Fuzz(func(t *testing.T, s string) {
 		spec, err := Parse(s)
 		if err != nil {

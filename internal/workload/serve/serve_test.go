@@ -88,6 +88,13 @@ func TestParseErrors(t *testing.T) {
 		"route=random",
 		"bogus=1",
 		"noequals",
+		"horizon=0s",
+		"horizon=-5s",
+		// Draws that would stop moving the stream clock.
+		"arrival=gamma:cv=11",
+		"arrival=gamma:cv=0.05",
+		"arrival=weibull:shape=0.001",
+		"rate=1000000000000@1000000-1000000.000001",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
@@ -272,58 +279,5 @@ func TestSpecName(t *testing.T) {
 	spec.CV = 2
 	if got := spec.Name(); got != "serve(2xgamma cv=2,2cls)" {
 		t.Errorf("Name = %q", got)
-	}
-}
-
-// TestWithDefaults: a zero field takes its default, a bare or absent
-// window spans the horizon, resolving twice changes nothing, and the
-// caller's Windows are copied, not written.
-func TestWithDefaults(t *testing.T) {
-	shared := []RateWindow{{Rate: 20}, {FromSec: 100, ToSec: 110, Rate: 5}}
-	spec := Spec{Windows: shared, HorizonSec: 90}.WithDefaults()
-	want := []RateWindow{{ToSec: 90, Rate: 20}, {FromSec: 100, ToSec: 110, Rate: 5}}
-	if !reflect.DeepEqual(spec.Windows, want) {
-		t.Fatalf("windows = %+v, want %+v", spec.Windows, want)
-	}
-	if shared[0].ToSec != 0 {
-		t.Fatalf("WithDefaults wrote into the caller's windows: %+v", shared)
-	}
-	if twice := spec.WithDefaults(); !reflect.DeepEqual(twice, spec) {
-		t.Fatalf("resolving twice changed the spec:\n%+v\n%+v", spec, twice)
-	}
-	absent := Spec{HorizonSec: 120}.WithDefaults()
-	if !reflect.DeepEqual(absent.Windows, []RateWindow{{ToSec: 120, Rate: 8}}) {
-		t.Fatalf("absent windows = %+v, want one 8 req/s window over the 120s horizon", absent.Windows)
-	}
-	if err := absent.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestValidateBoundsArrivals: a spec whose draws would stop moving the
-// stream clock (gaps below its float64 resolution, or bursts so heavy
-// that nearly every gap is zero) is rejected before it expands; the
-// bounds themselves expand.
-func TestValidateBoundsArrivals(t *testing.T) {
-	for _, bad := range []string{
-		"arrival=gamma:cv=11",
-		"arrival=gamma:cv=0.05",
-		"arrival=weibull:shape=0.001",
-		"rate=1000000000000@1000000-1000000.000001",
-		"horizon=0s",
-		"horizon=-5s",
-	} {
-		if _, err := Parse(bad); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", bad)
-		}
-	}
-	for _, ok := range []string{"arrival=gamma:cv=10", "arrival=gamma:cv=0.1", "arrival=weibull:shape=0.25"} {
-		spec, err := Parse(ok + ",rate=20@0-4s")
-		if err != nil {
-			t.Fatalf("Parse(%q) = %v", ok, err)
-		}
-		if _, err := spec.Timeline(rand.New(rand.NewSource(1))); err != nil {
-			t.Fatalf("%q: %v", ok, err)
-		}
 	}
 }

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"zeppelin/internal/campaign"
@@ -194,25 +192,9 @@ func TestServeSpecCLIMatchesWire(t *testing.T) {
 	}
 }
 
-// TestServeHorizonValidated: a horizon that is not finite and positive
-// is a validation error on the wire and in the grammar.
-func TestServeHorizonValidated(t *testing.T) {
-	for _, h := range []float64{-5, math.Inf(1)} {
-		req := CampaignRequest{Iters: 1, Serve: &ServeSpec{HorizonSec: h}}
-		if err := req.Validate(); !IsValidationError(err) || !strings.Contains(err.Error(), "horizon") {
-			t.Errorf("horizon_sec %v: Validate = %v, want a horizon validation error", h, err)
-		}
-	}
-	for _, text := range []string{"horizon=0s", "horizon=-5s", "rate=5@0-10s,horizon=-1s"} {
-		if _, err := ParseServeSpec(text); err == nil || !strings.Contains(err.Error(), "horizon") {
-			t.Errorf("%q: ParseServeSpec = %v, want a horizon error", text, err)
-		}
-	}
-}
-
 // TestCompareServeRoutesSharesNoDefaults: grid cells share the
-// request's Windows and Classes, so resolving one cell's defaults must
-// never write into them; -race sees a write while the cells run.
+// request's Windows and Classes, so resolving a cell's defaults, a bare
+// window's span included, must leave the request's spec as it was.
 func TestCompareServeRoutesSharesNoDefaults(t *testing.T) {
 	req := serveReq("balance")
 	spec := &ServeSpec{Clients: 3, Windows: []ServeWindow{{Rate: 30}}, HorizonSec: 4}
@@ -392,6 +374,8 @@ func TestServeRequestValidation(t *testing.T) {
 	badSpec.Serve = &ServeSpec{Clients: -1}
 	badTrace := serveReq("balance")
 	badTrace.Serve = &ServeSpec{Trace: []ServeTraceEvent{{T: 0, Class: "nope", Tokens: 64}}}
+	badHorizon := serveReq("balance")
+	badHorizon.Serve = &ServeSpec{HorizonSec: -5}
 
 	for name, req := range map[string]CampaignRequest{
 		"workload+serve":    withWorkload,
@@ -401,6 +385,7 @@ func TestServeRequestValidation(t *testing.T) {
 		"replan-cost+serve": withReplanCost,
 		"bad spec":          badSpec,
 		"unknown class":     badTrace,
+		"negative horizon":  badHorizon,
 	} {
 		_, err := RunCampaign(context.Background(), req)
 		if err == nil {
