@@ -10,7 +10,6 @@ package zeppelin_test
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -230,45 +229,39 @@ func capName(cf float64) string {
 }
 
 // ---------------------------------------------------------------------
-// Runner engine: the same (dataset × method × seed) grid executed on one
+// Runner pool: the same (dataset × method × seed) grid executed on one
 // worker vs the full pool. The parallel variant's ns/op over the serial
-// one is the engine's wall-clock speedup; results are bit-identical.
+// one is the pool's wall-clock speedup; results are bit-identical.
 // ---------------------------------------------------------------------
 
-func runnerGrid() []runner.Job {
-	var jobs []runner.Job
+func runnerBench(b *testing.B, workers int) {
+	type job struct {
+		cfg    trainer.Config
+		method trainer.Method
+		sample experiments.Sampler
+	}
+	var jobs []job
 	for _, d := range workload.Eval {
-		for mi, m := range experiments.Methods() {
+		for _, m := range experiments.Methods() {
 			for s := 0; s < 2; s++ {
-				jobs = append(jobs, runner.Job{
-					Key: fmt.Sprintf("%s/m%d/s%d", d.Name, mi, s),
-					Config: trainer.Config{
+				jobs = append(jobs, job{
+					cfg: trainer.Config{
 						Model: model.LLaMA7B, Spec: cluster.ClusterA, Nodes: 2,
 						TokensPerGPU: 4096, Seed: int64(1000 + 37*s),
 					},
-					Method:      m,
-					Sample:      d.Batch,
-					SamplerName: d.Name,
+					method: m,
+					sample: d.Batch,
 				})
 			}
 		}
 	}
-	return jobs
-}
-
-func runnerBench(b *testing.B, workers int) {
-	jobs := runnerGrid()
 	b.ReportMetric(float64(len(jobs)), "jobs")
 	for i := 0; i < b.N; i++ {
-		// A fresh engine each iteration: the memo cache would otherwise
-		// turn every iteration after the first into pure cache hits.
-		eng := runner.New(runner.Options{Workers: workers})
-		rs, err := eng.Run(context.Background(), jobs)
-		if err != nil {
+		if err := runner.ForEach(context.Background(), workers, len(jobs), func(j int) error {
+			_, err := trainer.Run(jobs[j].cfg, jobs[j].method, jobs[j].cfg.Batch(jobs[j].sample))
+			return err
+		}); err != nil {
 			b.Fatal(err)
-		}
-		if rs.Executed != len(jobs) {
-			b.Fatalf("executed %d of %d jobs", rs.Executed, len(jobs))
 		}
 	}
 }

@@ -209,9 +209,8 @@ replay flags:   -iters N  -seed N  -flip iter=N:decision=replan|reuse
 	flag.PrintDefaults()
 }
 
-// experimentCmd renders or JSON-emits one experiment (or `all`, which
-// shares one simulation engine across every figure so common cells
-// simulate once).
+// experimentCmd renders or JSON-emits one experiment, or `all` of them
+// in paper order.
 func experimentCmd(w io.Writer, name string, opts zeppelin.Options, jsonOut bool) error {
 	ctx := context.Background()
 	if !jsonOut {

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -489,5 +490,33 @@ func TestLoadgenAgainstRealDaemon(t *testing.T) {
 	}
 	if art := rep.Benchfmt(); art.Get("BenchmarkLoadgenPlan") == nil {
 		t.Fatal("benchfmt artifact missing the gateable plan series")
+	}
+}
+
+// TestCheckFlags: every flag value main exits 2 with usage on, among
+// them a non-finite admission rate, which would otherwise leave its
+// class answering 429 to every request once its bucket turns NaN.
+func TestCheckFlags(t *testing.T) {
+	if err := checkFlags(testConfig()); err != nil {
+		t.Fatalf("default test config rejected: %v", err)
+	}
+	cases := map[string]func(*serverConfig){
+		"-workers 0":     func(c *serverConfig) { c.workers = 0 },
+		"-seeds 0":       func(c *serverConfig) { c.seeds = 0 },
+		"-plan-cache -1": func(c *serverConfig) { c.planCacheEntries = -1 },
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cases[fmt.Sprintf("-rate %v", v)] = func(c *serverConfig) { c.rate = v }
+		cases[fmt.Sprintf("-plan-rate %v", v)] = func(c *serverConfig) { c.planRate = v }
+		cases[fmt.Sprintf("-campaign-rate %v", v)] = func(c *serverConfig) { c.campaignRate = v }
+		cases[fmt.Sprintf("-experiment-rate %v", v)] = func(c *serverConfig) { c.experimentRate = v }
+	}
+	for name, set := range cases {
+		cfg := testConfig()
+		set(&cfg)
+		err := checkFlags(cfg)
+		if flagName, _, _ := strings.Cut(name, " "); err == nil || !strings.Contains(err.Error(), flagName) {
+			t.Errorf("%s: err = %v, want a rejection naming %s", name, err, flagName)
+		}
 	}
 }

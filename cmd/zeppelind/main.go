@@ -60,7 +60,7 @@
 // 429 ("rate_limited") carrying a Retry-After header before any
 // simulation work happens. -plan-rate/-campaign-rate/-experiment-rate
 // override -rate per class (negative means unlimited). The default
-// -rate 0 disables admission control.
+// -rate 0 disables admission control. Every rate must be finite.
 //
 // -plan-cache N (default 256, 0 to disable) shares an N-entry exact
 // plan cache across all plan requests and campaign sessions: identical
@@ -80,9 +80,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -112,16 +114,6 @@ func main() {
 		enc.Encode(zeppelin.Version()) //nolint:errcheck
 		return
 	}
-	if *workers < 1 || *seeds < 1 {
-		fmt.Fprintln(os.Stderr, "zeppelind: -workers and -seeds must be >= 1")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *planCache < 0 {
-		fmt.Fprintln(os.Stderr, "zeppelind: -plan-cache must be >= 0")
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	cfg := serverConfig{
 		workers:          *workers,
@@ -132,6 +124,11 @@ func main() {
 		campaignRate:     *campaignRate,
 		experimentRate:   *experimentRate,
 		planCacheEntries: *planCache,
+	}
+	if err := checkFlags(cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "zeppelind:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	if *decisionLog != "" {
 		f, err := os.OpenFile(*decisionLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -162,4 +159,32 @@ func main() {
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}
+}
+
+// checkFlags rejects the flag values main exits with usage on. A
+// non-finite admission rate is one: a NaN rate turns its bucket's token
+// count into NaN on the first refill, and an infinite one the first time
+// two requests share a clock reading, after which the class answers 429
+// to every request.
+func checkFlags(cfg serverConfig) error {
+	if cfg.workers < 1 || cfg.seeds < 1 {
+		return errors.New("-workers and -seeds must be >= 1")
+	}
+	if cfg.planCacheEntries < 0 {
+		return errors.New("-plan-cache must be >= 0")
+	}
+	for _, r := range []struct {
+		flag string
+		rate float64
+	}{
+		{"-rate", cfg.rate},
+		{"-plan-rate", cfg.planRate},
+		{"-campaign-rate", cfg.campaignRate},
+		{"-experiment-rate", cfg.experimentRate},
+	} {
+		if math.IsNaN(r.rate) || math.IsInf(r.rate, 0) {
+			return fmt.Errorf("%s must be finite, got %v", r.flag, r.rate)
+		}
+	}
+	return nil
 }

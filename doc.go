@@ -89,9 +89,10 @@
 //
 //   - internal/trainer    — end-to-end iteration simulation
 //
-//   - internal/runner     — concurrent, memoizing experiment engine;
-//     grids and fan-outs honor context cancellation without leaking
-//     pool workers
+//   - internal/runner     — ForEach, the bounded worker pool every
+//     experiment grid, campaign grid and tune generation fans out
+//     through, bit-identical at every worker count; it honors context
+//     cancellation without leaking pool workers
 //
 //   - internal/campaign   — streaming multi-iteration campaigns: arrival
 //     processes, online re-planning policies, the queue-depth/utilization

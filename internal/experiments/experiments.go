@@ -26,11 +26,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 
 	"zeppelin/internal/baselines"
 	"zeppelin/internal/cluster"
 	"zeppelin/internal/model"
 	"zeppelin/internal/runner"
+	"zeppelin/internal/seq"
 	"zeppelin/internal/trainer"
 	"zeppelin/internal/workload"
 	"zeppelin/internal/zeppelin"
@@ -38,7 +40,7 @@ import (
 
 // Sampler builds a batch for a token budget; workload.Dataset.Batch,
 // workload.SkewedBatch and workload.BalancedBatch all satisfy it.
-type Sampler = runner.Sampler
+type Sampler func(totalTokens int, rng *rand.Rand) []seq.Sequence
 
 // Methods returns the paper's four compared systems in Fig. 8 order.
 func Methods() []trainer.Method {
@@ -65,10 +67,6 @@ type Options struct {
 	// Workers bounds the simulation pool; <= 0 selects GOMAXPROCS.
 	// Results are identical for every worker count.
 	Workers int
-	// Engine, when set, executes the grid instead of a fresh engine —
-	// sharing one engine across figures memoizes cells they have in
-	// common (cmd/zeppelin's `all` does this).
-	Engine *runner.Engine
 	// Ctx, when set, bounds every grid fan-out of the experiment:
 	// cancellation stops the pool between jobs and the experiment
 	// returns ctx.Err(). Nil means Background (run to completion).
@@ -89,23 +87,6 @@ func (o Options) normalized() Options {
 		o.Seeds = 3
 	}
 	return o
-}
-
-// engine returns the shared engine or builds one for this grid.
-func (o Options) engine() *runner.Engine {
-	if o.Engine != nil {
-		return o.Engine
-	}
-	return runner.New(runner.Options{Workers: o.Workers})
-}
-
-// workers is the effective pool bound: a shared engine's resolved size
-// wins so every fan-out in a figure honors the same cap.
-func (o Options) workers() int {
-	if o.Engine != nil {
-		return o.Engine.Workers()
-	}
-	return o.Workers
 }
 
 // Cell identifies one throughput measurement configuration.
@@ -135,66 +116,73 @@ func (c Cell) Config(seed int64) trainer.Config {
 // campaigns and fig13 stream identical per-seed batches.
 func SeedValue(s int) int64 { return int64(1000 + 37*s) }
 
-// grid accumulates the (cell × method × seed) jobs of one figure and
-// remembers which job keys average into which reported mean.
+// grid accumulates the (cell × method × seed) simulations of one
+// figure, one group per reported mean.
 type grid struct {
-	jobs   []runner.Job
-	groups map[string][]string
+	groups []group
 }
 
-// add registers `seeds` jobs for one (cell, sampler, method) mean under
-// a group key. The sampler name feeds the runner's memo hash, so the
-// same cell appearing in two figures simulates once per engine.
-func (g *grid) add(group string, cell Cell, sample Sampler, samplerName string, m trainer.Method, seeds int) {
-	if seeds <= 0 {
-		seeds = 1
-	}
-	if g.groups == nil {
-		g.groups = make(map[string][]string)
-	}
-	for s := 0; s < seeds; s++ {
-		key := fmt.Sprintf("%s/s%d", group, s)
-		g.jobs = append(g.jobs, runner.Job{
-			Key:         key,
-			Config:      cell.Config(SeedValue(s)),
-			Method:      m,
-			Sample:      sample,
-			SamplerName: samplerName,
-		})
-		g.groups[group] = append(g.groups[group], key)
-	}
+// group is one seed-averaged mean: a cell sampled at `seeds` seeds and
+// planned by one method.
+type group struct {
+	key    string
+	cell   Cell
+	sample Sampler
+	method trainer.Method
+	seeds  int
 }
 
-// run executes the grid under ctx and returns per-group seed-averaged
-// throughput.
-// A group key that did not resolve to a result is an error, so drift
-// between a figure's grid-build loop and its readback loop fails loudly
-// instead of publishing zeros.
-func (g *grid) run(ctx context.Context, eng *runner.Engine) (map[string]float64, error) {
-	rs, err := eng.Run(ctx, g.jobs)
+// add registers one (cell, sampler, method) mean under a group key.
+func (g *grid) add(key string, cell Cell, sample Sampler, m trainer.Method, seeds int) {
+	g.groups = append(g.groups, group{key: key, cell: cell, sample: sample, method: m, seeds: max(seeds, 1)})
+}
+
+// run simulates every (group, seed) job across a pool of `workers` and
+// returns each group's throughput averaged in seed order. The error is
+// the failure of the earliest job in add order, named by its key.
+func (g *grid) run(ctx context.Context, workers int) (map[string]float64, error) {
+	type job struct{ group, seed int }
+	var jobs []job
+	for gi, gr := range g.groups {
+		for s := 0; s < gr.seeds; s++ {
+			jobs = append(jobs, job{gi, s})
+		}
+	}
+	tput := make([]float64, len(jobs))
+	err := runner.ForEach(ctx, workers, len(jobs), func(i int) error {
+		gr := &g.groups[jobs[i].group]
+		cfg := gr.cell.Config(SeedValue(jobs[i].seed))
+		res, err := trainer.Run(cfg, gr.method, cfg.Batch(gr.sample))
+		if err != nil {
+			return fmt.Errorf("experiments: job %q: %w", fmt.Sprintf("%s/s%d", gr.key, jobs[i].seed), err)
+		}
+		tput[i] = res.TokensPerSec
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]float64, len(g.groups))
-	for group, keys := range g.groups {
-		for _, k := range keys {
-			if rs.Get(k) == nil {
-				return nil, fmt.Errorf("experiments: group %q: no result for job %q", group, k)
-			}
+	means := make(map[string]float64, len(g.groups))
+	next := 0
+	for _, gr := range g.groups {
+		var sum float64
+		for _, t := range tput[next : next+gr.seeds] {
+			sum += t
 		}
-		out[group] = rs.MeanTokensPerSec(keys...)
+		next += gr.seeds
+		means[gr.key] = sum / float64(gr.seeds)
 	}
-	return out, nil
+	return means, nil
 }
 
 // MeanThroughput runs a method on `seeds` independently sampled batches
 // and returns the average tokens/second. It is the single-cell
-// convenience wrapper over the runner; figures submit whole grids
+// convenience wrapper over the grid; figures submit whole grids
 // instead so cells fan out across the pool.
 func MeanThroughput(ctx context.Context, cell Cell, sample Sampler, m trainer.Method, seeds int) (float64, error) {
 	var g grid
-	g.add("cell", cell, sample, "", m, seeds)
-	means, err := g.run(ctx, runner.New(runner.Options{Workers: 1}))
+	g.add("cell", cell, sample, m, seeds)
+	means, err := g.run(ctx, 1)
 	if err != nil {
 		return 0, err
 	}

@@ -39,6 +39,29 @@ func TestMeanThroughputAveragesSeeds(t *testing.T) {
 	}
 }
 
+// TestErrorPropagation checks that a failing cell surfaces its error
+// wrapped with the job key, and that the reported failure is the
+// earliest added one regardless of pool timing.
+func TestErrorPropagation(t *testing.T) {
+	ok := Cell{Model: model.LLaMA3B, Spec: cluster.ClusterA, Nodes: 1, TP: 1, TokensPerGPU: 1024}
+	bad, bad2 := ok, ok
+	bad.Nodes = 0 // fails Validate
+	bad2.TP = 3   // does not divide GPUs per node
+	var g grid
+	g.add("ok", ok, workload.ArXiv.Batch, Methods()[0], 1)
+	g.add("bad-early", bad, workload.ArXiv.Batch, Methods()[0], 1)
+	g.add("bad-late", bad2, workload.ArXiv.Batch, Methods()[0], 1)
+	for _, workers := range []int{1, 8} {
+		_, err := g.run(context.Background(), workers)
+		if err == nil {
+			t.Fatalf("workers=%d: grid with invalid cell must fail", workers)
+		}
+		if !strings.Contains(err.Error(), `"bad-early/s0"`) {
+			t.Fatalf("workers=%d: err = %v, want the earliest failing key", workers, err)
+		}
+	}
+}
+
 func TestFig1CoversAllDatasets(t *testing.T) {
 	rs := Fig1()
 	if len(rs) != len(workload.All) {

@@ -31,11 +31,11 @@ func Fig10(opts Options) ([]Fig10Row, error) {
 				TokensPerGPU: (128 << 10) / 32,
 			}
 			for _, m := range Methods() {
-				g.add(key(spec.Name, d.Name, m.Name()), cell, d.Batch, d.Name, m, opts.Seeds)
+				g.add(key(spec.Name, d.Name, m.Name()), cell, d.Batch, m, opts.Seeds)
 			}
 		}
 	}
-	means, err := g.run(opts.ctx(), opts.engine())
+	means, err := g.run(opts.ctx(), opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("fig10: %w", err)
 	}

@@ -48,10 +48,10 @@ func Fig11(opts Options) ([]Fig11Row, error) {
 	}
 	for _, d := range evalDatasets() {
 		for _, v := range Fig11Variants() {
-			g.add(key(d.Name, v.Label), cell, d.Batch, d.Name, v.Method, opts.Seeds)
+			g.add(key(d.Name, v.Label), cell, d.Batch, v.Method, opts.Seeds)
 		}
 	}
-	means, err := g.run(opts.ctx(), opts.engine())
+	means, err := g.run(opts.ctx(), opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("fig11: %w", err)
 	}

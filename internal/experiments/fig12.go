@@ -75,7 +75,7 @@ type Fig12Traced struct {
 func Fig12Traces(opts Options) ([]Fig12Traced, error) {
 	scenarios := Fig12Scenarios()
 	out := make([]Fig12Traced, len(scenarios))
-	if err := runner.ForEach(opts.ctx(), opts.workers(), len(scenarios), func(i int) error {
+	if err := runner.ForEach(opts.ctx(), opts.Workers, len(scenarios), func(i int) error {
 		events, err := Fig12Trace(scenarios[i])
 		if err != nil {
 			return fmt.Errorf("fig12 %q: %w", scenarios[i].Title, err)

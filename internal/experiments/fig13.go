@@ -121,7 +121,7 @@ func Fig13(opts Options) (*Fig13Result, error) {
 			})
 		}
 	}
-	reports, err := campaign.RunGrid(opts.ctx(), cfgs, opts.workers())
+	reports, err := campaign.RunGrid(opts.ctx(), cfgs, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("fig13: %w", err)
 	}

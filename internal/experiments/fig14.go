@@ -110,7 +110,7 @@ func Fig14(opts Options) (*Fig14Result, error) {
 			}
 		}
 	}
-	reports, err := campaign.RunGrid(opts.ctx(), cfgs, opts.workers())
+	reports, err := campaign.RunGrid(opts.ctx(), cfgs, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("fig14: %w", err)
 	}

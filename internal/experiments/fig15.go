@@ -143,7 +143,7 @@ func churnBatch(batch []seq.Sequence, rng *rand.Rand, frac float64, nextID int) 
 func Fig15(opts Options) (*Fig15Result, error) {
 	opts = opts.normalized()
 	streams := make([][][]seq.Sequence, len(Fig15Ranks))
-	err := runner.ForEach(opts.ctx(), opts.workers(), len(Fig15Ranks), func(i int) error {
+	err := runner.ForEach(opts.ctx(), opts.Workers, len(Fig15Ranks), func(i int) error {
 		streams[i] = Fig15Stream(Fig15Ranks[i], Fig15Iters)
 		return nil
 	})

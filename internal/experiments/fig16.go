@@ -86,7 +86,7 @@ func Fig16(opts Options) (*Fig16Result, error) {
 			})
 		}
 	}
-	reports, err := campaign.RunGrid(opts.ctx(), cfgs, opts.workers())
+	reports, err := campaign.RunGrid(opts.ctx(), cfgs, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("fig16: %w", err)
 	}

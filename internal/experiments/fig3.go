@@ -172,7 +172,7 @@ const fig3Batches = 50
 func Fig3All(opts Options) ([]Fig3Pair, error) {
 	n := len(workload.All)
 	out := make([]Fig3Pair, n)
-	if err := runner.ForEach(opts.ctx(), opts.workers(), 2*n, func(i int) error {
+	if err := runner.ForEach(opts.ctx(), opts.Workers, 2*n, func(i int) error {
 		d := workload.All[i%n]
 		if i < n {
 			out[i].Dataset = d.Name

@@ -63,11 +63,11 @@ func Fig8(opts Options) ([]Fig8Panel, error) {
 	for _, cell := range cells {
 		for _, d := range evalDatasets() {
 			for _, m := range methods {
-				g.add(key(cell, d.Name, m.Name()), cell, d.Batch, d.Name, m, opts.Seeds)
+				g.add(key(cell, d.Name, m.Name()), cell, d.Batch, m, opts.Seeds)
 			}
 		}
 	}
-	means, err := g.run(opts.ctx(), opts.engine())
+	means, err := g.run(opts.ctx(), opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("fig8: %w", err)
 	}

@@ -35,11 +35,11 @@ func Fig9(opts Options) ([]Fig9Series, error) {
 					Model: model.LLaMA3B, Spec: cluster.ClusterA,
 					Nodes: gpus / 8, TP: 1, TokensPerGPU: 4096,
 				}
-				g.add(key(d.Name, m.Name(), gpus), cell, d.Batch, d.Name, m, opts.Seeds)
+				g.add(key(d.Name, m.Name(), gpus), cell, d.Batch, m, opts.Seeds)
 			}
 		}
 	}
-	means, err := g.run(opts.ctx(), opts.engine())
+	means, err := g.run(opts.ctx(), opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("fig9: %w", err)
 	}

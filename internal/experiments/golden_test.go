@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-
-	"zeppelin/internal/runner"
 )
 
 // The golden values below pin the regenerated paper numbers of this
@@ -105,35 +103,6 @@ func TestExperimentsSerialParallelIdentical(t *testing.T) {
 			if serial[i].Tput[j] != parallel[i].Tput[j] {
 				t.Errorf("%s/%s: serial %v != parallel %v",
 					serial[i].Dataset, serial[i].Labels[j], serial[i].Tput[j], parallel[i].Tput[j])
-			}
-		}
-	}
-}
-
-// TestSharedEngineMemoizesAcrossFigures re-runs a figure on one engine
-// and checks the second pass is served entirely from the memo cache.
-func TestSharedEngineMemoizesAcrossFigures(t *testing.T) {
-	eng := runner.New(runner.Options{})
-	opts := Options{Seeds: 1, Engine: eng}
-	first, err := Fig11(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := eng.CacheSize()
-	if size == 0 {
-		t.Fatal("figure run must populate the engine cache")
-	}
-	second, err := Fig11(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.CacheSize() != size {
-		t.Fatalf("second pass simulated new cells: cache %d -> %d", size, eng.CacheSize())
-	}
-	for i := range first {
-		for j := range first[i].Tput {
-			if first[i].Tput[j] != second[i].Tput[j] {
-				t.Errorf("memoized rerun diverged at %s/%s", first[i].Dataset, first[i].Labels[j])
 			}
 		}
 	}

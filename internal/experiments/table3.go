@@ -33,7 +33,7 @@ type Table3Column struct {
 func Table3() ([]Table3Column, error) { return Table3Opts(Options{}) }
 
 // Table3Opts is Table3 with an explicit execution configuration; both
-// distributions run concurrently through the runner.
+// distributions run concurrently through runner.ForEach.
 func Table3Opts(opts Options) ([]Table3Column, error) {
 	cfg := trainer.Config{
 		Model: model.LLaMA7B, Spec: cluster.ClusterC, Nodes: 4, TP: 1,
@@ -46,23 +46,21 @@ func Table3Opts(opts Options) ([]Table3Column, error) {
 		{"Balanced", workload.BalancedBatch},
 		{"Skewed", workload.SkewedBatch},
 	}
-	var jobs []runner.Job
-	for _, sp := range samplers {
-		jobs = append(jobs, runner.Job{
-			Key:         "table3/" + sp.name,
-			Config:      cfg,
-			Method:      zeppelin.Full(),
-			Sample:      sp.s,
-			SamplerName: sp.name,
-		})
-	}
-	rs, err := opts.engine().Run(opts.ctx(), jobs)
+	results := make([]*trainer.Result, len(samplers))
+	err := runner.ForEach(opts.ctx(), opts.Workers, len(samplers), func(i int) error {
+		res, err := trainer.Run(cfg, zeppelin.Full(), cfg.Batch(samplers[i].s))
+		if err != nil {
+			return fmt.Errorf("%s: %w", samplers[i].name, err)
+		}
+		results[i] = res
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("table3: %w", err)
 	}
 	var out []Table3Column
-	for _, sp := range samplers {
-		res := rs.Get("table3/" + sp.name)
+	for i, sp := range samplers {
+		res := results[i]
 		layers := float64(cfg.Model.Layers)
 		col := Table3Column{Distribution: sp.name}
 		col.ForwardAttn = rankRange(res.PerRankPhase[trainer.PhaseAttnFwd], layers)
@@ -106,8 +104,8 @@ func rankRange(perRank []float64, layers float64) Table3Range {
 	return r
 }
 
-// RenderTable3 renders already-computed columns (cmd/zeppelin computes
-// them with its own engine, then renders here).
+// RenderTable3 renders already-computed columns (Table3Opts computes
+// them).
 func RenderTable3(w io.Writer, cols []Table3Column) error {
 	fmt.Fprintln(w, "Table 3: per-component cost ranges across ranks (ms), 7B, 128k, 4 Cluster C nodes")
 	fmt.Fprintf(w, "%-30s", "Components (ms)")

@@ -7,36 +7,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"zeppelin/internal/baselines"
 )
-
-// TestRunReturnsContextErrorPromptly: a pre-cancelled context never
-// starts a job and surfaces ctx.Err() as the run's error.
-func TestRunReturnsContextErrorPromptly(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	eng := New(Options{Workers: 2})
-	jobs := make([]Job, 16)
-	for i := range jobs {
-		// The method never runs — the context is already cancelled.
-		jobs[i] = quickJob(string(rune('a'+i)), int64(i), baselines.TECP{})
-	}
-	rs, err := eng.Run(ctx, jobs)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Run error = %v, want context.Canceled", err)
-	}
-	if rs != nil {
-		t.Fatalf("cancelled Run must not return a result set, got %+v", rs)
-	}
-	if eng.CacheSize() != 0 {
-		t.Fatalf("cancelled Run executed %d jobs before starting", eng.CacheSize())
-	}
-}
 
 // TestRunStopsMidGridOnCancel: cancelling while the grid is in flight
 // stops the remaining jobs — the executed count stays well below the
-// grid size — and Run reports the context error.
+// grid size — and ForEach reports the context error.
 func TestRunStopsMidGridOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -4,37 +4,69 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"zeppelin/internal/baselines"
 	"zeppelin/internal/cluster"
 	"zeppelin/internal/model"
+	"zeppelin/internal/seq"
 	"zeppelin/internal/trainer"
 	"zeppelin/internal/workload"
+	"zeppelin/internal/zeppelin"
 )
 
-// quickCfg is a one-node cell small enough that a full grid of it stays
-// fast under -race.
-func quickCfg(seed int64) trainer.Config {
-	return trainer.Config{
-		Model: model.LLaMA3B, Spec: cluster.ClusterA, Nodes: 1, TP: 1,
-		TokensPerGPU: 1024, Seed: seed,
+// TestSerialParallelDeterminism is the pool's acceptance criterion: a
+// (dataset × method × seed) grid of simulations must produce
+// bit-identical trainer.Results on one worker and on a saturated pool.
+func TestSerialParallelDeterminism(t *testing.T) {
+	type job struct {
+		cfg    trainer.Config
+		method trainer.Method
+		sample func(int, *rand.Rand) []seq.Sequence
+	}
+	var jobs []job
+	for _, d := range []workload.Dataset{workload.ArXiv, workload.GitHub} {
+		for _, m := range []trainer.Method{baselines.TECP{}, baselines.HybridDP{}, zeppelin.Full()} {
+			for s := 0; s < 3; s++ {
+				jobs = append(jobs, job{
+					cfg: trainer.Config{
+						Model: model.LLaMA3B, Spec: cluster.ClusterA, Nodes: 1, TP: 1,
+						TokensPerGPU: 1024, Seed: int64(1000 + 37*s),
+					},
+					method: m,
+					sample: d.Batch,
+				})
+			}
+		}
+	}
+	run := func(workers int) []*trainer.Result {
+		out := make([]*trainer.Result, len(jobs))
+		if err := ForEach(context.Background(), workers, len(jobs), func(i int) error {
+			var err error
+			out[i], err = trainer.Run(jobs[i].cfg, jobs[i].method, jobs[i].cfg.Batch(jobs[i].sample))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	serial, parallel := run(1), run(2*runtime.GOMAXPROCS(0))
+	for i := range jobs {
+		if serial[i] == nil || !reflect.DeepEqual(serial[i], parallel[i]) {
+			t.Fatalf("job %d: serial and parallel results differ:\n%+v\nvs\n%+v", i, serial[i], parallel[i])
+		}
 	}
 }
 
-func quickJob(key string, seed int64, m trainer.Method) Job {
-	return Job{
-		Key:         key,
-		Config:      quickCfg(seed),
-		Method:      m,
-		Sample:      workload.ArXiv.Batch,
-		SamplerName: workload.ArXiv.Name,
-	}
-}
-
+// TestPoolSizing: the pool runs exactly `want` calls at once — a
+// non-positive worker count selects GOMAXPROCS — and every index once.
 func TestPoolSizing(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -47,131 +79,45 @@ func TestPoolSizing(t *testing.T) {
 		{"explicit", 7, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := New(Options{Workers: tc.workers}).Workers(); got != tc.want {
-				t.Fatalf("Workers() = %d, want %d", got, tc.want)
+			n := 3 * tc.want
+			var inflight, peak atomic.Int32
+			runs := make([]atomic.Int32, n)
+			full := make(chan struct{}) // closed once want calls are in flight
+			var once sync.Once
+			deadline, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			err := ForEach(context.Background(), tc.workers, n, func(i int) error {
+				cur := inflight.Add(1)
+				defer inflight.Add(-1)
+				for {
+					p := peak.Load()
+					if cur <= p || peak.CompareAndSwap(p, cur) {
+						break
+					}
+				}
+				if cur == int32(tc.want) {
+					once.Do(func() { close(full) })
+				}
+				runs[i].Add(1)
+				select {
+				case <-full:
+					return nil
+				case <-deadline.Done():
+					return fmt.Errorf("index %d: the pool never ran %d calls at once", i, tc.want)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := peak.Load(); p != int32(tc.want) {
+				t.Fatalf("peak in-flight calls = %d, want %d", p, tc.want)
+			}
+			for i := range runs {
+				if c := runs[i].Load(); c != 1 {
+					t.Fatalf("index %d ran %d times", i, c)
+				}
 			}
 		})
-	}
-}
-
-func TestRunCollectsEveryJob(t *testing.T) {
-	var jobs []Job
-	for s := 0; s < 6; s++ {
-		jobs = append(jobs, quickJob(fmt.Sprintf("s%d", s), int64(100+s), baselines.TECP{}))
-	}
-	rs, err := New(Options{Workers: 4}).Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range jobs {
-		if rs.TokensPerSec(j.Key) <= 0 {
-			t.Fatalf("%s: missing or non-positive throughput", j.Key)
-		}
-	}
-	if rs.Executed != 6 || rs.CacheHits != 0 {
-		t.Fatalf("executed=%d cacheHits=%d, want 6/0", rs.Executed, rs.CacheHits)
-	}
-}
-
-func TestJobValidation(t *testing.T) {
-	eng := New(Options{})
-	for _, tc := range []struct {
-		name string
-		jobs []Job
-		want string
-	}{
-		{"empty key", []Job{{Method: baselines.TECP{}, Sample: workload.ArXiv.Batch}}, "empty key"},
-		{"duplicate key", []Job{quickJob("a", 1, baselines.TECP{}), quickJob("a", 2, baselines.TECP{})}, "duplicate"},
-		{"nil method", []Job{{Key: "a", Sample: workload.ArXiv.Batch}}, "no method"},
-		{"nil sampler", []Job{{Key: "a", Method: baselines.TECP{}}}, "no sampler"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := eng.Run(context.Background(), tc.jobs); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want substring %q", err, tc.want)
-			}
-		})
-	}
-}
-
-// TestErrorPropagation checks that a failing cell surfaces its error
-// wrapped with the job key, that the reported failure is the earliest
-// submitted one regardless of pool timing, and that healthy cells in the
-// same grid still ran.
-func TestErrorPropagation(t *testing.T) {
-	bad := quickJob("bad-early", 1, baselines.TECP{})
-	bad.Config.Nodes = 0 // fails Validate
-	bad2 := quickJob("bad-late", 2, baselines.TECP{})
-	bad2.Config.TP = 3 // does not divide GPUs per node
-	jobs := []Job{quickJob("ok", 3, baselines.TECP{}), bad, bad2}
-	for _, workers := range []int{1, 8} {
-		_, err := New(Options{Workers: workers}).Run(context.Background(), jobs)
-		if err == nil {
-			t.Fatalf("workers=%d: grid with invalid cell must fail", workers)
-		}
-		if !strings.Contains(err.Error(), `"bad-early"`) {
-			t.Fatalf("workers=%d: err = %v, want the earliest failing key", workers, err)
-		}
-	}
-}
-
-func TestCacheHits(t *testing.T) {
-	eng := New(Options{Workers: 4})
-	// A baseline method; determinism_ext_test.go covers the full method.
-	same := func(key string) Job { return quickJob(key, 42, baselines.HybridDP{}) }
-	rs, err := eng.Run(context.Background(), []Job{same("a"), same("b"), quickJob("c", 43, baselines.HybridDP{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Executed != 2 || rs.CacheHits != 1 {
-		t.Fatalf("executed=%d cacheHits=%d, want 2/1", rs.Executed, rs.CacheHits)
-	}
-	if rs.Get("a") != rs.Get("b") {
-		t.Fatal("memoized duplicate must share the leader's result")
-	}
-	if rs.Get("a") == rs.Get("c") {
-		t.Fatal("different seeds must not share a result")
-	}
-
-	// A second Run on the same engine hits the persistent cache.
-	rs2, err := eng.Run(context.Background(), []Job{same("again")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs2.Executed != 0 || rs2.CacheHits != 1 {
-		t.Fatalf("cross-run: executed=%d cacheHits=%d, want 0/1", rs2.Executed, rs2.CacheHits)
-	}
-	if eng.CacheSize() != 2 {
-		t.Fatalf("cache size = %d, want 2", eng.CacheSize())
-	}
-}
-
-// TestMethodFieldsKeepDistinctCacheEntries guards the hash against the
-// display-name trap: TECP{} and TECP{Routed: true} share Name() but are
-// different methods and must not be memoized together.
-func TestMethodFieldsKeepDistinctCacheEntries(t *testing.T) {
-	rs, err := New(Options{}).Run(context.Background(), []Job{
-		quickJob("plain", 7, baselines.TECP{}),
-		quickJob("routed", 7, baselines.TECP{Routed: true}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.CacheHits != 0 {
-		t.Fatal("methods differing only in fields must not share cache entries")
-	}
-}
-
-func TestAnonymousSamplersNeverMemoize(t *testing.T) {
-	eng := New(Options{})
-	j1, j2 := quickJob("a", 5, baselines.TECP{}), quickJob("b", 5, baselines.TECP{})
-	j1.SamplerName, j2.SamplerName = "", ""
-	rs, err := eng.Run(context.Background(), []Job{j1, j2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Executed != 2 || rs.CacheHits != 0 || eng.CacheSize() != 0 {
-		t.Fatalf("anonymous samplers memoized: executed=%d hits=%d cache=%d",
-			rs.Executed, rs.CacheHits, eng.CacheSize())
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -18,6 +19,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("arrival=gamma:cv=10,rate=20@0-4s")
 	f.Add("arrival=gamma:cv=0.1,rate=20@0-4s")
 	f.Add("arrival=weibull:shape=0.25,rate=20@0-4s")
+	f.Add("clients=10000,rate=100@0-1s,arrival=gamma:cv=10")
 	f.Fuzz(func(t *testing.T, s string) {
 		spec, err := Parse(s)
 		if err != nil {
@@ -26,16 +28,14 @@ func FuzzParse(f *testing.F) {
 		if verr := spec.Validate(); verr != nil {
 			t.Fatalf("Parse(%q) accepted a spec that fails Validate: %v", s, verr)
 		}
-		// Keep the expansion bounded: cap the horizon so a fuzzed
-		// "rate=1000@0-10000s" doesn't allocate millions of requests.
-		total := 0.0
-		for _, w := range spec.Windows {
-			total += w.Rate * (w.ToSec - w.FromSec)
-		}
-		if total > 50000 {
+		// Expand at most 50,000 requests: the expected count does not
+		// bound what a bursty process restarted at every window start
+		// generates, and a fuzzed "rate=1000@0-10000s" must not
+		// allocate millions of requests.
+		reqs, terr := spec.timeline(rand.New(rand.NewSource(1)), 50_000)
+		if errors.Is(terr, ErrTooManyRequests) {
 			return
 		}
-		reqs, terr := spec.Timeline(rand.New(rand.NewSource(1)))
 		if terr != nil {
 			t.Fatalf("Parse(%q) accepted a spec whose Timeline fails: %v", s, terr)
 		}

@@ -6,13 +6,14 @@
 // (package kv: "clients=3,arrival=gamma:cv=2.0,rate=50@0-60s;120@60-300s,
 // slo=interactive:p99=200ms") or as JSON, the wire form, where a zero
 // field selects its default; either way it expands deterministically
-// into a timestamped request timeline of about MaxRequests requests at
-// most. A spec may instead carry a recorded timeline (trace-replay v2),
-// which round-trips through NDJSON.
+// into a timestamped request timeline of at most 2 × MaxRequests
+// requests. A spec may instead carry a recorded timeline (trace-replay
+// v2), which round-trips through NDJSON.
 package serve
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -76,7 +77,8 @@ var (
 
 // MaxRequests bounds what one spec may ask for: its client count, and
 // the request count its windows expect, Σ rate × (To − From). Timeline
-// holds the whole request list in memory (about 265 B a request).
+// holds the whole request list in memory (about 265 B a request) and
+// stops past 2 × MaxRequests generated requests (ErrTooManyRequests).
 const MaxRequests = 1_000_000
 
 // Spec is a ServeGen-style multi-client workload description, and the
@@ -430,14 +432,30 @@ func (s *Spec) Name() string {
 	return fmt.Sprintf("serve(%dx%s,%dcls)", s.Clients, proc, len(s.Classes))
 }
 
+// ErrTooManyRequests is the error Timeline stops with once a spec has
+// generated more than 2 × MaxRequests requests. Validate bounds only the
+// expected count: every client restarts its renewal process at each
+// window start, so a bursty process can overshoot that expectation by
+// orders of magnitude when each client expects few requests. The factor
+// 2 keeps a Poisson spec at the ceiling (standard deviation about 1,000)
+// far from the bound.
+var ErrTooManyRequests = errors.New("serve: spec generates too many requests")
+
 // Timeline expands the spec into an arrival-ordered request stream, or
 // replays its Trace (see replay). Each client draws its own
 // inter-arrival process at rate/Clients, resetting at window
 // boundaries; request lengths come from the dataset distribution, and
 // each request joins one of the client's sessions with a shared prefix
 // of Prefix×Tokens tokens. All draws come sequentially from rng — same
-// seed, same timeline, bit for bit.
+// seed, same timeline, bit for bit. A spec that generates more than
+// 2 × MaxRequests requests fails with ErrTooManyRequests.
 func (s *Spec) Timeline(rng *rand.Rand) ([]Request, error) {
+	return s.timeline(rng, 2*MaxRequests)
+}
+
+// timeline is Timeline with the bound on generated requests as an
+// argument.
+func (s *Spec) timeline(rng *rand.Rand, limit int) ([]Request, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -459,6 +477,9 @@ func (s *Spec) Timeline(rng *rand.Rand) ([]Request, error) {
 				t += s.gap(rng, rate)
 				if t >= w.ToSec {
 					break
+				}
+				if len(out) == limit {
+					return nil, fmt.Errorf("%w: more than %d", ErrTooManyRequests, limit)
 				}
 				tokens := d.SampleLen(rng)
 				if tokens < 16 {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -146,6 +147,31 @@ func TestValidateBoundsTimeline(t *testing.T) {
 	}
 	if _, err := Parse("clients=1000000,rate=10000@0-100s"); err != nil {
 		t.Errorf("a spec at the ceiling was rejected: %v", err)
+	}
+}
+
+// TestTimelineBoundsGenerated: a bursty process restarted at every
+// window start generates far more than Validate's expected count (this
+// spec expects 100 requests and generates 108,348 at seed 1000), so the
+// expansion stops once it passes its limit and is otherwise unchanged.
+func TestTimelineBoundsGenerated(t *testing.T) {
+	spec, err := Parse("clients=10000,rate=100@0-1s,arrival=gamma:cv=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spec.timeline(rand.New(rand.NewSource(1000)), 10_000); !errors.Is(err, ErrTooManyRequests) {
+		t.Fatalf("limit 10000: err = %v, want ErrTooManyRequests", err)
+	}
+	got, err := spec.timeline(rand.New(rand.NewSource(1000)), 200_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := spec.Timeline(rand.New(rand.NewSource(1000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 108_348 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("limit 200000 gave %d requests, Timeline %d (want 108348, identical)", len(got), len(want))
 	}
 }
 

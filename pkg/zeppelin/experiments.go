@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"zeppelin/internal/experiments"
-	"zeppelin/internal/runner"
 	"zeppelin/internal/workload"
 )
 
@@ -99,15 +98,10 @@ func experimentByName(name string) (experiment, error) {
 	return experiment{}, fmt.Errorf("zeppelin: unknown experiment %q", name)
 }
 
-// opts maps public options (plus a context and an optional shared
-// engine) onto the internal experiment options.
-func (o Options) internal(ctx context.Context, eng *runner.Engine) experiments.Options {
-	return experiments.Options{Seeds: o.Seeds, Workers: o.Workers, Engine: eng, Ctx: ctx}
-}
-
-// engine builds the shared engine one invocation's experiments run on.
-func (o Options) engine() *runner.Engine {
-	return runner.New(runner.Options{Workers: o.Workers})
+// internal maps public options plus a context onto the internal
+// experiment options.
+func (o Options) internal(ctx context.Context) experiments.Options {
+	return experiments.Options{Seeds: o.Seeds, Workers: o.Workers, Ctx: ctx}
 }
 
 // RunExperiment computes one experiment's structured result — the JSON
@@ -118,7 +112,7 @@ func RunExperiment(ctx context.Context, name string, o Options) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.run(o.internal(ctx, o.engine()))
+	return e.run(o.internal(ctx))
 }
 
 // RenderExperiment writes one experiment's paper-style text rendering.
@@ -127,7 +121,7 @@ func RenderExperiment(ctx context.Context, w io.Writer, name string, o Options) 
 	if err != nil {
 		return err
 	}
-	return e.render(w, o.internal(ctx, o.engine()))
+	return e.render(w, o.internal(ctx))
 }
 
 // NamedResult pairs an experiment name with its structured result — the
@@ -138,10 +132,9 @@ type NamedResult struct {
 	Result any    `json:"result"`
 }
 
-// RunAllExperiments computes every experiment in paper order on one
-// shared engine, so cells common to several figures simulate once.
+// RunAllExperiments computes every experiment in paper order.
 func RunAllExperiments(ctx context.Context, o Options) ([]NamedResult, error) {
-	opts := o.internal(ctx, o.engine())
+	opts := o.internal(ctx)
 	out := make([]NamedResult, 0, len(experimentTable))
 	for _, e := range experimentTable {
 		r, err := e.run(opts)
@@ -153,10 +146,10 @@ func RunAllExperiments(ctx context.Context, o Options) ([]NamedResult, error) {
 	return out, nil
 }
 
-// RenderAllExperiments renders every experiment in paper order on one
-// shared engine, under `================ name ================` banners.
+// RenderAllExperiments renders every experiment in paper order, under
+// `================ name ================` banners.
 func RenderAllExperiments(ctx context.Context, w io.Writer, o Options) error {
-	opts := o.internal(ctx, o.engine())
+	opts := o.internal(ctx)
 	for _, e := range experimentTable {
 		fmt.Fprintf(w, "\n================ %s ================\n", e.name)
 		if err := e.render(w, opts); err != nil {
